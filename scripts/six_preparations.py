@@ -1,8 +1,12 @@
 """Reproduce the six-preparation, three-measurement analysis end to end.
 
-Computes the 1596-facet noncontextual polytope (several minutes of exact
+Computes the 1596-facet noncontextual polytope (under ten seconds of exact
 arithmetic), classifies its facets under the 576-element relabeling group,
-and checks the ideal quantum table against it.
+and checks the ideal quantum table against it.  The two progress lines of
+the projection count the free distribution coordinates with the
+distribution-polytope vertices (20, 846), then the free table coordinates
+with the distinct image points of those vertices (8, 774), which include
+points that are not extreme.
 
 Usage: python3 scripts/six_preparations.py [--output polytope.json]
 """

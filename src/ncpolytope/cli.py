@@ -40,8 +40,6 @@ def _parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--output", metavar="PATH",
                        help="write the result document here (default stdout)")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="parallelism degree (results are identical for any N)")
         p.add_argument("-v", "--verbose", action="count", default=0)
 
     p = sub.add_parser("vertices",

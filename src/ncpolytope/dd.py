@@ -1,0 +1,173 @@
+"""Exact double description: extreme rays, vertices and hull facets.
+
+The kernel is the incremental method of Motzkin et al. (1953) in the form
+of Fukuda & Prodon, "Double description method revisited" (1996).  It
+starts from the simplicial cone of the first linearly independent rows,
+inserts the remaining rows one at a time, and combines every ray on the
+positive side of the new row with every adjacent ray on its negative
+side.  Adjacency is decided combinatorially: two extreme rays of a pointed
+cone are adjacent iff no third extreme ray is tight on every row that both
+are tight on.  Tight sets are int bitsets over the rows inserted so far,
+and every number in the kernel is a Python int.
+
+A dense row is a tuple of ints ``(a_0, ..., a_{n-1}, a_n)`` meaning
+``a_0 y_0 + ... + a_{n-1} y_{n-1} + a_n >= 0``; a rational point is a pair
+``(ints, den)`` meaning ``ints / den`` with ``den > 0``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
+
+from .linalg import ONE, ZERO
+
+
+def primitive(ints) -> tuple:
+    """The ints divided by their gcd; signs are kept."""
+    g = gcd(*ints)
+    return tuple(a // g for a in ints) if g > 1 else tuple(ints)
+
+
+def over_common_denominator(values):
+    """``(ints, den)`` with ``values == ints / den`` and ``den`` the least."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def dense_row(row, variables) -> tuple:
+    """A LinRow over ``variables``, constant last, as coprime ints."""
+    entries = [row.coeffs.get(v, ZERO) for v in variables] + [row.const]
+    return primitive(over_common_denominator(entries)[0])
+
+
+def extreme_rays(rows, D) -> list:
+    """Extreme rays of the cone {x in Q^D : r . x >= 0 for each row r}.
+
+    Rays are primitive int tuples.  The rows must span Q^D (so that the
+    cone is pointed); ValueError otherwise.  An empty list means the cone
+    is {0}.
+    """
+    rows = [tuple(r) for r in rows]
+    init, rays = _simplicial_start(rows, D)
+    # Bits 0..D-1 are the rows of the starting cone, whose k-th ray is
+    # tight on all of them but the k-th.
+    everything = (1 << D) - 1
+    tights = [everything ^ (1 << k) for k in range(D)]
+    chosen = set(init)
+    rest = [r for k, r in enumerate(rows) if k not in chosen]
+    for position, row in enumerate(rest, start=D):
+        bit = 1 << position
+        values = [sum(map(mul, row, ray)) for ray in rays]
+        kept_rays, kept_tights, pos, neg = [], [], [], []
+        for k, value in enumerate(values):
+            if value >= 0:
+                kept_rays.append(rays[k])
+                kept_tights.append(tights[k] | bit if value == 0 else tights[k])
+                if value:
+                    pos.append(k)
+            else:
+                neg.append(k)
+        for i in pos:
+            ti, ri, vi = tights[i], rays[i], values[i]
+            for j in neg:
+                common = ti & tights[j]
+                if common.bit_count() < D - 2:
+                    continue
+                # Adjacent iff no third ray is tight wherever both are.
+                if any(t & common == common and k != i and k != j
+                       for k, t in enumerate(tights)):
+                    continue
+                vj, rj = values[j], rays[j]
+                kept_rays.append(primitive([vi * b - vj * a
+                                            for a, b in zip(ri, rj)]))
+                # A positive combination is tight exactly where both are.
+                kept_tights.append(common | bit)
+        rays, tights = kept_rays, kept_tights
+        if not rays:
+            break
+    return rays
+
+
+def _simplicial_start(rows, D):
+    """The first D independent rows and the rays of the cone they bound.
+
+    Those rays are the columns of the inverse of the rows' matrix.
+    """
+    init, echelon = [], []
+    for k, row in enumerate(rows):
+        v = [Fraction(a) for a in row]
+        for col, e in echelon:
+            if v[col]:
+                f = v[col]
+                v = [a - f * b for a, b in zip(v, e)]
+        col = next((c for c in range(D) if v[c]), None)
+        if col is None:
+            continue
+        echelon.append((col, [a / v[col] for a in v]))
+        init.append(k)
+        if len(init) == D:
+            break
+    else:
+        raise ValueError("inequality rows do not span the space")
+    aug = [[Fraction(a) for a in rows[k]] + [ONE if i == j else ZERO
+                                             for j in range(D)]
+           for i, k in enumerate(init)]
+    for col in range(D):
+        piv = next(i for i in range(col, D) if aug[i][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        prow = aug[col] = [a / aug[col][col] for a in aug[col]]
+        for i in range(D):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], prow)]
+    rays = [primitive(over_common_denominator([aug[i][D + j]
+                                               for i in range(D)])[0])
+            for j in range(D)]
+    return init, rays
+
+
+def vertices(ineqs, dim) -> list:
+    """Vertices of the bounded region {y in Q^dim : a . y + a0 >= 0}.
+
+    ``ineqs`` are dense rows; vertices are rational points ``(ints, den)``.
+    An empty region has none.  ValueError if the region is unbounded.
+    """
+    out = []
+    for ray in extreme_rays([(0,) * dim + (1,)] + list(ineqs), dim + 1):
+        if ray[-1] == 0:
+            raise ValueError("region is unbounded")
+        out.append((ray[:-1], ray[-1]))
+    return out
+
+
+def hull_facets(points) -> list:
+    """Facets of the convex hull of rational points that span their space.
+
+    Returns sorted dense rows.  Points that are not extreme are allowed:
+    by polarity around the centroid c, each point p becomes the row
+    (p - c) . u <= 1, the facets are the vertices u of that region, and a
+    point that is not extreme only adds a redundant row.
+    """
+    points = sorted(set(points))
+    n, dim = len(points), len(points[0][0])
+    den_all = lcm(*(d for _, d in points))
+    centre = [sum(p[k] * (den_all // d) for p, d in points) for k in range(dim)]
+    den_c = n * den_all
+
+    def offset(point):   # (p - c) * d * den_c, as ints
+        ints, d = point
+        return [a * den_c - c * d for a, c in zip(ints, centre)]
+
+    # Far points first keeps intermediate ray counts close to the output.
+    points.sort(key=lambda p: Fraction(sum(x * x for x in offset(p)),
+                                       p[1] * p[1]), reverse=True)
+    polar = [primitive([-x for x in offset(p)] + [p[1] * den_c])
+             for p in points]
+    facets = set()
+    for u, t in vertices(polar, dim):
+        # u . (x - c) <= 1 with u = ints / t, times t * den_c.
+        facets.add(primitive([-a * den_c for a in u]
+                             + [t * den_c + sum(map(mul, u, centre))]))
+    return sorted(facets)

@@ -240,6 +240,16 @@ def reduce_modulo(row: LinRow, equalities: list, variables: list) -> LinRow:
     same canonical form, which is how row identity "modulo the affine hull"
     is decided everywhere in this package.
     """
+    return canonicalize_row(row.substituted(
+        substitution_map(equalities, variables)))
+
+
+def substitution_map(equalities: list, variables: list) -> dict:
+    """Pivot substitutions of rref'd equality rows, for ``LinRow.substituted``.
+
+    ``canonicalize_row(row.substituted(subs))`` equals ``reduce_modulo``;
+    callers reducing many rows build the map once.
+    """
     order = {v: k for k, v in enumerate(variables)}
     subs = {}
     for eq in equalities:
@@ -249,7 +259,7 @@ def reduce_modulo(row: LinRow, equalities: list, variables: list) -> LinRow:
         c = eq.coeffs[pv]
         subs[pv] = ({v: -a / c for v, a in eq.coeffs.items() if v != pv},
                     -eq.const / c)
-    return canonicalize_row(row.substituted(subs))
+    return subs
 
 
 def span_equal(rows_a: list, rows_b: list, variables: list) -> bool:

@@ -3,17 +3,17 @@
 The H-representation couples positivity of every response-function value,
 per-measurement normalization, and one equality per measurement operational
 equivalence.  Vertices are enumerated exactly by the double description
-method: the normalization/OE equalities are substituted away first (so the
-iteration starts on the affine subspace), then the positivity rows are
-inserted incrementally.
+method (:mod:`.dd`): the normalization/OE equalities are substituted away
+first (so the iteration starts on the affine subspace), then the positivity
+rows are inserted incrementally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
+from .dd import dense_row, vertices
 from .linalg import (EQ, GEQ, ONE, ZERO, InconsistentSystem, LinearSystem,
                      LinRow, row_reduce_equalities)
 from .scenario import DimensionMismatch, Scenario
@@ -94,135 +94,19 @@ def enumerate_vertices(h: HPolytope) -> VertexSet:
         return VertexSet(h.variables, [point])
     # Dense integer inequalities a.y + a0 >= 0 over the free coordinates.
     ineqs = []
-    for q in (_dense(row, free) for row in reduced.rows):
+    for q in (dense_row(row, free) for row in reduced.rows):
         if any(q[:-1]):
             ineqs.append(q)
         elif q[-1] < 0:
             raise EmptyPolytope("constant row violated")
-    raw = _double_description(ineqs, len(free))
+    raw = vertices(ineqs, len(free))
     if not raw:
         raise EmptyPolytope("no point satisfies all rows")
-    vertices = []
-    for y in raw:
-        point = dict(zip(free, y))
+    points = []
+    for ys, t in raw:
+        point = {v: Fraction(a, t) for v, a in zip(free, ys)}
         for v, (coeffs, const) in subs.items():
             point[v] = sum((c * point[w] for w, c in coeffs.items()), const)
-        vertices.append(point)
-    vertices.sort(key=lambda p: tuple(p[v] for v in h.variables))
-    return VertexSet(h.variables, vertices)
-
-
-def _dense(row: LinRow, variables: list) -> tuple:
-    entries = [row.coeffs.get(v, ZERO) for v in variables] + [row.const]
-    lcm = 1
-    for e in entries:
-        lcm = lcm * e.denominator // gcd(lcm, e.denominator)
-    ints = [int(e * lcm) for e in entries]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    if g > 1:
-        ints = [a // g for a in ints]
-    return tuple(ints)
-
-
-def _double_description(ineqs: list, dim: int) -> list:
-    """Vertices of {y : a.y + a0 >= 0 for all ineqs}, assumed inside [0,1]^dim.
-
-    Works on the homogenization cone in dimension dim+1.  The starting
-    polytope is the box [-1, 2]^dim, which strictly contains [0,1]^dim, so
-    none of its facets can be tight on the final vertex set and the result
-    is exactly the vertex set of the inequality system.
-    """
-    # Homogenized constraints; the box rows come first so tight-set indices
-    # are stable as the real constraints are appended one at a time.
-    box = []
-    for k in range(dim):
-        row = [0] * (dim + 1)
-        row[k], row[dim] = 1, 1          # y_k + 1 >= 0
-        box.append(tuple(row))
-        row = [0] * (dim + 1)
-        row[k], row[dim] = -1, 2         # 2 - y_k >= 0
-        box.append(tuple(row))
-    constraints = list(box)
-
-    rays = []
-    for corner in range(1 << dim):
-        y = [(2 if corner >> k & 1 else -1) for k in range(dim)]
-        rays.append(tuple(y + [1]))
-
-    def tight_set(ray):
-        return frozenset(idx for idx, c in enumerate(constraints)
-                         if sum(a * r for a, r in zip(c, ray)) == 0)
-
-    tights = [tight_set(r) for r in rays]
-
-    for new in ineqs:
-        constraints.append(tuple(new))
-        values = [sum(a * r for a, r in zip(new, ray)) for ray in rays]
-        keep_rays, keep_tights = [], []
-        pos, neg = [], []
-        for ray, tset, val in zip(rays, tights, values):
-            if val > 0:
-                pos.append((ray, tset, val))
-            elif val < 0:
-                neg.append((ray, tset, val))
-            if val >= 0:
-                keep_rays.append(ray)
-                keep_tights.append(tset | ({len(constraints) - 1} if val == 0
-                                           else frozenset()))
-        for rp, tp, vp in pos:
-            for rn, tn, vn in neg:
-                common = tp & tn
-                if not _adjacent(common, constraints, dim + 1):
-                    continue
-                combo = [vp * bn - vn * bp for bp, bn in zip(rp, rn)]
-                g = 0
-                for a in combo:
-                    g = gcd(g, abs(a))
-                combo = tuple(a // g for a in combo)
-                keep_rays.append(combo)
-                keep_tights.append(tight_set(combo))
-        rays, tights = keep_rays, keep_tights
-        if not rays:
-            return []
-    out = []
-    for ray in rays:
-        t = ray[-1]
-        assert t > 0, "unbounded ray in a bounded polytope"
-        out.append(tuple(Fraction(a, t) for a in ray[:-1]))
-    return sorted(set(out))
-
-
-def _adjacent(common, constraints, cone_dim) -> bool:
-    """Combinatorial adjacency: shared tight rows must have rank cone_dim - 2."""
-    if len(common) < cone_dim - 2:
-        return False
-    rows = [list(constraints[idx]) for idx in sorted(common)]
-    return _rank(rows) == cone_dim - 2
-
-
-def _rank(rows) -> int:
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    rows = [list(map(Fraction, r)) for r in rows]
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        inv = ONE / prow[col]
-        rows[rank] = [a * inv for a in prow]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * p for a, p in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+        points.append(point)
+    points.sort(key=lambda p: tuple(p[v] for v in h.variables))
+    return VertexSet(h.variables, points)

@@ -7,10 +7,13 @@ its facet inequalities, and conversely.
 
 The pipeline substitutes the equality rows away first (preferring to
 eliminate distribution variables, so data-table coordinates stay free
-wherever possible), then removes the remaining distribution variables one
-at a time by Fourier-Motzkin elimination with Chernikov ancestor pruning,
-running an exact-LP irredundancy pass after every elimination step to keep
-the intermediate row count at the true facet count.
+wherever possible).  Small systems then remove the remaining distribution
+variables one at a time by Fourier-Motzkin elimination with Chernikov
+ancestor pruning, running an exact-LP irredundancy pass after every
+elimination step to keep the intermediate row count at the true facet
+count.  Larger systems take the hull route instead: the images of the
+distribution-polytope vertices, with no filtering, go through a polar
+double description (:mod:`.dd`) that returns the facets of their hull.
 """
 
 from __future__ import annotations
@@ -18,13 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
+from .dd import (dense_row, hull_facets, over_common_denominator, primitive,
+                 vertices)
 from .linalg import (EQ, GEQ, ONE, ZERO, LinRow, LinearSystem,
                      canonicalize_row, reduce_modulo, rref,
                      row_reduce_equalities)
 from .ncsystem import F2System, nu_var
 from .scenario import p_vars
-from .simplex import OPTIMAL, UNBOUNDED, minimize_over_rows, solve_standard
+from .simplex import OPTIMAL, minimize_over_rows
+# Unused here; kept importable because tracing wraps projection.solve_standard.
+from .simplex import solve_standard  # noqa: F401
 
 
 @dataclass
@@ -58,17 +66,10 @@ class NCPolytope:
 # indices, used for the Chernikov cardinality rule.
 
 
-def _normalize(row):
-    g = 0
-    for a in row:
-        g = gcd(g, abs(a))
-    return tuple(a // g for a in row) if g > 1 else tuple(row)
-
-
 def _combine(pos_row, pos_val, neg_row, neg_val, col):
     # pos_val = pos_row[col] > 0, neg_val = neg_row[col] < 0.
-    return _normalize(tuple(pos_val * bn - neg_val * bp
-                            for bp, bn in zip(pos_row, neg_row)))
+    return primitive([pos_val * bn - neg_val * bp
+                      for bp, bn in zip(pos_row, neg_row)])
 
 
 def fm_step(rows, ancestors, col, eliminations_done):
@@ -99,7 +100,7 @@ def fm_step(rows, ancestors, col, eliminations_done):
             anc = panc | nanc
             if len(anc) > limit:
                 continue
-            combo = strip(_pad(_combine(prow, pval, nrow, nval, col)))
+            combo = strip(_combine(prow, pval, nrow, nval, col))
             if not any(combo[:-1]) and combo[-1] >= 0:
                 continue  # trivially true
             if combo in seen:
@@ -111,10 +112,6 @@ def fm_step(rows, ancestors, col, eliminations_done):
         out_rows.append(key)
         out_anc.append(seen[key])
     return out_rows, out_anc
-
-
-def _pad(row):
-    return row
 
 
 def fm_eliminate_var(rows, var):
@@ -129,19 +126,11 @@ def fm_eliminate_var(rows, var):
     for r in rows:
         if r.kind != GEQ:
             raise ValueError("fm_eliminate_var expects GEQ rows only")
-        dense.append(_dense_row(r, variables))
+        dense.append(dense_row(r, variables))
     anc = [frozenset([i]) for i in range(len(dense))]
     out, _ = fm_step(dense, anc, col, 0)
     rest = variables[:col] + variables[col + 1:]
     return [_lift_row(row, rest) for row in out]
-
-
-def _dense_row(row: LinRow, variables):
-    entries = [row.coeffs.get(v, ZERO) for v in variables] + [row.const]
-    lcm = 1
-    for e in entries:
-        lcm = lcm * e.denominator // gcd(lcm, e.denominator)
-    return _normalize(tuple(int(e * lcm) for e in entries))
 
 
 def _lift_row(dense, variables, kind=GEQ) -> LinRow:
@@ -157,8 +146,8 @@ def irredundant_rows(rows, witnesses=None):
 
     Each surviving row is certified non-redundant by a point that violates
     it while satisfying all other survivors; each removed row is certified
-    implied by an exact LP.  ``witnesses`` (scaled integer points, see
-    :func:`_scale_point`) from earlier passes short-circuit most LPs.
+    implied by an exact LP.  ``witnesses`` (rational points ``(ints, den)``)
+    from earlier passes short-circuit most LPs.
     """
     rows = sorted(set(rows))
     if witnesses is None:
@@ -186,15 +175,8 @@ def irredundant_rows(rows, witnesses=None):
         if res.value + row[-1] >= 0:
             alive[idx] = False
         else:
-            witnesses.append(_scale_point(res.x))
+            witnesses.append(over_common_denominator(res.x))
     return [r for k, r in enumerate(rows) if alive[k]], witnesses
-
-
-def _scale_point(x):
-    den = 1
-    for v in x:
-        den = den * v.denominator // gcd(den, v.denominator)
-    return tuple(int(v * den) for v in x), den
 
 
 def remove_redundant(rows, equalities=()):
@@ -206,7 +188,7 @@ def remove_redundant(rows, equalities=()):
     reduced = [reduce_modulo(r, eqs, variables) for r in rows]
     free = [v for v in variables
             if not any(max(e.coeffs, key=variables.index) == v for e in eqs)]
-    dense = [_dense_row(r, free) for r in reduced]
+    dense = [dense_row(r, free) for r in reduced]
     keep_set = set(irredundant_rows(dense)[0])
     out = []
     seen = set()
@@ -266,7 +248,7 @@ def _affine_hull(f2: F2System):
 
 def _fm_facets(f2: F2System, reduced, progress):
     free = reduced.variables
-    dense = [_dense_row(r, free) for r in reduced.rows]
+    dense = [dense_row(r, free) for r in reduced.rows]
     ancestors = [frozenset([i]) for i in range(len(dense))]
     eliminations = 0
     witnesses = []
@@ -299,9 +281,10 @@ def _fm_facets(f2: F2System, reduced, progress):
 #
 # Vertices of the image of a polytope are images of its vertices, so the
 # projection can be computed as: enumerate the distribution-polytope
-# vertices, push them through the linking map, keep the extreme points,
-# and recover the facet description by a polar double description around
-# an interior point.  Everything below is exact integer/rational.
+# vertices, push them through the linking map, and recover the facets of
+# the image points' hull by a polar double description.  Image points that
+# are not extreme need no filtering; they only add redundant polar rows.
+# Everything below is exact integer arithmetic.
 
 
 def _hull_facets(f2: F2System, equalities, all_p, progress):
@@ -310,190 +293,55 @@ def _hull_facets(f2: F2System, equalities, all_p, progress):
     nu_system = LinearSystem(list(f2.nu_vars), nu_rows)
     subs, reduced = row_reduce_equalities(nu_system)
     free_nu = reduced.variables
-    ineqs = [_dense_row(r, free_nu) for r in reduced.rows]
-    nu_vertices = _cone_dd_vertices(ineqs, len(free_nu))
+    nu_vertices = vertices([dense_row(r, free_nu) for r in reduced.rows],
+                           len(free_nu))
     if progress:
         progress(len(free_nu), len(nu_vertices))
 
     pivots = {max(e.coeffs, key=all_p.index) for e in equalities}
     free_p = [v for v in all_p if v not in pivots]
-    nverts = len(f2.vertices)
+    image, den = _image_map(f2, subs, free_nu, free_p)
     points = set()
-    for vy in nu_vertices:
-        point = dict(zip(free_nu, vy))
-        for var, (coeffs, const) in subs.items():
-            point[var] = sum((c * point[w] for w, c in coeffs.items()), const)
-        coords = []
-        for (_, i, j, m) in free_p:
-            coords.append(sum((f2.vertices.component(k, i, m)
-                               * point[nu_var(j, k)]
-                               for k in range(1, nverts + 1)), ZERO))
-        points.add(tuple(coords))
-    points = _extreme_points(sorted(points))
+    for ys, t in nu_vertices:
+        ints = [sum(map(mul, row, ys)) + row[-1] * t for row in image]
+        g = gcd(den * t, *ints)
+        points.add((tuple(a // g for a in ints), den * t // g))
     if progress:
         progress(len(free_p), len(points))
 
-    dim = len(free_p)
-    if dim == 0 or len(points) == 1:
+    if not free_p or len(points) == 1:
         return []
-    center = [sum(p[k] for p in points) / len(points) for k in range(dim)]
-    # Far points first keeps intermediate ray counts close to the output.
-    points.sort(key=lambda p: sum((x - y) ** 2 for x, y in zip(p, center)),
-                reverse=True)
-    polar = [_int_scaled([-(x - c) for x, c in zip(p, center)] + [ONE])
-             for p in points]
-    facets = set()
-    for ray in _cone_dd(polar, dim):
-        t = ray[-1]
-        assert t > 0, "polar of a full-dimensional hull is bounded"
-        u = [Fraction(a, t) for a in ray[:-1]]
-        const = ONE + sum(ui * ci for ui, ci in zip(u, center))
-        facets.add(_int_scaled([-ui for ui in u] + [const]))
-    return [canonicalize_row(_lift_row(r, free_p)) for r in sorted(facets)]
+    return [canonicalize_row(_lift_row(r, free_p))
+            for r in hull_facets(points)]
 
 
-def _extreme_points(points):
-    """Drop every point that is a convex combination of the others."""
-    alive = list(points)
-    dim = len(points[0])
-    for idx in range(len(alive)):
-        target = alive[idx]
-        others = [q for k, q in enumerate(alive) if k != idx and q is not None]
-        A = [[q[r] for q in others] for r in range(dim)]
-        A.append([ONE] * len(others))
-        b = list(target) + [ONE]
-        res = solve_standard(A, b, [ZERO] * len(others))
-        if res.status == OPTIMAL:
-            alive[idx] = None
-    return [q for q in alive if q is not None]
+def _image_map(f2: F2System, subs, free_nu, free_p):
+    """The linking map from free nu-coordinates to free p-coordinates.
 
-
-def _int_scaled(vec):
-    den = 1
-    for v in vec:
-        den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    if g > 1:
-        ints = [a // g for a in ints]
-    return tuple(ints)
-
-
-def _rank_int(rows, ncols) -> int:
-    """Rank by fraction-free integer elimination with gcd reduction."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        pval = prow[col]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                merged = [a * pval - b * f for a, b in zip(rows[i], prow)]
-                g = 0
-                for a in merged:
-                    g = gcd(g, abs(a))
-                rows[i] = [a // g for a in merged] if g > 1 else merged
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def _cone_dd(ineqs, dim):
-    """Extreme rays of {(y, t): t >= 0, a.y + a0 t >= 0 for each row}.
-
-    Double description starting from a full-rank subset of the rows (the
-    initial simplicial cone's rays are the columns of the subset's
-    inverse), with combinatorial adjacency certified by an exact rank
-    test.  ``ineqs`` are integer tuples with the constant last.
+    Returns integer rows (coefficients, constant) and one denominator
+    ``den``: p = (row . nu + constant) / den for each free p-coordinate.
     """
-    D = dim + 1
-    rows = [tuple([0] * dim + [1])] + [tuple(r) for r in ineqs]
-    init = []
-    for k, row in enumerate(rows):
-        if len(init) == D:
-            break
-        if _rank_int([rows[i] for i in init] + [row], D) > len(init):
-            init.append(k)
-    if len(init) < D:
-        raise ValueError("inequality rows do not span the space")
-
-    matrix = [[Fraction(rows[k][c]) for c in range(D)] for k in init]
-    rays = [_int_scaled(col) for col in _inverse_columns(matrix)]
-    constraints = [rows[k] for k in init]
-    rest = [rows[k] for k in range(len(rows)) if k not in set(init)]
-
-    def tight_set(ray):
-        return frozenset(i for i, c in enumerate(constraints)
-                         if sum(a * r for a, r in zip(c, ray)) == 0)
-
-    tights = [tight_set(r) for r in rays]
-    for new in rest:
-        constraints.append(new)
-        values = [sum(a * r for a, r in zip(new, ray)) for ray in rays]
-        keep_rays, keep_tights = [], []
-        pos, neg = [], []
-        for ray, tset, val in zip(rays, tights, values):
-            if val > 0:
-                pos.append((ray, tset, val))
-            elif val < 0:
-                neg.append((ray, tset, val))
-            if val >= 0:
-                keep_rays.append(ray)
-                keep_tights.append(tset | ({len(constraints) - 1}
-                                           if val == 0 else frozenset()))
-        for rp, tp, vp in pos:
-            for rn, tn, vn in neg:
-                common = tp & tn
-                if len(common) < D - 2:
-                    continue
-                if _rank_int([constraints[i] for i in common], D) != D - 2:
-                    continue
-                combo = _int_scaled([Fraction(vp * bn - vn * bp)
-                                     for bp, bn in zip(rp, rn)])
-                keep_rays.append(combo)
-                keep_tights.append(tight_set(combo))
-        rays, tights = keep_rays, keep_tights
-    return rays
-
-
-def _cone_dd_vertices(ineqs, dim):
-    """Vertices of a bounded region {y: a.y + a0 >= 0}, via _cone_dd."""
-    out = set()
-    for ray in _cone_dd(ineqs, dim):
-        t = ray[-1]
-        if t == 0:
-            raise ValueError("region is unbounded")
-        out.add(tuple(Fraction(a, t) for a in ray[:-1]))
-    return sorted(out)
-
-
-def _inverse_columns(matrix):
-    n = len(matrix)
-    aug = [row[:] + [ONE if i == j else ZERO for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = ONE / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        prow = aug[col]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], prow)]
-    return [[aug[i][n + j] for i in range(n)] for j in range(n)]
+    nverts = len(f2.vertices)
+    column = {v: k for k, v in enumerate(free_nu)}
+    entries = []
+    for (_, i, j, m) in free_p:
+        row = [ZERO] * (len(free_nu) + 1)
+        for k in range(1, nverts + 1):
+            weight = f2.vertices.component(k, i, m)
+            var = nu_var(j, k)
+            if not weight:
+                continue
+            if var in column:
+                row[column[var]] += weight
+            else:
+                coeffs, const = subs[var]
+                for w, c in coeffs.items():
+                    row[column[w]] += weight * c
+                row[-1] += weight * const
+        entries.extend(row)
+    ints, den = over_common_denominator(entries)
+    width = len(free_nu) + 1
+    return [ints[k:k + width] for k in range(0, len(ints), width)], den
 
 
 def _pick_column(dense, nu_cols, free, nu_order):

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import EQ, ONE, ZERO, LinRow, canonicalize_row, reduce_modulo, rref
+from .linalg import (EQ, ONE, ZERO, LinRow, canonicalize_row, reduce_modulo,
+                     rref, substitution_map)
 from .scenario import Scenario, flatten_coord, p_var
 
 GROUP_CAP = 10 ** 6
@@ -246,30 +247,41 @@ class OrbitClass:
     members: list
 
 
-def _orbit_keys(scn, row, group, equalities, variables):
-    """Map each reduced-canonical orbit member key to one moved row."""
+def _orbit_keys(scn, row, group, subs, variables):
+    """Map each reduced-canonical orbit member key to one moved row.
+
+    ``subs`` is the equalities' :func:`substitution_map`.
+    """
     out = {}
     for g in group.elements:
         moved = act_on_row(g, row)
-        reduced = reduce_modulo(moved, equalities, variables)
+        reduced = canonicalize_row(moved.substituted(subs))
         out.setdefault(reduced.key(variables), (reduced, moved))
     return out
+
+
+def _substitutions(equalities, variables):
+    eqs = rref(list(equalities), variables) if equalities else []
+    return substitution_map(eqs, variables)
 
 
 def classify_orbits(rows, group: RelabelingGroup, equalities, variables):
     """Partition rows into group orbits modulo the affine-hull equalities."""
     scn = group.elements[0].scenario if group.elements else None
-    eqs = rref(list(equalities), variables) if equalities else []
+    subs = _substitutions(equalities, variables)
+
+    def key(row):
+        return canonicalize_row(row.substituted(subs)).key(variables)
+
     index = {}
     for row in rows:
-        index[reduce_modulo(row, eqs, variables).key(variables)] = row
+        index[key(row)] = row
     classes = []
     assigned = set()
     for row in rows:
-        key = reduce_modulo(row, eqs, variables).key(variables)
-        if key in assigned:
+        if key(row) in assigned:
             continue
-        orbit = _orbit_keys(scn, row, group, eqs, variables)
+        orbit = _orbit_keys(scn, row, group, subs, variables)
         missing = [k for k in orbit if k not in index]
         if missing:
             reduced, moved = orbit[missing[0]]
@@ -287,6 +299,6 @@ def expand_orbit(representative: LinRow, group: RelabelingGroup,
                  equalities, variables):
     """All distinct images of a row, reduced modulo the equalities."""
     scn = group.elements[0].scenario
-    eqs = rref(list(equalities), variables) if equalities else []
-    orbit = _orbit_keys(scn, representative, group, eqs, variables)
+    orbit = _orbit_keys(scn, representative, group,
+                        _substitutions(equalities, variables), variables)
     return sorted((orbit[k][0] for k in orbit), key=lambda r: r.key(variables))

@@ -79,7 +79,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def poly63(scn63, verts63):
-    """The large polytope; computed once per session (several minutes)."""
+    """The large polytope; computed once per session."""
     import time
 
     from ncpolytope.projection import project_to_nc_polytope

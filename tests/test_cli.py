@@ -135,11 +135,6 @@ def test_group_cap_exit_code(capsys, tmp_path, monkeypatch):
     assert code == EXIT_LIMIT
 
 
-def test_jobs_flag_accepted(capsys):
-    code, out, _ = run(capsys, "vertices", SIMPLEST, "--jobs", "4")
-    assert code == EXIT_OK
-
-
 def test_verbose_progress_on_stderr(capsys):
     code, out, err = run(capsys, "polytope", SIMPLEST, "-v")
     assert code == EXIT_OK

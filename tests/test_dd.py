@@ -1,0 +1,116 @@
+import random
+from fractions import Fraction
+from itertools import product
+from math import lcm
+
+import pytest
+
+from ncpolytope.dd import dense_row, hull_facets, vertices
+from ncpolytope.linalg import GEQ, LinRow, LinearSystem
+from ncpolytope.measurement_polytope import (EmptyPolytope, HPolytope,
+                                             enumerate_vertices)
+from oracles import brute_force_vertices, in_convex_hull
+
+F = Fraction
+VARS = ["x", "y", "z"]
+
+
+def upper(coeffs, bound):
+    """coeffs . x <= bound as a GEQ LinRow."""
+    return LinRow({v: -F(c) for v, c in zip(VARS, coeffs)}, F(bound), GEQ)
+
+
+def lower(coeffs, bound):
+    """coeffs . x >= bound as a GEQ LinRow."""
+    return LinRow({v: F(c) for v, c in zip(VARS, coeffs)}, -F(bound), GEQ)
+
+
+UNIT = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+CUBE = ([lower(e, 0) for e in UNIT] + [upper(e, 1) for e in UNIT])
+SIMPLEX = [lower(e, 0) for e in UNIT] + [upper((1, 1, 1), 1)]
+# a cross-polytope of radius 1/2 about (1/3, 1/3, 1/3): rational vertices
+CROSS = [upper(s, F(1, 2) + F(sum(s), 3))
+         for s in product((1, -1), repeat=3)]
+
+
+def kernel_vertices(rows, variables=VARS):
+    got = vertices([dense_row(r, variables) for r in rows], len(variables))
+    return sorted(tuple(F(a, den) for a in ints) for ints, den in got)
+
+
+@pytest.mark.parametrize("rows, count",
+                         [(CUBE, 8), (SIMPLEX, 4), (CROSS, 6)],
+                         ids=["cube", "simplex", "cross-polytope"])
+def test_vertices_match_brute_force_oracle(rows, count):
+    got = kernel_vertices(rows)
+    assert got == brute_force_vertices(LinearSystem(VARS, rows))
+    assert len(got) == count
+
+
+def point(*coords):
+    den = lcm(*(F(c).denominator for c in coords))
+    return tuple(int(F(c) * den) for c in coords), den
+
+
+def test_hull_ignores_points_that_are_not_extreme():
+    # the 4-cube: its corners alone, then every point of the half-integer
+    # grid (interior, face-interior and corner points) with repeats
+    corners = [point(*c) for c in product((0, 1), repeat=4)]
+    grid = [point(*c) for c in product((0, F(1, 2), 1), repeat=4)]
+    facets = hull_facets(corners)
+    assert hull_facets(grid + corners + grid[:5]) == facets
+    unit = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    assert set(facets) == ({e + (0,) for e in unit}
+                           | {tuple(-a for a in e) + (1,) for e in unit})
+
+
+def affine_rank(points):
+    rows = [[F(a - b) for a, b in zip(p, points[0])] for p in points[1:]]
+    rank = 0
+    for col in range(len(points[0])):
+        piv = next((r for r in rows if r[col]), None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        rows = [[a - r[col] / piv[col] * b for a, b in zip(r, piv)]
+                for r in rows]
+        rank += 1
+    return rank
+
+
+def test_hull_facets_match_oracle():
+    # random point sets on a small 4-dimensional grid, with many points
+    # on common faces: every row must be a facet (valid, and tight on
+    # points of affine rank 3), and the rows must cut out exactly the hull
+    rng = random.Random(20240613)
+    grid = list(product(range(3), repeat=4))
+    for pts in [rng.sample(grid, rng.randint(6, 16)) for _ in range(40)]:
+        if affine_rank(pts) < 4:
+            continue
+        facets = hull_facets([(p, 1) for p in pts])
+        for *a, a0 in facets:
+            values = [sum(x * y for x, y in zip(a, p)) + a0 for p in pts]
+            assert min(values) == 0
+            assert affine_rank([p for p, v in zip(pts, values) if v == 0]) == 3
+        for _ in range(10):
+            q = [F(rng.randint(-1, 5), 2) for _ in range(4)]
+            inside = all(sum(x * y for x, y in zip(a, q)) + a0 >= 0
+                         for *a, a0 in facets)
+            assert inside == in_convex_hull(q, pts)
+
+
+def test_unbounded_region_raises():
+    quadrant = [lower((1, 0, 0), 0), lower((0, 1, 0), 0),
+                lower((0, 0, 1), 0), upper((0, 0, 1), 1)]
+    with pytest.raises(ValueError):
+        vertices([dense_row(r, VARS) for r in quadrant], len(VARS))
+
+
+def test_empty_region_raises_empty_polytope():
+    # x, y in [0, 1] with x + y >= 3: the kernel finds no vertex
+    rows = [lower((1, 0), 0), lower((0, 1), 0), upper((1, 0), 1),
+            upper((0, 1), 1), lower((1, 1), 3)]
+    assert kernel_vertices(rows, VARS[:2]) == []
+    h = HPolytope(VARS[:2], LinearSystem(VARS[:2], rows))
+    with pytest.raises(EmptyPolytope):
+        enumerate_vertices(h)
