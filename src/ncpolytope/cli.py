@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 parse or validation failure, 2 internal limit
 exceeded, 3 contextual table (a result, not a failure; distinguished so
-shell scripts can branch on it).
+shell scripts can branch on it), 4 internal error (a failed invariant).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .documents import (ParseError, generators_from_doc, objective_from_doc,
                         table_from_doc, verdict_to_doc, vertices_to_doc,
                         write_document)
 from .feasibility import Feasible, MalformedTable, check_table, optimize
+from .linalg import InternalError
 from .measurement_polytope import EmptyPolytope, build_measurement_h, enumerate_vertices
 from .ncsystem import build_f2
 from .projection import project_to_nc_polytope
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_LIMIT = 2
 EXIT_INFEASIBLE = 3
+EXIT_INTERNAL = 4
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -152,6 +154,9 @@ def main(argv=None) -> int:
     except GroupTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -2,11 +2,16 @@
 
 A table admits a noncontextual model iff the system ``M x = b*, x >= 0``
 over the vertex-distribution unknowns has a solution.  Infeasibility is
-certified by a Farkas dual ``y`` with ``0 <= y.M <= 1`` and ``y.b* < 0``;
-reading the linking-block entries of ``y`` as coefficients on the table
-probabilities turns the certificate into a violated noncontextuality
-inequality whose constant term is the sum of the normalization-block
-entries.
+certified by a Farkas dual ``y`` with ``0 <= y.M <= 1`` and ``y.b* < 0``.
+The most violated such ``y`` comes from the LP dual of that box problem,
+``min 1.mu  s.t.  M (lambda - mu) = b*,  lambda, mu >= 0``, whose optimum
+is the least total negativity of a quasiprobability representation of
+the table (zero exactly when a model exists).  When the table breaks an
+operational equivalence, ``b*`` leaves the column span of ``M`` and the
+certificate is the phase-1 Farkas vector, with ``y.M = 0``.  Reading the
+linking-block entries of ``y`` as coefficients on the table probabilities
+turns the certificate into a violated noncontextuality inequality whose
+constant term is the sum of the normalization-block entries.
 """
 
 from __future__ import annotations
@@ -14,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import EQ, GEQ, ONE, ZERO, LinRow, LinearSystem, canonicalize_row
+from .linalg import GEQ, ONE, ZERO, InternalError, LinRow, canonicalize_row
 from .measurement_polytope import VertexSet
 from .ncsystem import (LINKING, NORMALIZATION, F2System, NumericF2, build_f2,
                        bind_table, nu_var)
 from .scenario import DataTable, DimensionMismatch, Scenario, p_var, validate_table
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_standard
+from .simplex import OPTIMAL, UNBOUNDED, solve_standard
 
 
 class PrimalFeasible(Exception):
@@ -76,10 +81,10 @@ def check_table(scn: Scenario, vertices: VertexSet, table: DataTable) -> Verdict
 def farkas_certificate(numeric: NumericF2) -> Certificate:
     """Most-violated certificate: min y.b* subject to 0 <= y.M <= 1.
 
-    Solved to optimality so |y.b*| is the largest violation the box
-    normalization allows.  When the minimum is unbounded (possible when
-    the table breaks an operational equivalence exactly), the unbounded
-    direction itself is the certificate: it satisfies y.M = 0.
+    Solved to optimality through its LP dual (see :func:`_solve_box_dual`),
+    so |y.b*| is the largest violation the box normalization allows.  When
+    the table breaks an operational equivalence exactly, the certificate
+    is the phase-1 Farkas vector of that dual: it satisfies y.M = 0.
     """
     y = _solve_box_dual(numeric)
     value = _dot(y, numeric.rhs)
@@ -90,37 +95,20 @@ def farkas_certificate(numeric: NumericF2) -> Certificate:
 
 
 def _solve_box_dual(numeric: NumericF2):
-    """Exact solution of  min y.b*  s.t.  0 <= y.M <= 1,  y free."""
-    nrows = len(numeric.matrix)
-    ncols = len(numeric.nu_vars)
-    # Standard form: y = u - w with u, w >= 0; slacks s, t >= 0 with
-    # (y.M)_k - s_k = 0 and (y.M)_k + t_k = 1.
-    n = 2 * nrows + 2 * ncols
-    A = []
-    b = []
-    for k in range(ncols):
-        col = [numeric.matrix[i][k] for i in range(nrows)]
-        A.append(col + [-a for a in col]
-                 + [-ONE if q == k else ZERO for q in range(ncols)]
-                 + [ZERO] * ncols)
-        b.append(ZERO)
-    for k in range(ncols):
-        col = [numeric.matrix[i][k] for i in range(nrows)]
-        A.append(col + [-a for a in col]
-                 + [ZERO] * ncols
-                 + [ONE if q == k else ZERO for q in range(ncols)])
-        b.append(ONE)
-    c = list(numeric.rhs) + [-v for v in numeric.rhs] + [ZERO] * (2 * ncols)
-    res = solve_standard(A, b, c)
-    if res.status == OPTIMAL:
-        u = res.x[:nrows]
-        w = res.x[nrows:2 * nrows]
-        return [a - d for a, d in zip(u, w)]
+    """Exact solution of  min y.b*  s.t.  0 <= y.M <= 1,  y free.
+
+    Solved as its LP dual  min 1.mu  s.t.  M (lambda - mu) = b*,
+    lambda, mu >= 0: the least total negative weight of a quasiprobability
+    reproducing the table.  Its multipliers satisfy -1 <= y.M <= 0, and
+    when b* leaves the column span of M the phase-1 Farkas vector has
+    y.M = 0; either way the certificate is minus the multipliers.
+    """
+    n = len(numeric.nu_vars)
+    A = [row + [-a for a in row] for row in numeric.matrix]
+    res = solve_standard(A, numeric.rhs, [ZERO] * n + [ONE] * n)
     if res.status == UNBOUNDED:
-        u = res.ray[:nrows]
-        w = res.ray[nrows:2 * nrows]
-        return [a - d for a, d in zip(u, w)]
-    raise AssertionError("box dual LP cannot be infeasible (y = 0 works)")
+        raise InternalError("least-negativity LP cannot be unbounded (mu >= 0)")
+    return [-v for v in res.duals]
 
 
 def _verify(y, numeric: NumericF2):
@@ -128,9 +116,9 @@ def _verify(y, numeric: NumericF2):
     for k in range(len(numeric.nu_vars)):
         ym = _dot(y, [numeric.matrix[i][k] for i in range(len(y))])
         if not (0 <= ym <= 1):
-            raise AssertionError(f"certificate violates box constraint: (y.M)_{k} = {ym}")
+            raise InternalError(f"certificate violates box constraint: (y.M)_{k} = {ym}")
     if _dot(y, numeric.rhs) >= 0:
-        raise AssertionError("certificate has y.b* >= 0")
+        raise InternalError("certificate has y.b* >= 0")
 
 
 def _dot(a, b):
@@ -192,7 +180,8 @@ def optimize(scn: Scenario, vertices: VertexSet, objective: LinRow, sense="max")
     A = [[row.coeffs.get(v, ZERO) for v in f2.nu_vars] for row in rows]
     b = [-row.const for row in rows]
     res = solve_standard(A, b, c)
-    assert res.status == OPTIMAL, "the NC polytope is nonempty and bounded"
+    if res.status != OPTIMAL:
+        raise InternalError(f"optimize LP {res.status} on a nonempty bounded polytope")
     nu = dict(zip(f2.nu_vars, res.x))
     value = (-res.value if sense == "max" else res.value) + objective.const
     return value, reconstruct_table(f2, nu)

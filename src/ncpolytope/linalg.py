@@ -27,6 +27,10 @@ class InconsistentSystem(Exception):
     """Raised when equality rows are mutually contradictory (e.g. 0 = 1)."""
 
 
+class InternalError(Exception):
+    """A mathematical invariant of an exact computation failed (a bug)."""
+
+
 def rat(value) -> Fraction:
     """Coerce ints, strings like ``"a/b"``, or Fractions to an exact Fraction."""
     if isinstance(value, Fraction):

@@ -25,7 +25,7 @@ from operator import mul
 
 from .dd import (dense_row, hull_facets, over_common_denominator, primitive,
                  vertices)
-from .linalg import (EQ, GEQ, ONE, ZERO, LinRow, LinearSystem,
+from .linalg import (EQ, GEQ, ONE, ZERO, InternalError, LinRow, LinearSystem,
                      canonicalize_row, reduce_modulo, rref,
                      row_reduce_equalities)
 from .ncsystem import F2System, nu_var
@@ -171,7 +171,8 @@ def irredundant_rows(rows, witnesses=None):
         dim = len(row) - 1
         bound = row[:-1] + (row[-1] + 1,)  # keeps the LP bounded below
         res = minimize_over_rows(others + [bound], [Fraction(a) for a in row[:-1]])
-        assert res.status == OPTIMAL
+        if res.status != OPTIMAL:
+            raise InternalError("redundancy LP of a nonempty region is not optimal")
         if res.value + row[-1] >= 0:
             alive[idx] = False
         else:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import ZERO, ONE
+from .linalg import ZERO, ONE, InternalError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -143,7 +143,7 @@ def solve_standard(A, b, c) -> LPResult:
                         ray[basis[i]] = -tableau[i][j]
                 x = _extract(tableau, basis, m, n, total)
                 return LPResult(UNBOUNDED, x=x, ray=ray)
-        raise AssertionError("unbounded status without an unbounded column")
+        raise InternalError("unbounded status without an unbounded column")
     x = _extract(tableau, basis, m, n, total)
     value = -tableau[m][total]
     # Reduced cost of artificial i is -y_i (its phase-2 cost is zero).
@@ -182,6 +182,6 @@ def minimize_over_rows(rows, c) -> LPResult:
     if res.status == UNBOUNDED:
         # Dual objective unbounded above is impossible when the primal is
         # feasible; treat as a hard error.
-        raise AssertionError("dual LP unbounded; primal region empty?")
+        raise InternalError("dual LP unbounded; primal region empty?")
     # The multipliers pi of the dual satisfy N.pi <= a0, so x* = -pi.
     return LPResult(OPTIMAL, x=[-y for y in res.duals], value=-res.value)

@@ -2,7 +2,9 @@
 
 The vertex oracle enumerates basic solutions by brute force (every
 full-rank subset of tight rows), which is exponentially slower than the
-double description method but shares no code with it.
+double description method but shares no code with it.  The certificate
+oracle solves the box LP of the Farkas certificate directly, where the
+package solves its LP dual.
 """
 
 from fractions import Fraction
@@ -11,7 +13,7 @@ from itertools import combinations
 from ncpolytope.linalg import (EQ, GEQ, ZERO, InconsistentSystem, LinRow,
                                LinearSystem, row_reduce_equalities)
 from ncpolytope.ncsystem import build_f2
-from ncpolytope.simplex import OPTIMAL, solve_standard
+from ncpolytope.simplex import OPTIMAL, UNBOUNDED, solve_standard
 
 ONE = Fraction(1)
 
@@ -74,3 +76,35 @@ def in_convex_hull(point, points) -> bool:
     b = list(point) + [ONE]
     res = solve_standard(A, b, [ZERO] * len(points))
     return res.status == OPTIMAL
+
+
+def box_dual_optimum(numeric):
+    """min y.b* s.t. 0 <= y.M <= 1, y free, as a primal standard form.
+
+    Returns the exact optimum, or None when it is unbounded below, which
+    happens exactly when b* lies outside the column span of M.
+    """
+    nrows = len(numeric.matrix)
+    ncols = len(numeric.nu_vars)
+    # Standard form: y = u - w with u, w >= 0; slacks s, t >= 0 with
+    # (y.M)_k - s_k = 0 and (y.M)_k + t_k = 1.
+    A = []
+    b = []
+    for k in range(ncols):
+        col = [numeric.matrix[i][k] for i in range(nrows)]
+        A.append(col + [-a for a in col]
+                 + [-ONE if q == k else ZERO for q in range(ncols)]
+                 + [ZERO] * ncols)
+        b.append(ZERO)
+    for k in range(ncols):
+        col = [numeric.matrix[i][k] for i in range(nrows)]
+        A.append(col + [-a for a in col]
+                 + [ZERO] * ncols
+                 + [ONE if q == k else ZERO for q in range(ncols)])
+        b.append(ONE)
+    c = list(numeric.rhs) + [-v for v in numeric.rhs] + [ZERO] * (2 * ncols)
+    res = solve_standard(A, b, c)
+    if res.status == UNBOUNDED:
+        return None
+    assert res.status == OPTIMAL, "y = 0 is feasible"
+    return res.value

@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ncpolytope
 from conftest import SCENARIO_DIR
-from ncpolytope.cli import (EXIT_INFEASIBLE, EXIT_LIMIT, EXIT_OK, EXIT_PARSE,
-                            main)
+from ncpolytope import feasibility
+from ncpolytope.cli import (EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_LIMIT,
+                            EXIT_OK, EXIT_PARSE, main)
+from ncpolytope.simplex import UNBOUNDED, LPResult
 
 F = Fraction
 
@@ -139,3 +146,26 @@ def test_verbose_progress_on_stderr(capsys):
     code, out, err = run(capsys, "polytope", SIMPLEST, "-v")
     assert code == EXIT_OK
     assert "coordinates left" in err
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(feasibility, "solve_standard",
+                        lambda A, b, c: LPResult(UNBOUNDED))
+    code, out, err = run(capsys, "check", SIMPLEST, CONTEXTUAL)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("internal error:")
+    assert "Traceback" not in err
+
+
+def test_check_under_optimize_flag(capsys):
+    """With assertions stripped (python -O) the verdict document is the same."""
+    _, expected, _ = run(capsys, "check", SIMPLEST, CONTEXTUAL)
+    src = str(Path(ncpolytope.__file__).parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "ncpolytope.cli", "check", SIMPLEST,
+         CONTEXTUAL], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_INFEASIBLE
+    assert proc.stdout == expected

@@ -3,14 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (contextual_table_41, four_prep_scenario, uniform_table)
+from conftest import (SCENARIO_DIR, contextual_table_41, four_prep_scenario,
+                      uniform_table)
+from ncpolytope import feasibility
+from ncpolytope.documents import read_document, scenario_from_doc, table_from_doc
 from ncpolytope.feasibility import (Certificate, Feasible, Infeasible,
                                     MalformedTable, PrimalFeasible,
                                     check_table, farkas_certificate, optimize)
-from ncpolytope.linalg import GEQ, LinRow, canonicalize_row
+from ncpolytope.linalg import GEQ, InternalError, LinRow, canonicalize_row
 from ncpolytope.measurement_polytope import build_measurement_h, enumerate_vertices
 from ncpolytope.ncsystem import bind_table, build_f2, reconstruct_table
+from ncpolytope.projection import project_to_nc_polytope
 from ncpolytope.scenario import DataTable, DimensionMismatch, p_var
+from ncpolytope.simplex import UNBOUNDED, LPResult, solve_standard
+from oracles import box_dual_optimum
+from test_acceptance import CHECK_SHAPES, random_small_scenario
 
 F = Fraction
 HALF = F(1, 2)
@@ -112,9 +119,9 @@ def test_optimize_rejects_bad_input(scn41, verts41):
         optimize(scn41, verts41, LinRow({("p", 9, 9, 0): F(1)}, F(0), GEQ))
 
 
-def random_table(scn, rng, respect_oe=False):
-    """A random normalized table; optionally projected onto the
-    equivalence-respecting affine subspace by mixing with uniform."""
+def random_table(scn, rng):
+    """A random normalized table; it generally breaks the equivalences
+    (see :func:`in_span_table` for tables that keep them)."""
     entries = {}
     for i in scn.measurements():
         for j in scn.preparations():
@@ -146,3 +153,136 @@ def test_dichotomy_on_random_tables(scn41, verts41, poly41):
             point = {("p",) + c: v for c, v in table.as_dict().items()}
             assert verdict.inequality.evaluate(point) == -verdict.violation
     assert seen_inf > 0
+
+
+def y_dot_columns(y, numeric):
+    return [sum(y[i] * numeric.matrix[i][k] for i in range(len(y)))
+            for k in range(len(numeric.nu_vars))]
+
+
+def test_bundled_contextual_table_is_most_violated():
+    scn = scenario_from_doc(read_document(SCENARIO_DIR / "simplest.json"))
+    table = table_from_doc(read_document(
+        SCENARIO_DIR / "simplest_table_contextual.json"))
+    vs = enumerate_vertices(build_measurement_h(scn))
+    verdict = check_table(scn, vs, table)
+    assert isinstance(verdict, Infeasible)
+    numeric = bind_table(build_f2(scn, vs), table)
+    assert verdict.certificate.value == box_dual_optimum(numeric) == -1
+
+
+def test_span_breaking_table_gets_farkas_vector(scn41, verts41):
+    """A table that breaks the preparation equivalence puts b* outside the
+    column span of M; the certificate then annihilates every column."""
+    entries = uniform_table(scn41).as_dict()
+    entries[1, 1, 0], entries[1, 1, 1] = F(1), F(0)  # P1 alone moves M1
+    table = DataTable.make(entries)
+    verdict = check_table(scn41, verts41, table)
+    assert isinstance(verdict, Infeasible)
+    numeric = bind_table(build_f2(scn41, verts41), table)
+    assert y_dot_columns(verdict.certificate.y, numeric) == \
+        [0] * len(numeric.nu_vars)
+    assert verdict.certificate.value < 0
+    assert box_dual_optimum(numeric) is None  # the box LP is unbounded
+
+
+def contextual_corners(scn, poly):
+    """Tables that keep the polytope's equalities and minimize one facet
+    over [0, 1], for each facet such a table violates."""
+    coords = list(scn.coords())
+    n = len(coords)
+    unit = [[F(int(q == k)) for q in range(n)] for k in range(n)]
+    A = [[e.coeffs.get(p_var(c), F(0)) for c in coords] + [F(0)] * n
+         for e in poly.equalities] + [u + u for u in unit]  # p + slack = 1
+    b = [-e.const for e in poly.equalities] + [F(1)] * n
+    tables = []
+    for facet in poly.facets:
+        cost = [facet.coeffs.get(p_var(c), F(0)) for c in coords] + [F(0)] * n
+        res = solve_standard(A, b, cost)
+        if res.value + facet.const < 0:
+            tables.append(dict(zip(coords, res.x)))
+    return tables
+
+
+def in_span_table(scn, corners, rng):
+    """A mixture of the uniform table and a corner (uniform alone when there
+    is none): it keeps every operational equivalence, so b* stays in the
+    column span of M."""
+    if not corners:
+        return uniform_table(scn)
+    v = F(rng.randint(1, 4), 4)
+    corner = rng.choice(corners)
+    return DataTable.make({c: (1 - v) / scn.d + v * corner[c]
+                           for c in scn.coords()})
+
+
+def oracle_scenario(name):
+    if name == "scn41":
+        return four_prep_scenario()
+    rng = random.Random(20230817)  # the generator seed of criterion 8
+    shapes = CHECK_SHAPES[:2]      # drawn first there: (2, 2), then (3, 2)
+    scenarios = [random_small_scenario(rng, g, l) for g, l in shapes]
+    return scenarios[0 if name == "crit8-2x2" else 1]
+
+
+# Which verdicts each scenario's tables reach.  The two criterion-8 shapes
+# have no preparation equivalence, so every table that keeps their
+# equivalences is noncontextual.
+ORACLE_CASES = {"scn41": {"feasible", "optimum", "span"},
+                "crit8-2x2": {"feasible"},
+                "crit8-3x2": {"feasible", "span"}}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_certificate_matches_box_lp_oracle(name):
+    """The certificate reaches the optimum of the box LP solved directly.
+    When b* leaves the column span of M the certificate has y.M = 0, which
+    itself proves the box LP unbounded."""
+    scn = oracle_scenario(name)
+    vs = enumerate_vertices(build_measurement_h(scn))
+    f2 = build_f2(scn, vs)
+    corners = contextual_corners(scn, project_to_nc_polytope(f2))
+    rng = random.Random(name)
+    seen = set()
+    for n in range(100):
+        table = (random_table(scn, rng) if n % 4
+                 else in_span_table(scn, corners, rng))
+        verdict = check_table(scn, vs, table)
+        numeric = bind_table(f2, table)
+        if isinstance(verdict, Feasible):
+            assert box_dual_optimum(numeric) == 0
+            seen.add("feasible")
+        elif any(y_dot_columns(verdict.certificate.y, numeric)):
+            assert verdict.certificate.value == box_dual_optimum(numeric)
+            seen.add("optimum")
+        else:
+            seen.add("span")
+    assert seen == ORACLE_CASES[name]
+
+
+def test_bogus_certificate_lp_raises_internal_error(scn41, verts41,
+                                                    monkeypatch):
+    calls = []
+
+    def unbounded_certificate_lp(A, b, c):
+        calls.append(len(c))
+        res = solve_standard(A, b, c)
+        return LPResult(UNBOUNDED) if len(calls) == 2 else res
+
+    monkeypatch.setattr(feasibility, "solve_standard", unbounded_certificate_lp)
+    with pytest.raises(InternalError):
+        check_table(scn41, verts41, contextual_table_41())
+    assert len(calls) == 2
+
+
+def test_certificate_outside_box_raises_internal_error(scn41, verts41,
+                                                       monkeypatch):
+    def doubled_duals(A, b, c):
+        res = solve_standard(A, b, c)
+        if res.duals is not None:
+            res.duals = [2 * v for v in res.duals]
+        return res
+
+    monkeypatch.setattr(feasibility, "solve_standard", doubled_duals)
+    with pytest.raises(InternalError, match="box constraint"):
+        check_table(scn41, verts41, contextual_table_41())
