@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dd import dense_row, vertices
-from .linalg import (EQ, GEQ, ONE, ZERO, InconsistentSystem, LinearSystem,
-                     LinRow, row_reduce_equalities)
+from .linalg import (EQ, GEQ, ONE, ZERO, InconsistentSystem, InternalError,
+                     LinearSystem, LinRow, row_reduce_equalities)
 from .scenario import DimensionMismatch, Scenario
 
 
@@ -99,7 +99,10 @@ def enumerate_vertices(h: HPolytope) -> VertexSet:
             ineqs.append(q)
         elif q[-1] < 0:
             raise EmptyPolytope("constant row violated")
-    raw = vertices(ineqs, len(free))
+    try:
+        raw = vertices(ineqs, len(free))
+    except ValueError as exc:   # the 0 <= xi <= 1 rows bound the region
+        raise InternalError(f"measurement polytope: {exc}") from exc
     if not raw:
         raise EmptyPolytope("no point satisfies all rows")
     points = []

@@ -294,8 +294,11 @@ def _hull_facets(f2: F2System, equalities, all_p, progress):
     nu_system = LinearSystem(list(f2.nu_vars), nu_rows)
     subs, reduced = row_reduce_equalities(nu_system)
     free_nu = reduced.variables
-    nu_vertices = vertices([dense_row(r, free_nu) for r in reduced.rows],
-                           len(free_nu))
+    try:
+        nu_vertices = vertices([dense_row(r, free_nu) for r in reduced.rows],
+                               len(free_nu))
+    except ValueError as exc:   # nu is a bounded probability vector
+        raise InternalError(f"distribution polytope: {exc}") from exc
     if progress:
         progress(len(free_nu), len(nu_vertices))
 
@@ -312,8 +315,11 @@ def _hull_facets(f2: F2System, equalities, all_p, progress):
 
     if not free_p or len(points) == 1:
         return []
-    return [canonicalize_row(_lift_row(r, free_p))
-            for r in hull_facets(points)]
+    try:
+        facets = hull_facets(points)
+    except ValueError as exc:   # the equalities are the points' affine hull
+        raise InternalError(f"image hull: {exc}") from exc
+    return [canonicalize_row(_lift_row(r, free_p)) for r in facets]
 
 
 def _image_map(f2: F2System, subs, free_nu, free_p):

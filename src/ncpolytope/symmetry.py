@@ -13,15 +13,19 @@ affine constraints).
 Orbit classification identifies two rows when they agree after reduction
 modulo the polytope's affine-hull equalities; this matters because outcome
 flips typically map a facet to its complement-form twin, which is the same
-facet of the polytope but a different literal row.
+facet of the polytope but a different literal row.  Classification runs
+on integer rows: each coordinate's reduced image is computed once per
+call, so a group element moves a row by summing int vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .linalg import (EQ, ONE, ZERO, LinRow, canonicalize_row, reduce_modulo,
-                     rref, substitution_map)
+from .dd import over_common_denominator, primitive
+from .linalg import (EQ, ZERO, LinRow, canonicalize_row, reduce_modulo, rref,
+                     substitution_map)
 from .scenario import Scenario, flatten_coord, p_var
 
 GROUP_CAP = 10 ** 6
@@ -247,58 +251,110 @@ class OrbitClass:
     members: list
 
 
-def _orbit_keys(scn, row, group, subs, variables):
-    """Map each reduced-canonical orbit member key to one moved row.
+class _Reduction:
+    """Rows reduced modulo rref'd equalities, as int tuples.
 
-    ``subs`` is the equalities' :func:`substitution_map`.
+    Built once per call.  ``images[q]`` is the reduced row of the
+    coordinate at flat position q: sparse ``(index, int)`` pairs over the
+    free variables and the constant (index ``len(free)``), all over the
+    common denominator ``den``.  A key is a reduced row made canonical as
+    :func:`canonicalize_row` does: primitive, and an EQ row signed by its
+    leading coefficient in sorted variable order, else by its constant.
+    Pivot variables are zero in every reduced row, so keys sort in
+    ``LinRow.key`` order.
     """
+
+    def __init__(self, scn, equalities, variables):
+        eqs = rref(list(equalities), variables) if equalities else []
+        subs = substitution_map(eqs, variables)
+        self.free = [v for v in variables if v not in subs]
+        column = {v: f for f, v in enumerate(self.free)}
+        n = len(self.free)
+        self.den = den = lcm(1, *(c.denominator for coeffs, c0 in subs.values()
+                                  for c in (c0, *coeffs.values())))
+        self.flat = {v: flatten_coord(scn, v[1:]) - 1 for v in variables}
+        self.images = [()] * (scn.l * scn.g * scn.d)
+        for v, q in self.flat.items():
+            if v not in subs:
+                self.images[q] = [(column[v], den)]
+                continue
+            coeffs, c0 = subs[v]
+            self.images[q] = [(column[w], int(c * den))
+                              for w, c in coeffs.items()]
+            if c0:
+                self.images[q].append((n, int(c0 * den)))
+        self.lead = sorted(range(n), key=self.free.__getitem__)
+
+    def terms(self, row):
+        """A row's coprime ints as (flat position, int) pairs, and its constant.
+
+        Coefficients of variables outside ``variables`` are dropped, as
+        ``LinRow.key`` drops them.
+        """
+        coeffs = [(self.flat[v], c) for v, c in row.coeffs.items()
+                  if v in self.flat]
+        ints = primitive(over_common_denominator(
+            [c for _, c in coeffs] + [row.const])[0])
+        return [(q, a) for (q, _), a in zip(coeffs, ints)], ints[-1]
+
+    def key(self, terms, perm, kind) -> tuple:
+        """The canonical reduced row of ``terms`` moved by ``perm``."""
+        coords, const = terms
+        acc = [0] * len(self.free) + [const * self.den]
+        for q, c in coords:
+            for t, a in self.images[perm[q]]:
+                acc[t] += c * a
+        key = primitive(acc)
+        if kind == EQ and next((key[f] for f in self.lead if key[f]),
+                               key[-1]) < 0:
+            key = tuple(-a for a in key)
+        return key
+
+    def row(self, key, kind) -> LinRow:
+        return LinRow({v: a for v, a in zip(self.free, key) if a},
+                      key[-1], kind)
+
+
+def _orbit(reduction, terms, kind, group) -> dict:
+    """Each member key of an orbit, mapped to the first element giving it."""
     out = {}
     for g in group.elements:
-        moved = act_on_row(g, row)
-        reduced = canonicalize_row(moved.substituted(subs))
-        out.setdefault(reduced.key(variables), (reduced, moved))
+        out.setdefault(reduction.key(terms, g.perm, kind), g)
     return out
-
-
-def _substitutions(equalities, variables):
-    eqs = rref(list(equalities), variables) if equalities else []
-    return substitution_map(eqs, variables)
 
 
 def classify_orbits(rows, group: RelabelingGroup, equalities, variables):
     """Partition rows into group orbits modulo the affine-hull equalities."""
-    scn = group.elements[0].scenario if group.elements else None
-    subs = _substitutions(equalities, variables)
-
-    def key(row):
-        return canonicalize_row(row.substituted(subs)).key(variables)
-
-    index = {}
+    reduction = _Reduction(group.elements[0].scenario, equalities, variables)
+    identity = range(len(reduction.images))
+    inputs = []
     for row in rows:
-        index[key(row)] = row
+        terms = reduction.terms(row)
+        inputs.append((row, terms, reduction.key(terms, identity, row.kind)))
+    index = {key for _, _, key in inputs}
     classes = []
     assigned = set()
-    for row in rows:
-        if key(row) in assigned:
+    for row, terms, key in inputs:
+        if key in assigned:
             continue
-        orbit = _orbit_keys(scn, row, group, subs, variables)
-        missing = [k for k in orbit if k not in index]
-        if missing:
-            reduced, moved = orbit[missing[0]]
-            raise RowNotInOrbitClosure(
-                f"group action maps {row} to {moved}, absent from the input set")
-        members = sorted((orbit[k][0] for k in orbit),
-                         key=lambda r: r.key(variables))
-        classes.append(OrbitClass(members[0], len(orbit), members))
-        assigned.update(orbit)
-    classes.sort(key=lambda c: c.representative.key(variables))
-    return classes
+        orbit = _orbit(reduction, terms, row.kind, group)
+        for k, g in orbit.items():
+            if k not in index:
+                raise RowNotInOrbitClosure(
+                    f"group action maps {row} to {act_on_row(g, row)}, "
+                    "absent from the input set")
+        keys = sorted(orbit)
+        members = [reduction.row(k, row.kind) for k in keys]
+        classes.append((keys[0], OrbitClass(members[0], len(keys), members)))
+        assigned.update(keys)
+    classes.sort(key=lambda kc: kc[0])
+    return [c for _, c in classes]
 
 
 def expand_orbit(representative: LinRow, group: RelabelingGroup,
                  equalities, variables):
     """All distinct images of a row, reduced modulo the equalities."""
-    scn = group.elements[0].scenario
-    orbit = _orbit_keys(scn, representative, group,
-                        _substitutions(equalities, variables), variables)
-    return sorted((orbit[k][0] for k in orbit), key=lambda r: r.key(variables))
+    reduction = _Reduction(group.elements[0].scenario, equalities, variables)
+    kind = representative.kind
+    orbit = _orbit(reduction, reduction.terms(representative), kind, group)
+    return [reduction.row(k, kind) for k in sorted(orbit)]

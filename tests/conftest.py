@@ -89,6 +89,18 @@ def poly63(scn63, verts63):
     return poly
 
 
+@pytest.fixture(scope="session")
+def group63(scn63):
+    """The 576-element relabeling group of the six-preparation scenario."""
+    from ncpolytope.symmetry import (flip_outcomes, generate_group,
+                                     swap_measurements, swap_preparations)
+    gens = [swap_measurements(scn63, 1, 2), swap_measurements(scn63, 1, 3),
+            flip_outcomes(scn63, [1, 2, 3]), swap_preparations(scn63, (1, 2)),
+            swap_preparations(scn63, [(1, 3), (2, 4)]),
+            swap_preparations(scn63, [(1, 5), (2, 6)])]
+    return generate_group(scn63, gens)
+
+
 def contextual_table_41():
     """The extremal table that maximally violates the nontrivial facet."""
     entries = {}

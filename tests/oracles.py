@@ -4,16 +4,20 @@ The vertex oracle enumerates basic solutions by brute force (every
 full-rank subset of tight rows), which is exponentially slower than the
 double description method but shares no code with it.  The certificate
 oracle solves the box LP of the Farkas certificate directly, where the
-package solves its LP dual.
+package solves its LP dual.  The orbit oracles classify rows with
+Fraction arithmetic, one ``act_on_row`` and one substitution per group
+element, where the package works on integer rows.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from ncpolytope.linalg import (EQ, GEQ, ZERO, InconsistentSystem, LinRow,
-                               LinearSystem, row_reduce_equalities)
+                               LinearSystem, canonicalize_row, rref,
+                               row_reduce_equalities, substitution_map)
 from ncpolytope.ncsystem import build_f2
 from ncpolytope.simplex import OPTIMAL, UNBOUNDED, solve_standard
+from ncpolytope.symmetry import OrbitClass, RowNotInOrbitClosure, act_on_row
 
 ONE = Fraction(1)
 
@@ -108,3 +112,57 @@ def box_dual_optimum(numeric):
         return None
     assert res.status == OPTIMAL, "y = 0 is feasible"
     return res.value
+
+
+def _orbit_keys(row, group, subs, variables):
+    """Map each reduced-canonical orbit member key to one moved row.
+
+    ``subs`` is the equalities' :func:`substitution_map`.
+    """
+    out = {}
+    for g in group.elements:
+        moved = act_on_row(g, row)
+        reduced = canonicalize_row(moved.substituted(subs))
+        out.setdefault(reduced.key(variables), (reduced, moved))
+    return out
+
+
+def _substitutions(equalities, variables):
+    eqs = rref(list(equalities), variables) if equalities else []
+    return substitution_map(eqs, variables)
+
+
+def classify_orbits_oracle(rows, group, equalities, variables):
+    """Partition rows into group orbits modulo the affine-hull equalities."""
+    subs = _substitutions(equalities, variables)
+
+    def key(row):
+        return canonicalize_row(row.substituted(subs)).key(variables)
+
+    index = {}
+    for row in rows:
+        index[key(row)] = row
+    classes = []
+    assigned = set()
+    for row in rows:
+        if key(row) in assigned:
+            continue
+        orbit = _orbit_keys(row, group, subs, variables)
+        missing = [k for k in orbit if k not in index]
+        if missing:
+            reduced, moved = orbit[missing[0]]
+            raise RowNotInOrbitClosure(
+                f"group action maps {row} to {moved}, absent from the input set")
+        members = sorted((orbit[k][0] for k in orbit),
+                         key=lambda r: r.key(variables))
+        classes.append(OrbitClass(members[0], len(orbit), members))
+        assigned.update(orbit)
+    classes.sort(key=lambda c: c.representative.key(variables))
+    return classes
+
+
+def expand_orbit_oracle(representative, group, equalities, variables):
+    """All distinct images of a row, reduced modulo the equalities."""
+    orbit = _orbit_keys(representative, group,
+                        _substitutions(equalities, variables), variables)
+    return sorted((orbit[k][0] for k in orbit), key=lambda r: r.key(variables))

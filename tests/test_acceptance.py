@@ -25,9 +25,7 @@ from ncpolytope.measurement_polytope import (HPolytope, build_measurement_h,
 from ncpolytope.ncsystem import bind_table, build_f2, reconstruct_table
 from ncpolytope.projection import project_to_nc_polytope
 from ncpolytope.scenario import DataTable, p_var, scenario
-from ncpolytope.symmetry import (act_on_row, classify_orbits, expand_orbit,
-                                 flip_outcomes, generate_group,
-                                 swap_measurements, swap_preparations)
+from ncpolytope.symmetry import act_on_row, classify_orbits
 from oracles import brute_force_f2_points, in_convex_hull
 from test_projection import (REFERENCE_EQUALITIES_41, REFERENCE_FACETS_41,
                              facet_keys, reduced_key)
@@ -190,15 +188,6 @@ REPORTED_ORBIT_SIZES_63 = [35, 48, 72, 576, 144, 576, 144]
 
 def upper63(coeffs, bound):
     return LinRow({v: -c for v, c in coeffs.items()}, F(bound), GEQ)
-
-
-@pytest.fixture(scope="module")
-def group63(scn63):
-    gens = [swap_measurements(scn63, 1, 2), swap_measurements(scn63, 1, 3),
-            flip_outcomes(scn63, [1, 2, 3]), swap_preparations(scn63, (1, 2)),
-            swap_preparations(scn63, [(1, 3), (2, 4)]),
-            swap_preparations(scn63, [(1, 5), (2, 6)])]
-    return generate_group(scn63, gens)
 
 
 def test_criterion_06_six_prep_polytope(scn63, poly63, group63):

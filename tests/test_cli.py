@@ -9,7 +9,7 @@ import pytest
 
 import ncpolytope
 from conftest import SCENARIO_DIR
-from ncpolytope import feasibility
+from ncpolytope import feasibility, measurement_polytope
 from ncpolytope.cli import (EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_LIMIT,
                             EXIT_OK, EXIT_PARSE, main)
 from ncpolytope.simplex import UNBOUNDED, LPResult
@@ -78,7 +78,8 @@ def test_optimize(capsys):
     assert len(doc["witness_table"]) == 16
 
 
-def test_orbits_pipeline(capsys, tmp_path):
+def orbits_inputs(tmp_path):
+    """The simplest scenario's polytope and generators documents."""
     poly_path = tmp_path / "poly.json"
     assert main(["polytope", SIMPLEST, "--output", str(poly_path)]) == EXIT_OK
     gens = {"generators": [
@@ -88,9 +89,13 @@ def test_orbits_pipeline(capsys, tmp_path):
     ]}
     gens_path = tmp_path / "gens.json"
     gens_path.write_text(json.dumps(gens))
+    return SIMPLEST, str(poly_path), str(gens_path)
+
+
+def test_orbits_pipeline(capsys, tmp_path):
+    paths = orbits_inputs(tmp_path)
     capsys.readouterr()
-    code, out, _ = run(capsys, "orbits", SIMPLEST, str(poly_path),
-                       str(gens_path))
+    code, out, _ = run(capsys, "orbits", *paths)
     assert code == EXIT_OK
     doc = json.loads(out)
     assert sorted(c["orbit_size"] for c in doc["classes"]) == [8, 8, 8]
@@ -158,14 +163,42 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_check_under_optimize_flag(capsys):
-    """With assertions stripped (python -O) the verdict document is the same."""
-    _, expected, _ = run(capsys, "check", SIMPLEST, CONTEXTUAL)
+def test_dd_failure_exit_code(capsys, monkeypatch):
+    def unbounded(ineqs, dim):
+        raise ValueError("region is unbounded")
+
+    monkeypatch.setattr(measurement_polytope, "vertices", unbounded)
+    code, out, err = run(capsys, "vertices", SIMPLEST)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("internal error:")
+    assert "Traceback" not in err
+
+
+def run_optimized(*argv):
+    """The command line under python -O, which strips every assert."""
     src = str(Path(ncpolytope.__file__).parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "ncpolytope.cli", "check", SIMPLEST,
-         CONTEXTUAL], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "ncpolytope.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_check_under_optimize_flag(capsys):
+    """With assertions stripped (python -O) the verdict document is the same."""
+    _, expected, _ = run(capsys, "check", SIMPLEST, CONTEXTUAL)
+    proc = run_optimized("check", SIMPLEST, CONTEXTUAL)
     assert proc.returncode == EXIT_INFEASIBLE
+    assert proc.stdout == expected
+
+
+def test_orbits_under_optimize_flag(capsys, tmp_path):
+    """With assertions stripped (python -O) the orbits document is the same."""
+    paths = orbits_inputs(tmp_path)
+    capsys.readouterr()
+    code, expected, _ = run(capsys, "orbits", *paths)
+    assert code == EXIT_OK
+    proc = run_optimized("orbits", *paths)
+    assert proc.returncode == EXIT_OK
     assert proc.stdout == expected

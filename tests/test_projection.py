@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+import ncpolytope.projection as projection
 from conftest import (contextual_table_41, four_prep_scenario, uniform_table)
-from ncpolytope.linalg import EQ, GEQ, LinRow, canonicalize_row
+from ncpolytope.linalg import EQ, GEQ, InternalError, LinRow, canonicalize_row
 from ncpolytope.measurement_polytope import build_measurement_h, enumerate_vertices
 from ncpolytope.ncsystem import build_f2
 from ncpolytope.projection import (fm_eliminate_var, project_to_nc_polytope,
@@ -120,6 +121,18 @@ def poly_is_unit_box(poly, scn):
             if reduced.coeffs:
                 expected.add(reduced.key(poly.variables))
     return keys == expected
+
+
+@pytest.mark.parametrize("kernel", ["vertices", "hull_facets"])
+def test_hull_dd_failure_is_an_internal_error(f2_41, monkeypatch, kernel):
+    # the distribution polytope is bounded and the image points span the
+    # free coordinates, so a ValueError from the kernel is a failed invariant
+    def fails(*args):
+        raise ValueError("inequality rows do not span the space")
+
+    monkeypatch.setattr(projection, kernel, fails)
+    with pytest.raises(InternalError, match="do not span"):
+        project_to_nc_polytope(f2_41, engine="hull")
 
 
 def test_unknown_engine_rejected(f2_41):

@@ -1,16 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 import ncpolytope.symmetry as symmetry
 from conftest import four_prep_scenario, six_prep_scenario
-from ncpolytope.linalg import GEQ, LinRow, canonicalize_row
+from ncpolytope.linalg import EQ, GEQ, LinRow, canonicalize_row
 from ncpolytope.scenario import p_var, scenario
 from ncpolytope.symmetry import (GeneratorBreaksOE, GroupTooLarge,
                                  RowNotInOrbitClosure, act_on_row,
                                  classify_orbits, expand_orbit,
                                  flip_outcomes, generate_group,
                                  swap_measurements, swap_preparations)
+from oracles import classify_orbits_oracle, expand_orbit_oracle
 
 F = Fraction
 
@@ -87,6 +89,94 @@ def test_orbit_closure_violation_detected(group41, poly41):
     with pytest.raises(RowNotInOrbitClosure):
         classify_orbits(poly41.facets[:5], group41, poly41.equalities,
                         poly41.variables)
+
+
+def assert_same_classes(rows, group, equalities, variables):
+    """classify_orbits and expand_orbit agree with the Fraction oracle."""
+    got = classify_orbits(rows, group, equalities, variables)
+    want = classify_orbits_oracle(rows, group, equalities, variables)
+    assert [(c.representative, c.orbit_size, c.members) for c in got] \
+        == [(c.representative, c.orbit_size, c.members) for c in want]
+    for c in got:
+        assert expand_orbit(c.representative, group, equalities, variables) \
+            == expand_orbit_oracle(c.representative, group, equalities,
+                                   variables)
+    return got
+
+
+def test_classes_match_oracle_41(group41, poly41):
+    assert_same_classes(poly41.facets, group41, poly41.equalities,
+                        poly41.variables)
+
+
+def test_classes_match_oracle_63(group63, poly63):
+    assert_same_classes(poly63.facets, group63, poly63.equalities,
+                        poly63.variables)
+
+
+def test_shuffled_facets_match_oracle(group41, poly41):
+    rows = list(poly41.facets)
+    random.Random(5).shuffle(rows)
+    shuffled = assert_same_classes(rows, group41, poly41.equalities,
+                                   poly41.variables)
+    assert shuffled == classify_orbits(poly41.facets, group41,
+                                       poly41.equalities, poly41.variables)
+
+
+def test_rows_equal_modulo_equalities_collapse(group41, poly41):
+    # a facet plus a multiple of an equality, scaled, is the same facet
+    eq, facet = poly41.equalities[0], poly41.facets[0]
+    coeffs = dict(facet.coeffs)
+    for v, c in eq.coeffs.items():
+        coeffs[v] = coeffs.get(v, 0) + 3 * c
+    twin = LinRow(coeffs, facet.const + 3 * eq.const, GEQ).scaled(F(5, 2))
+    rows = poly41.facets + [twin]
+    classes = assert_same_classes(rows, group41, poly41.equalities,
+                                  poly41.variables)
+    assert sum(c.orbit_size for c in classes) == len(poly41.facets)
+
+
+def test_eq_rows_follow_the_sign_rule(group41, poly41):
+    # images of an EQ row, each given with a negative leading coefficient
+    row = LinRow({p(1, 1): F(-2), p(2, 3): F(1), p(1, 4): F(3)}, F(1), EQ)
+    images = expand_orbit_oracle(row, group41, poly41.equalities,
+                                 poly41.variables)
+    rows = [r.scaled(-1 if r.coeffs[min(r.coeffs)] > 0 else 1)
+            for r in images]
+    classes = assert_same_classes(rows, group41, poly41.equalities,
+                                  poly41.variables)
+    for c in classes:
+        for m in c.members:
+            assert m.kind == EQ and m.coeffs[min(m.coeffs)] > 0
+    # an EQ row that reduces to a bare constant is signed by the constant
+    eq = poly41.equalities[0]
+    constant = LinRow(eq.coeffs, eq.const - 3, EQ)
+    classes = assert_same_classes([constant], group41, poly41.equalities,
+                                  poly41.variables)
+    assert classes[0].representative == LinRow({}, F(1), EQ)
+
+
+def test_fractional_substitutions_match_oracle(scn41_module, poly41):
+    # a pivot coefficient of 2 puts the substitution map over denominator 2
+    eq = LinRow({p(1, 1): F(1), p(2, 2): F(2)}, F(-1), EQ)
+    trivial = generate_group(scn41_module, [])
+    assert_same_classes(poly41.facets, trivial, [eq], poly41.variables)
+
+
+def test_orbit_closure_message_matches_oracle(group41, poly41):
+    # p(0|M1,P3) >= 0 plus the normalization of P1: the elements that fix
+    # M1,P3 give one reduced key but different literal rows, and the
+    # message names the row moved by the first of them
+    padded = LinRow({p(1, 3): F(1), p(1, 1): F(1), p_var((1, 1, 1)): F(1)},
+                    F(-1), GEQ)
+    for rows in (poly41.facets[:5], [padded]):
+        with pytest.raises(RowNotInOrbitClosure) as got:
+            classify_orbits(rows, group41, poly41.equalities,
+                            poly41.variables)
+        with pytest.raises(RowNotInOrbitClosure) as want:
+            classify_orbits_oracle(rows, group41, poly41.equalities,
+                                   poly41.variables)
+        assert str(got.value) == str(want.value)
 
 
 def test_act_on_row_permutes_coordinates(scn41_module):
