@@ -12,34 +12,18 @@ and every number in the kernel is a Python int.
 
 A dense row is a tuple of ints ``(a_0, ..., a_{n-1}, a_n)`` meaning
 ``a_0 y_0 + ... + a_{n-1} y_{n-1} + a_n >= 0``; a rational point is a pair
-``(ints, den)`` meaning ``ints / den`` with ``den > 0``.
+``(ints, den)`` meaning ``ints / den`` with ``den > 0``.  Callers turn
+LinRows into dense rows with :func:`.linalg.dense_row`, and the kernel
+keeps its rows and rays primitive with :func:`.linalg.primitive`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
-from .linalg import ONE, ZERO
-
-
-def primitive(ints) -> tuple:
-    """The ints divided by their gcd; signs are kept."""
-    g = gcd(*ints)
-    return tuple(a // g for a in ints) if g > 1 else tuple(ints)
-
-
-def over_common_denominator(values):
-    """``(ints, den)`` with ``values == ints / den`` and ``den`` the least."""
-    den = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
-
-
-def dense_row(row, variables) -> tuple:
-    """A LinRow over ``variables``, constant last, as coprime ints."""
-    entries = [row.coeffs.get(v, ZERO) for v in variables] + [row.const]
-    return primitive(over_common_denominator(entries)[0])
+from .linalg import ONE, ZERO, over_common_denominator, primitive
 
 
 def extreme_rays(rows, D) -> list:

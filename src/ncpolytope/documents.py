@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from . import __version__
-from .linalg import EQ, GEQ, LinRow, format_rat, rat
+from .linalg import EQ, GEQ, InconsistentSystem, LinearSystem, LinRow, rref
 from .measurement_polytope import VertexSet, xi_var
 from .projection import NCPolytope
 from .scenario import DataTable, Scenario, p_var, p_vars, scenario
@@ -69,12 +69,12 @@ def scenario_to_doc(scn: Scenario) -> dict:
         "measurements": scn.l,
         "outcomes": scn.d,
         "prep_equivalences": [
-            {"lhs": [[j, format_rat(w)] for j, w in eq.lhs],
-             "rhs": [[j, format_rat(w)] for j, w in eq.rhs]}
+            {"lhs": [[j, str(w)] for j, w in eq.lhs],
+             "rhs": [[j, str(w)] for j, w in eq.rhs]}
             for eq in scn.oe_p],
         "meas_equivalences": [
-            {"lhs": [[i, m, format_rat(w)] for (i, m), w in eq.lhs],
-             "rhs": [[i, m, format_rat(w)] for (i, m), w in eq.rhs]}
+            {"lhs": [[i, m, str(w)] for (i, m), w in eq.lhs],
+             "rhs": [[i, m, str(w)] for (i, m), w in eq.rhs]}
             for eq in scn.oe_m],
     })
 
@@ -109,7 +109,7 @@ def scenario_from_doc(doc: dict) -> Scenario:
 
 
 def table_to_doc(table: DataTable) -> dict:
-    return _stamp({"probabilities": [[i, j, m, format_rat(v)]
+    return _stamp({"probabilities": [[i, j, m, str(v)]
                                      for (i, j, m), v in table.entries]})
 
 
@@ -136,8 +136,8 @@ def table_from_doc(doc: dict) -> DataTable:
 
 def row_to_doc(row: LinRow) -> dict:
     terms = sorted((v[1], v[2], v[3], c) for v, c in row.coeffs.items())
-    return {"constant": format_rat(row.const),
-            "terms": [[i, j, m, format_rat(c)] for i, j, m, c in terms]}
+    return {"constant": str(row.const),
+            "terms": [[i, j, m, str(c)] for i, j, m, c in terms]}
 
 
 def row_from_doc(doc: dict, kind=GEQ) -> LinRow:
@@ -183,7 +183,7 @@ def objective_to_doc(row: LinRow, sense: str) -> dict:
 def vertices_to_doc(vs: VertexSet) -> dict:
     out = []
     for vertex in vs.vertices:
-        out.append([[i, m, format_rat(vertex[xi_var(i, m)])]
+        out.append([[i, m, str(vertex[xi_var(i, m)])]
                     for (_, i, m) in vs.variables])
     return _stamp({"vertices": out})
 
@@ -228,7 +228,13 @@ def polytope_from_doc(doc: dict, scn: Scenario) -> NCPolytope:
             raise ParseError(f"polytope document missing {key!r}")
     equalities = [row_from_doc(r, EQ) for r in doc["equalities"]]
     facets = [row_from_doc(r, GEQ) for r in doc["facets"]]
-    return NCPolytope(p_vars(scn), equalities, facets)
+    variables = p_vars(scn)
+    try:   # rows over the scenario's coordinates, consistent equalities
+        LinearSystem(variables, facets)
+        rref(equalities, variables)
+    except (ValueError, InconsistentSystem) as exc:
+        raise ParseError(f"polytope document: {exc}") from exc
+    return NCPolytope(variables, equalities, facets)
 
 
 # --- generators -----------------------------------------------------------
@@ -269,26 +275,25 @@ def verdict_to_doc(verdict) -> dict:
     if isinstance(verdict, Feasible):
         return _stamp({
             "status": "feasible",
-            "model": [[j, k, format_rat(v)]
+            "model": [[j, k, str(v)]
                       for (_, j, k), v in sorted(verdict.nu.items())],
         })
     cert = verdict.certificate
     return _stamp({
         "status": "infeasible",
         "certificate": {
-            "y": [[list(label), format_rat(v)] if not isinstance(label, str)
-                  else [label, format_rat(v)]
+            "y": [[list(label), str(v)]
                   for label, v in zip(cert.row_labels, cert.y)],
         },
         "inequality": row_to_doc(verdict.inequality),
-        "violation": format_rat(verdict.violation),
+        "violation": str(verdict.violation),
     })
 
 
 def optimum_to_doc(value, witness: DataTable) -> dict:
     return _stamp({
-        "value": format_rat(value),
-        "witness_table": [[i, j, m, format_rat(v)]
+        "value": str(value),
+        "witness_table": [[i, j, m, str(v)]
                           for (i, j, m), v in witness.entries],
     })
 

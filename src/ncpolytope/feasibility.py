@@ -22,7 +22,7 @@ from fractions import Fraction
 from .linalg import GEQ, ONE, ZERO, InternalError, LinRow, canonicalize_row
 from .measurement_polytope import VertexSet
 from .ncsystem import (LINKING, NORMALIZATION, F2System, NumericF2, build_f2,
-                       bind_table, nu_var)
+                       bind_table, reconstruct_table)
 from .scenario import DataTable, DimensionMismatch, Scenario, p_var, validate_table
 from .simplex import OPTIMAL, UNBOUNDED, solve_standard
 
@@ -159,21 +159,12 @@ def optimize(scn: Scenario, vertices: VertexSet, objective: LinRow, sense="max")
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
-    from .ncsystem import reconstruct_table  # local import to avoid cycle
     f2 = build_f2(scn, vertices)
     bad = [v for v in objective.coeffs if v not in set(f2.p_vars)]
     if bad:
         raise DimensionMismatch(f"objective mentions unknown coordinates {bad[:3]}")
-    # Objective in nu variables: p(m|M_i,P_j) = sum_k xi_k(i,m) nu_j(k).
-    nverts = len(vertices)
-    cost = {v: ZERO for v in f2.nu_vars}
-    for var, gamma in objective.coeffs.items():
-        _, i, j, m = var
-        for k in range(1, nverts + 1):
-            xi = vertices.component(k, i, m)
-            if xi:
-                cost[nu_var(j, k)] += gamma * xi
-    c = [cost[v] for v in f2.nu_vars]
+    cost = objective.substituted(f2.linking_map())
+    c = [cost.coeffs.get(v, ZERO) for v in f2.nu_vars]
     if sense == "max":
         c = [-a for a in c]
     rows = [r for r, lab in zip(f2.eq_rows(), f2.eq_labels) if lab[0] != LINKING]

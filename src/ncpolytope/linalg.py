@@ -5,13 +5,19 @@ touches floating point.  A row is a sparse map from variable ids to
 coefficients together with a constant, and reads either as
 ``sum(c*x) + const >= 0`` or ``sum(c*x) + const == 0``.  Variable ids are
 arbitrary sortable values (we use tuples like ``("p", i, j, m)``).
+
+One Gaussian elimination, :func:`row_reduce_equalities`, decides every
+equality system; :func:`rref` is its canonical form.  The integer-row
+helpers (:func:`primitive`, :func:`over_common_denominator` and
+:func:`dense_row`) turn rational rows into the coprime int tuples that the
+double description kernel (:mod:`.dd`) and row canonicalization share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping
 
 Var = Hashable
@@ -40,9 +46,22 @@ def rat(value) -> Fraction:
     return Fraction(value)
 
 
-def format_rat(value: Fraction) -> str:
-    """Serialize a Fraction as ``a/b`` (or plain ``a`` when b == 1)."""
-    return str(value)
+def primitive(ints) -> tuple:
+    """The ints divided by their gcd; signs are kept."""
+    g = gcd(*ints)
+    return tuple(a // g for a in ints) if g > 1 else tuple(ints)
+
+
+def over_common_denominator(values):
+    """``(ints, den)`` with ``values == ints / den`` and ``den`` the least."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def dense_row(row, variables) -> tuple:
+    """A LinRow over ``variables``, constant last, as coprime ints."""
+    entries = [row.coeffs.get(v, ZERO) for v in variables] + [row.const]
+    return primitive(over_common_denominator(entries)[0])
 
 
 @dataclass
@@ -128,26 +147,16 @@ def canonicalize_row(row: LinRow) -> LinRow:
 
     Coefficients and constant become integers with collective gcd 1.  GEQ rows
     keep their direction; EQ rows additionally get a positive leading
-    coefficient (first nonzero in sorted variable order).
+    coefficient (first nonzero in sorted variable order), or else a positive
+    constant.
     """
-    entries = list(row.coeffs.values()) + ([row.const] if row.const else [])
-    if not entries:
-        return LinRow({}, ZERO, row.kind)
-    lcm = 1
-    for e in entries:
-        lcm = lcm * e.denominator // gcd(lcm, e.denominator)
-    ints = [int(e * lcm) for e in entries]
-    g = 0
-    for i in ints:
-        g = gcd(g, abs(i))
-    factor = Fraction(lcm, g)
-    if row.kind == EQ and row.coeffs:
-        lead = row.coeffs[min(row.coeffs)]
+    ints = primitive(over_common_denominator(
+        [*row.coeffs.values(), row.const])[0])
+    if row.kind == EQ:
+        lead = row.coeffs[min(row.coeffs)] if row.coeffs else row.const
         if lead < 0:
-            factor = -factor
-    elif row.kind == EQ and row.const < 0:
-        factor = -factor
-    return row.scaled(factor)
+            ints = [-a for a in ints]
+    return LinRow(dict(zip(row.coeffs, ints)), ints[-1], row.kind)
 
 
 def row_reduce_equalities(system: LinearSystem, prefer=None):
@@ -194,46 +203,18 @@ def row_reduce_equalities(system: LinearSystem, prefer=None):
     return subs, LinearSystem(free, reduced_rows)
 
 
-def rref(rows: list, variables: list, pivot_last=True) -> list:
+def rref(rows: list, variables: list) -> list:
     """Reduced row echelon form of EQ rows over a fixed variable order.
 
-    ``pivot_last`` pivots on the greatest variable present in each row so the
-    earliest variables remain free; this is the canonical form used for
-    affine hulls.  Returns canonicalized EQ LinRows sorted by pivot.
+    The substitutions of :func:`row_reduce_equalities`, which pivots on the
+    greatest variable of each row so the earliest variables remain free,
+    written back as rows; this is the canonical form used for affine hulls.
+    Returns canonicalized EQ LinRows sorted by pivot.
     """
+    subs, _ = row_reduce_equalities(LinearSystem(variables, rows))
     order = {v: k for k, v in enumerate(variables)}
-    pick = max if pivot_last else min
-    # Invariant: each pivot row has coefficient 1 on its pivot and no other
-    # pivot variable, so a single substitution pass fully reduces a new row.
-    pivots: dict = {}
-    for row in rows:
-        coeffs = dict(row.coeffs)
-        const = row.const
-        for pv, (pcoeffs, pconst) in pivots.items():
-            factor = coeffs.get(pv, ZERO)
-            if factor:
-                const -= factor * pconst
-                for v, a in pcoeffs.items():
-                    coeffs[v] = coeffs.get(v, ZERO) - factor * a
-        coeffs = {v: a for v, a in coeffs.items() if a != 0}
-        if not coeffs:
-            if const != 0:
-                raise InconsistentSystem("contradictory equality in rref input")
-            continue
-        pv = pick(coeffs, key=order.__getitem__)
-        c = coeffs[pv]
-        ncoeffs = {v: a / c for v, a in coeffs.items()}
-        nconst = const / c
-        for qv, (qcoeffs, qconst) in list(pivots.items()):
-            factor = qcoeffs.get(pv, ZERO)
-            if factor:
-                qconst -= factor * nconst
-                for v, a in ncoeffs.items():
-                    qcoeffs[v] = qcoeffs.get(v, ZERO) - factor * a
-                pivots[qv] = ({v: a for v, a in qcoeffs.items() if a != 0}, qconst)
-        pivots[pv] = (ncoeffs, nconst)
-    return [canonicalize_row(LinRow(coeffs, const, EQ))
-            for pv, (coeffs, const) in sorted(pivots.items(),
+    return [canonicalize_row(LinRow({**coeffs, pv: -ONE}, const, EQ))
+            for pv, (coeffs, const) in sorted(subs.items(),
                                               key=lambda kv: order[kv[0]])]
 
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dd import dense_row, vertices
+from .dd import vertices
 from .linalg import (EQ, GEQ, ONE, ZERO, InconsistentSystem, InternalError,
-                     LinearSystem, LinRow, row_reduce_equalities)
+                     LinearSystem, LinRow, dense_row, row_reduce_equalities)
 from .scenario import DimensionMismatch, Scenario
 
 
@@ -31,9 +31,6 @@ def xi_var(i, m) -> tuple:
 class HPolytope:
     variables: list  # the l*d xi variables in canonical (i, m) order
     system: LinearSystem
-
-    def rows(self):
-        return self.system.rows
 
 
 @dataclass
@@ -73,7 +70,7 @@ def membership(h: HPolytope, point: dict):
     """Return None if the point is inside, else one violated row."""
     if set(point) != set(h.variables):
         raise DimensionMismatch("point does not match the xi coordinates")
-    for row in h.rows():
+    for row in h.system.rows:
         if not row.satisfied_by(point):
             return row
     return None

@@ -4,7 +4,10 @@ Once the extremal measurement assignments are known, a noncontextual model
 is a choice of one probability distribution over them per preparation.
 This module builds that system symbolically (data-table probabilities as
 placeholder variables, ready for projection) and numerically (the
-``M x = b*`` form used by the feasibility check).
+``M x = b*`` form used by the feasibility check).  Its linking rows,
+p(m|M_i,P_j) = sum_k xi_k(m|M_i) nu_j(k), are the one place the map from
+distributions to tables is built; projection, optimization and table
+reconstruction read it through :meth:`F2System.linking_map`.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import EQ, GEQ, ONE, ZERO, LinearSystem, LinRow
+from .linalg import EQ, GEQ, ONE, ZERO, LinearSystem, LinRow, substitution_map
 from .measurement_polytope import VertexSet, xi_var
 from .scenario import DataTable, DimensionMismatch, Scenario, p_var, p_vars
 
@@ -45,6 +48,17 @@ class F2System:
 
     def eq_rows(self):
         return self.system.eq_rows()
+
+    def linking_map(self) -> dict:
+        """Each p-coordinate's expression ``sum_k xi_k(m|M_i) nu_j(kappa)``.
+
+        The substitution map of the linking rows (each pivots on its
+        p-coordinate, the latest variable in the registry), ready for
+        ``LinRow.substituted``.
+        """
+        return substitution_map(
+            [r for r, lab in zip(self.eq_rows(), self.eq_labels)
+             if lab[0] == LINKING], self.system.variables)
 
 
 @dataclass
@@ -132,9 +146,5 @@ def reconstruct_table(f2: F2System, nu: dict) -> DataTable:
             if sum(w * nu[nu_var(j, k)] for j, w in diff.items()) != 0:
                 raise InvalidDistribution(
                     f"OE_P[{s}] violated at vertex {k}")
-    entries = {}
-    for (i, j, m) in scn.coords():
-        entries[i, j, m] = sum(
-            (f2.vertices.component(k, i, m) * nu[nu_var(j, k)]
-             for k in range(1, nverts + 1)), ZERO)
-    return DataTable.make(entries)
+    return DataTable.make({p[1:]: LinRow(*expr).evaluate(nu)
+                           for p, expr in f2.linking_map().items()})

@@ -11,9 +11,12 @@ wherever possible).  Small systems then remove the remaining distribution
 variables one at a time by Fourier-Motzkin elimination with Chernikov
 ancestor pruning, running an exact-LP irredundancy pass after every
 elimination step to keep the intermediate row count at the true facet
-count.  Larger systems take the hull route instead: the images of the
-distribution-polytope vertices, with no filtering, go through a polar
-double description (:mod:`.dd`) that returns the facets of their hull.
+count.  Larger systems take the hull route instead: the distribution-
+polytope vertices are mapped into table space by the finite system's own
+linking rows (:meth:`.ncsystem.F2System.linking_map`), and the image
+points, with no filtering, go through a polar double description
+(:mod:`.dd`) that returns the facets of their hull.  Both routes build
+their dense integer rows with :func:`.linalg.dense_row`.
 """
 
 from __future__ import annotations
@@ -23,12 +26,11 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .dd import (dense_row, hull_facets, over_common_denominator, primitive,
-                 vertices)
+from .dd import hull_facets, vertices
 from .linalg import (EQ, GEQ, ONE, ZERO, InternalError, LinRow, LinearSystem,
-                     canonicalize_row, reduce_modulo, rref,
-                     row_reduce_equalities)
-from .ncsystem import F2System, nu_var
+                     canonicalize_row, dense_row, over_common_denominator,
+                     primitive, reduce_modulo, rref, row_reduce_equalities)
+from .ncsystem import F2System
 from .scenario import p_vars
 from .simplex import OPTIMAL, minimize_over_rows
 # Unused here; kept importable because tracing wraps projection.solve_standard.
@@ -325,27 +327,16 @@ def _hull_facets(f2: F2System, equalities, all_p, progress):
 def _image_map(f2: F2System, subs, free_nu, free_p):
     """The linking map from free nu-coordinates to free p-coordinates.
 
-    Returns integer rows (coefficients, constant) and one denominator
-    ``den``: p = (row . nu + constant) / den for each free p-coordinate.
+    Each free p-coordinate's linking row, with ``subs`` expressing the
+    eliminated nu-coordinates.  Returns integer rows (coefficients,
+    constant) and one denominator ``den``: p = (row . nu + constant) / den
+    for each free p-coordinate.
     """
-    nverts = len(f2.vertices)
-    column = {v: k for k, v in enumerate(free_nu)}
+    linking = f2.linking_map()
     entries = []
-    for (_, i, j, m) in free_p:
-        row = [ZERO] * (len(free_nu) + 1)
-        for k in range(1, nverts + 1):
-            weight = f2.vertices.component(k, i, m)
-            var = nu_var(j, k)
-            if not weight:
-                continue
-            if var in column:
-                row[column[var]] += weight
-            else:
-                coeffs, const = subs[var]
-                for w, c in coeffs.items():
-                    row[column[w]] += weight * c
-                row[-1] += weight * const
-        entries.extend(row)
+    for p in free_p:
+        image = LinRow(*linking[p]).substituted(subs)
+        entries += [image.coeffs.get(v, ZERO) for v in free_nu] + [image.const]
     ints, den = over_common_denominator(entries)
     width = len(free_nu) + 1
     return [ints[k:k + width] for k in range(0, len(ints), width)], den

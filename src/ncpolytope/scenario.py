@@ -9,7 +9,7 @@ M_1..M_l notation; outcomes run 0..d-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import ZERO, ONE, rat
@@ -28,68 +28,30 @@ class DimensionMismatch(Exception):
     pass
 
 
-class PadExceedsD(Exception):
-    pass
-
-
 @dataclass(frozen=True)
-class PrepEquivalence:
-    """Two convex mixtures of preparations that are operationally equivalent.
+class Equivalence:
+    """Two convex mixtures that are operationally equivalent.
 
-    ``lhs`` and ``rhs`` map preparation index -> weight; each side must be a
-    convex combination (nonnegative, summing to one).
+    A preparation equivalence weighs preparation indices ``j``; a
+    measurement equivalence weighs effect indices ``(i, m)``.  Each side
+    must be a convex combination (nonnegative, summing to one).
     """
 
-    lhs: tuple  # ((j, Fraction), ...) sorted by j
+    lhs: tuple  # ((index, Fraction), ...) sorted by index
     rhs: tuple
 
     @staticmethod
-    def make(lhs: dict, rhs: dict) -> "PrepEquivalence":
-        return PrepEquivalence(
-            tuple(sorted((j, rat(w)) for j, w in lhs.items())),
-            tuple(sorted((j, rat(w)) for j, w in rhs.items())))
-
-    def lhs_map(self) -> dict:
-        return dict(self.lhs)
-
-    def rhs_map(self) -> dict:
-        return dict(self.rhs)
+    def make(lhs: dict, rhs: dict) -> "Equivalence":
+        return Equivalence(
+            tuple(sorted((k, rat(w)) for k, w in lhs.items())),
+            tuple(sorted((k, rat(w)) for k, w in rhs.items())))
 
     def difference(self) -> dict:
         """alpha - beta weights, the coefficient vector of the induced equality."""
         diff = dict(self.lhs)
-        for j, w in self.rhs:
-            diff[j] = diff.get(j, ZERO) - w
-        return {j: w for j, w in diff.items() if w != 0}
-
-
-@dataclass(frozen=True)
-class MeasEquivalence:
-    """Two convex mixtures of measurement effects that are equivalent.
-
-    Sides map effect index ``(i, m)`` -> weight.
-    """
-
-    lhs: tuple  # (((i, m), Fraction), ...) sorted
-    rhs: tuple
-
-    @staticmethod
-    def make(lhs: dict, rhs: dict) -> "MeasEquivalence":
-        return MeasEquivalence(
-            tuple(sorted((im, rat(w)) for im, w in lhs.items())),
-            tuple(sorted((im, rat(w)) for im, w in rhs.items())))
-
-    def lhs_map(self) -> dict:
-        return dict(self.lhs)
-
-    def rhs_map(self) -> dict:
-        return dict(self.rhs)
-
-    def difference(self) -> dict:
-        diff = dict(self.lhs)
-        for im, w in self.rhs:
-            diff[im] = diff.get(im, ZERO) - w
-        return {im: w for im, w in diff.items() if w != 0}
+        for k, w in self.rhs:
+            diff[k] = diff.get(k, ZERO) - w
+        return {k: w for k, w in diff.items() if w != 0}
 
 
 @dataclass(frozen=True)
@@ -99,9 +61,6 @@ class Scenario:
     d: int
     oe_p: tuple = ()
     oe_m: tuple = ()
-    # Outcomes that exist only as padding (see pad_outcomes); data tables are
-    # expected to assign them probability zero.
-    padded: frozenset = frozenset()
 
     def preparations(self):
         return range(1, self.g + 1)
@@ -129,9 +88,9 @@ def scenario(g, l, d, oe_p=(), oe_m=()) -> Scenario:
     """Build and validate a scenario from plain dicts of weights."""
     return validate_scenario(Scenario(
         g, l, d,
-        tuple(e if isinstance(e, PrepEquivalence) else PrepEquivalence.make(*e)
+        tuple(e if isinstance(e, Equivalence) else Equivalence.make(*e)
               for e in oe_p),
-        tuple(e if isinstance(e, MeasEquivalence) else MeasEquivalence.make(*e)
+        tuple(e if isinstance(e, Equivalence) else Equivalence.make(*e)
               for e in oe_m)))
 
 
@@ -191,7 +150,6 @@ class DataTable:
 class TableReport:
     normalized: bool
     oe_residuals: list  # [(equivalence id, max absolute violation), ...]
-    padded_violations: list = field(default_factory=list)
 
     @property
     def respects_equivalences(self) -> bool:
@@ -228,26 +186,7 @@ def validate_table(scn: Scenario, table: DataTable) -> TableReport:
                      for j in scn.preparations()),
                     default=ZERO)
         residuals.append(((MEAS, r), worst))
-    padded_violations = [(i, j, m) for (i, j, m), p in probs.items()
-                         if (i, m) in scn.padded and p != 0]
-    return TableReport(normalized, residuals, sorted(padded_violations))
-
-
-def pad_outcomes(scn: Scenario, true_counts) -> Scenario:
-    """Pad measurements with fewer than d outcomes up to a common d.
-
-    ``true_counts[i-1]`` is the number of outcomes measurement i actually
-    has; the remaining outcomes are recorded as padding and must carry zero
-    probability in any data table for the padded scenario.
-    """
-    if len(true_counts) != scn.l:
-        raise DimensionMismatch(f"need {scn.l} outcome counts, got {len(true_counts)}")
-    padded = set(scn.padded)
-    for i, d_star in zip(scn.measurements(), true_counts):
-        if d_star > scn.d:
-            raise PadExceedsD(f"measurement {i} has {d_star} > d = {scn.d} outcomes")
-        padded.update((i, m) for m in range(d_star, scn.d))
-    return Scenario(scn.g, scn.l, scn.d, scn.oe_p, scn.oe_m, frozenset(padded))
+    return TableReport(normalized, residuals)
 
 
 # Canonical flat indexing of data-table coordinates (i major, j, then m).

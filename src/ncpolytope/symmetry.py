@@ -23,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .dd import over_common_denominator, primitive
-from .linalg import (EQ, ZERO, LinRow, canonicalize_row, reduce_modulo, rref,
+from .linalg import (EQ, ZERO, LinRow, canonicalize_row,
+                     over_common_denominator, primitive, reduce_modulo, rref,
                      substitution_map)
-from .scenario import Scenario, flatten_coord, p_var
+from .scenario import Scenario, flatten_coord, p_var, unflatten_coord
 
 GROUP_CAP = 10 ** 6
 
@@ -165,7 +165,7 @@ def _prep_action(rel: Relabeling):
     mapping = {}
     for j in scn.preparations():
         k = rel.perm[flatten_coord(scn, (1, j, 0)) - 1]
-        _, j2, _ = _unflatten(scn, k)
+        _, j2, _ = unflatten_coord(scn, k + 1)
         mapping[("q", j)] = ("q", j2)
     return mapping
 
@@ -175,15 +175,9 @@ def _effect_action(rel: Relabeling):
     mapping = {}
     for (i, m) in scn.effects():
         k = rel.perm[flatten_coord(scn, (i, 1, m)) - 1]
-        i2, _, m2 = _unflatten(scn, k)
+        i2, _, m2 = unflatten_coord(scn, k + 1)
         mapping[("e", i, m)] = ("e", i2, m2)
     return mapping
-
-
-def _unflatten(scn: Scenario, idx0: int):
-    rem, m = divmod(idx0, scn.d)
-    i, j1 = divmod(rem, scn.g)
-    return i + 1, j1 + 1, m
 
 
 def _span_invariant(rows, mapping) -> bool:
@@ -240,7 +234,7 @@ def act_on_row(rel: Relabeling, row: LinRow) -> LinRow:
     for var, c in row.coeffs.items():
         _, i, j, m = var
         k = rel.perm[flatten_coord(scn, (i, j, m)) - 1]
-        coeffs[p_var(_unflatten(scn, k))] = c
+        coeffs[p_var(unflatten_coord(scn, k + 1))] = c
     return canonicalize_row(LinRow(coeffs, row.const, row.kind))
 
 

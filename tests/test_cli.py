@@ -101,6 +101,27 @@ def test_orbits_pipeline(capsys, tmp_path):
     assert sorted(c["orbit_size"] for c in doc["classes"]) == [8, 8, 8]
 
 
+@pytest.mark.parametrize("block, term, constant", [
+    ("facets", [9, 9, 9, "1"], None),       # coordinate outside the scenario
+    ("equalities", [9, 9, 9, "1"], None),
+    ("equalities", None, "1"),              # 0 = 1
+])
+def test_orbits_rejects_malformed_polytope(capsys, tmp_path, block, term,
+                                           constant):
+    scn, poly, gens = orbits_inputs(tmp_path)
+    doc = json.loads(Path(poly).read_text())
+    if term:
+        doc[block][0]["terms"].append(term)
+    else:
+        doc[block].append({"constant": constant, "terms": []})
+    Path(poly).write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, out, err = run(capsys, "orbits", scn, poly, gens)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: polytope")
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

@@ -5,8 +5,8 @@ from math import lcm
 
 import pytest
 
-from ncpolytope.dd import dense_row, hull_facets, vertices
-from ncpolytope.linalg import GEQ, LinRow, LinearSystem
+from ncpolytope.dd import hull_facets, vertices
+from ncpolytope.linalg import GEQ, LinRow, LinearSystem, dense_row
 from ncpolytope.measurement_polytope import (EmptyPolytope, HPolytope,
                                              enumerate_vertices)
 from oracles import brute_force_vertices, in_convex_hull

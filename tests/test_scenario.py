@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import four_prep_scenario, uniform_table
 from ncpolytope.scenario import (MEAS, PREP, DataTable, DimensionMismatch,
-                                 InvalidScenario, MeasEquivalence, PadExceedsD,
-                                 PrepEquivalence, flatten_coord, pad_outcomes,
+                                 Equivalence, InvalidScenario, flatten_coord,
                                  scenario, unflatten_coord, validate_table)
 
 HALF = Fraction(1, 2)
@@ -25,8 +24,8 @@ def test_builder_basic_shape():
 
 
 def test_equivalence_maps_and_difference():
-    oe = PrepEquivalence.make({1: HALF, 2: HALF}, {3: HALF, 4: HALF})
-    assert oe.lhs_map() == {1: HALF, 2: HALF}
+    oe = Equivalence.make({1: HALF, 2: HALF}, {3: HALF, 4: HALF})
+    assert dict(oe.lhs) == {1: HALF, 2: HALF}
     diff = oe.difference()
     assert diff == {1: HALF, 2: HALF, 3: -HALF, 4: -HALF}
 
@@ -67,7 +66,7 @@ def test_meas_equivalence_on_effects():
                    oe_m=[({(1, 0): THIRD, (2, 0): THIRD, (3, 0): THIRD},
                           {(1, 1): THIRD, (2, 1): THIRD, (3, 1): THIRD})])
     (oe,) = scn.oe_m
-    assert isinstance(oe, MeasEquivalence)
+    assert isinstance(oe, Equivalence)
     assert oe.difference()[(1, 0)] == THIRD
     assert oe.difference()[(3, 1)] == -THIRD
 
@@ -135,28 +134,6 @@ def test_validate_table_unnormalized():
     report = validate_table(scn, DataTable.make(
         {(1, 1, 0): HALF, (1, 1, 1): Fraction(3, 4)}))
     assert not report.normalized
-
-
-def test_pad_outcomes():
-    scn = scenario(g=2, l=2, d=3)
-    padded = pad_outcomes(scn, [2, 3])
-    assert padded.padded == frozenset({(1, 2)})
-    entries = {c: Fraction(0) for c in padded.coords()}
-    for j in (1, 2):
-        entries[1, j, 0] = Fraction(1)
-        entries[2, j, 0] = Fraction(1, 3)
-        entries[2, j, 1] = Fraction(1, 3)
-        entries[2, j, 2] = Fraction(1, 3)
-    entries[1, 1, 2] = entries[1, 1, 0]
-    entries[1, 1, 0] = Fraction(0)
-    report = validate_table(padded, DataTable.make(entries))
-    assert report.padded_violations == [(1, 1, 2)]
-
-
-def test_pad_exceeds_d():
-    scn = scenario(g=2, l=1, d=2)
-    with pytest.raises(PadExceedsD):
-        pad_outcomes(scn, [3])
 
 
 def test_table_round_trip_and_lookup():
