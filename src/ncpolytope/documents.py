@@ -279,7 +279,7 @@ def verdict_to_doc(verdict) -> dict:
                       for (_, j, k), v in sorted(verdict.nu.items())],
         })
     cert = verdict.certificate
-    return _stamp({
+    doc = {
         "status": "infeasible",
         "certificate": {
             "y": [[list(label), str(v)]
@@ -287,7 +287,10 @@ def verdict_to_doc(verdict) -> dict:
         },
         "inequality": row_to_doc(verdict.inequality),
         "violation": str(verdict.violation),
-    })
+    }
+    if verdict.broken_equivalence is not None:
+        doc["broken_equivalence"] = list(verdict.broken_equivalence)
+    return _stamp(doc)
 
 
 def optimum_to_doc(value, witness: DataTable) -> dict:

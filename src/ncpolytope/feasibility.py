@@ -7,8 +7,9 @@ The most violated such ``y`` comes from the LP dual of that box problem,
 ``min 1.mu  s.t.  M (lambda - mu) = b*,  lambda, mu >= 0``, whose optimum
 is the least total negativity of a quasiprobability representation of
 the table (zero exactly when a model exists).  When the table breaks an
-operational equivalence, ``b*`` leaves the column span of ``M`` and the
-certificate is the phase-1 Farkas vector, with ``y.M = 0``.  Reading the
+operational equivalence, ``b*`` leaves the column span of ``M``; no LP is
+solved then, because the broken equality itself is a Farkas vector with
+``y.M = 0`` (see :func:`_equivalence_certificate`).  Reading the
 linking-block entries of ``y`` as coefficients on the table probabilities
 turns the certificate into a violated noncontextuality inequality whose
 constant term is the sum of the normalization-block entries.
@@ -21,9 +22,10 @@ from fractions import Fraction
 
 from .linalg import GEQ, ONE, ZERO, InternalError, LinRow, canonicalize_row
 from .measurement_polytope import VertexSet
-from .ncsystem import (LINKING, NORMALIZATION, F2System, NumericF2, build_f2,
-                       bind_table, reconstruct_table)
-from .scenario import DataTable, DimensionMismatch, Scenario, p_var, validate_table
+from .ncsystem import (LINKING, NORMALIZATION, OE_P, F2System, NumericF2,
+                       build_f2, bind_table, reconstruct_table)
+from .scenario import (PREP, DataTable, DimensionMismatch, Scenario,
+                       equivalence_rows, p_var, validate_table)
 from .simplex import OPTIMAL, UNBOUNDED, solve_standard
 
 
@@ -42,6 +44,9 @@ class Certificate:
     y: list                  # indexed like NumericF2.row_labels
     row_labels: list
     value: Fraction          # y . b*, strictly negative
+    # (PREP, s) or (MEAS, r) when y is the equality of an operational
+    # equivalence the table breaks (then y.M = 0); None for an LP certificate
+    broken_equivalence: tuple | None = None
 
     def entries(self, block) -> dict:
         return {label[1]: v for label, v in zip(self.row_labels, self.y)
@@ -59,6 +64,10 @@ class Infeasible:
     inequality: LinRow       # canonical GEQ row over p-coordinates
     violation: Fraction      # amount by which the table violates it
 
+    @property
+    def broken_equivalence(self):
+        return self.certificate.broken_equivalence
+
 
 Verdict = Feasible | Infeasible
 
@@ -70,9 +79,11 @@ def check_table(scn: Scenario, vertices: VertexSet, table: DataTable) -> Verdict
         raise MalformedTable("table entries are not normalized probabilities")
     f2 = build_f2(scn, vertices)
     numeric = bind_table(f2, table)
-    res = solve_standard(numeric.matrix, numeric.rhs, [ZERO] * len(numeric.nu_vars))
-    if res.status == OPTIMAL:
-        return Feasible(dict(zip(numeric.nu_vars, res.x)))
+    if report.respects_equivalences:
+        res = solve_standard(numeric.matrix, numeric.rhs,
+                             [ZERO] * len(numeric.nu_vars))
+        if res.status == OPTIMAL:
+            return Feasible(dict(zip(numeric.nu_vars, res.x)))
     cert = farkas_certificate(numeric)
     inequality, violation = certificate_to_inequality(cert, f2)
     return Infeasible(cert, inequality, violation)
@@ -82,16 +93,55 @@ def farkas_certificate(numeric: NumericF2) -> Certificate:
     """Most-violated certificate: min y.b* subject to 0 <= y.M <= 1.
 
     Solved to optimality through its LP dual (see :func:`_solve_box_dual`),
-    so |y.b*| is the largest violation the box normalization allows.  When
-    the table breaks an operational equivalence exactly, the certificate
-    is the phase-1 Farkas vector of that dual: it satisfies y.M = 0.
+    so |y.b*| is the largest violation the box normalization allows.  A
+    table that breaks an operational equivalence has no most-violated
+    certificate (the box LP is unbounded); it gets the broken equality in
+    closed form instead, with y.M = 0 (see :func:`_equivalence_certificate`).
     """
-    y = _solve_box_dual(numeric)
+    broken = _equivalence_certificate(numeric)
+    oe, y = broken if broken else (None, _solve_box_dual(numeric))
     value = _dot(y, numeric.rhs)
     if value >= 0:
         raise PrimalFeasible("the primal system M x = b* has a solution")
     _verify(y, numeric)
-    return Certificate(y, list(numeric.row_labels), value)
+    return Certificate(y, list(numeric.row_labels), value, oe)
+
+
+def _equivalence_certificate(numeric: NumericF2):
+    """The broken equivalence's id and its equality as a Farkas vector.
+
+    Takes the equality of :func:`equivalence_rows` with the largest
+    |residual| r on the table (the first in scenario order on ties) and
+    returns ``(id, y)`` with y.M = 0 and y.b* = -|r|, or None when the
+    table keeps every equivalence.  With c = -sign(r): a preparation
+    equivalence s broken at effect (i, m) gives y_linking(i, j, m) =
+    c diff_s(j) and y_oe_p(s, k) = -c xi_k(m|M_i), which cancel on every
+    column nu_j(k); a measurement equivalence broken at P_j gives
+    y_linking(i, j, m) = c diff(i, m), whose column sums vanish because
+    every vertex xi_k keeps that equivalence.
+    """
+    labels = numeric.row_labels
+    probs = {lab[1]: b for lab, b in zip(labels, numeric.rhs)
+             if lab[0] == LINKING}
+    worst, broken = ZERO, None
+    for oe, slot, weights in equivalence_rows(numeric.f2.scenario):
+        r = sum((w * probs[c] for c, w in weights.items()), ZERO)
+        if abs(r) > worst:
+            worst, broken = abs(r), (oe, slot, weights, r)
+    if broken is None:
+        return None
+    (kind, s), slot, weights, r = broken
+    c = -ONE if r > 0 else ONE
+    row = {lab: n for n, lab in enumerate(labels)}
+    y = [ZERO] * len(labels)
+    for coord, w in weights.items():
+        y[row[LINKING, coord]] = c * w
+    if kind == PREP:
+        i, m = slot
+        vertices = numeric.f2.vertices
+        for k in range(1, len(vertices) + 1):
+            y[row[OE_P, s, k]] = -c * vertices.component(k, i, m)
+    return (kind, s), y
 
 
 def _solve_box_dual(numeric: NumericF2):

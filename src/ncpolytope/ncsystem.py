@@ -13,10 +13,9 @@ reconstruction read it through :meth:`F2System.linking_map`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import EQ, GEQ, ONE, ZERO, LinearSystem, LinRow, substitution_map
-from .measurement_polytope import VertexSet, xi_var
+from .measurement_polytope import VertexSet
 from .scenario import DataTable, DimensionMismatch, Scenario, p_var, p_vars
 
 NORMALIZATION = "normalization"

@@ -10,9 +10,8 @@ M_1..M_l notation; outcomes run 0..d-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import ZERO, ONE, rat
+from .linalg import ZERO, rat
 
 PREP = "prep"
 MEAS = "meas"
@@ -173,20 +172,31 @@ def validate_table(scn: Scenario, table: DataTable) -> TableReport:
         for j in scn.preparations():
             if sum(probs[i, j, m] for m in scn.outcomes()) != 1:
                 normalized = False
-    residuals = []
+    worst = {}
+    for oe, _, weights in equivalence_rows(scn):
+        residual = abs(sum(w * probs[c] for c, w in weights.items()))
+        worst[oe] = max(worst.get(oe, ZERO), residual)
+    return TableReport(normalized, list(worst.items()))
+
+
+def equivalence_rows(scn: Scenario):
+    """The equalities the operational equivalences impose on a table.
+
+    Yields ``(id, slot, weights)`` in scenario order, ``weights`` mapping
+    table coordinates to coefficients of an equality with zero constant.
+    A preparation equivalence ``(PREP, s)`` gives one per effect
+    ``slot = (i, m)``: sum_j diff_s(j) p(m|M_i,P_j) = 0.  A measurement
+    equivalence ``(MEAS, r)`` gives one per preparation ``slot = j``:
+    sum_(i,m) diff_r(i, m) p(m|M_i,P_j) = 0.
+    """
     for s, eq in enumerate(scn.oe_p):
         diff = eq.difference()
-        worst = max((abs(sum(w * probs[i, j, m] for j, w in diff.items()))
-                     for i in scn.measurements() for m in scn.outcomes()),
-                    default=ZERO)
-        residuals.append(((PREP, s), worst))
+        for i, m in scn.effects():
+            yield (PREP, s), (i, m), {(i, j, m): w for j, w in diff.items()}
     for r, eq in enumerate(scn.oe_m):
         diff = eq.difference()
-        worst = max((abs(sum(w * probs[i, j, m] for (i, m), w in diff.items()))
-                     for j in scn.preparations()),
-                    default=ZERO)
-        residuals.append(((MEAS, r), worst))
-    return TableReport(normalized, residuals)
+        for j in scn.preparations():
+            yield (MEAS, r), j, {(i, j, m): w for (i, m), w in diff.items()}
 
 
 # Canonical flat indexing of data-table coordinates (i major, j, then m).

@@ -282,11 +282,14 @@ class _Reduction:
     def terms(self, row):
         """A row's coprime ints as (flat position, int) pairs, and its constant.
 
-        Coefficients of variables outside ``variables`` are dropped, as
-        ``LinRow.key`` drops them.
+        Raises ValueError on a coefficient of a variable outside
+        ``variables``.
         """
-        coeffs = [(self.flat[v], c) for v, c in row.coeffs.items()
-                  if v in self.flat]
+        try:
+            coeffs = [(self.flat[v], c) for v, c in row.coeffs.items()]
+        except KeyError as exc:
+            raise ValueError(f"row has a term on {exc.args[0]}, "
+                             "which is not among the variables") from None
         ints = primitive(over_common_denominator(
             [c for _, c in coeffs] + [row.const])[0])
         return [(q, a) for (q, _), a in zip(coeffs, ints)], ints[-1]

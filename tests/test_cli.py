@@ -70,6 +70,23 @@ def test_check_feasible_table(capsys, tmp_path):
     assert json.loads(out)["status"] == "feasible"
 
 
+def test_check_equivalence_breaking_table(capsys, tmp_path):
+    table = {"probabilities": [[i, j, m, "1/2"]
+                               for i in (1, 2) for j in (1, 2, 3, 4)
+                               for m in (0, 1)]}
+    table["probabilities"][:2] = [[1, 1, 0, "1"], [1, 1, 1, "0"]]
+    path = tmp_path / "breaking.json"
+    path.write_text(json.dumps(table))
+    code, out, _ = run(capsys, "check", SIMPLEST, str(path))
+    assert code == EXIT_INFEASIBLE
+    assert "broken_equivalence" in out
+    doc = json.loads(out)
+    assert doc["broken_equivalence"] == ["prep", 0]
+    assert F(doc["violation"]) == F(1, 2)
+    code, out, _ = run(capsys, "check", SIMPLEST, CONTEXTUAL)
+    assert "broken_equivalence" not in json.loads(out)
+
+
 def test_optimize(capsys):
     code, out, _ = run(capsys, "optimize", SIMPLEST, OBJECTIVE)
     assert code == EXIT_OK

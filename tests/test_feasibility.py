@@ -14,7 +14,8 @@ from ncpolytope.linalg import GEQ, InternalError, LinRow, canonicalize_row
 from ncpolytope.measurement_polytope import build_measurement_h, enumerate_vertices
 from ncpolytope.ncsystem import bind_table, build_f2, reconstruct_table
 from ncpolytope.projection import project_to_nc_polytope
-from ncpolytope.scenario import DataTable, DimensionMismatch, p_var
+from ncpolytope.scenario import (DataTable, DimensionMismatch, p_var,
+                                 validate_table)
 from ncpolytope.simplex import UNBOUNDED, LPResult, solve_standard
 from oracles import box_dual_optimum
 from test_acceptance import CHECK_SHAPES, random_small_scenario
@@ -184,6 +185,94 @@ def test_span_breaking_table_gets_farkas_vector(scn41, verts41):
         [0] * len(numeric.nu_vars)
     assert verdict.certificate.value < 0
     assert box_dual_optimum(numeric) is None  # the box LP is unbounded
+
+
+def no_lp(A, b, c):
+    raise AssertionError("a table that breaks an equivalence needs no LP")
+
+
+def binary_table(scn, p0):
+    """The uniform table with p(0|M_i,P_j) = p0[i, j] where given."""
+    entries = uniform_table(scn).as_dict()
+    for (i, j), v in p0.items():
+        entries[i, j, 0], entries[i, j, 1] = F(v), 1 - F(v)
+    return DataTable.make(entries)
+
+
+def prep_equality(i, m, diff):
+    return {(i, j, m): w for j, w in diff.items()}
+
+
+def meas_equality(j, l):
+    return {(i, j, m): (1 - 2 * m) / F(l) for i in range(1, l + 1)
+            for m in (0, 1)}
+
+
+HALVES = {1: HALF, 2: HALF, 3: -HALF, 4: -HALF}  # 1/2 P1 + 1/2 P2 - 1/2 P3 - 1/2 P4
+
+
+def assert_broken_equality_certificate(monkeypatch, scn, vs, table, oe,
+                                       weights):
+    """The verdict, reached without an LP, is the broken equality read
+    one-sided: y.M = 0, the inequality is -sign(r) (weights . p) >= 0 made
+    canonical, and the violation is |r| at the canonical scale."""
+    monkeypatch.setattr(feasibility, "solve_standard", no_lp)
+    verdict = check_table(scn, vs, table)
+    assert isinstance(verdict, Infeasible)
+    assert verdict.broken_equivalence == oe
+    numeric = bind_table(build_f2(scn, vs), table)
+    cert = verdict.certificate
+    assert y_dot_columns(cert.y, numeric) == [0] * len(numeric.nu_vars)
+    probs = table.as_dict()
+    r = sum(w * probs[c] for c, w in weights.items())
+    raw = LinRow({p_var(c): (-w if r > 0 else w) for c, w in weights.items()},
+                 F(0), GEQ)
+    assert cert.value == -abs(r)
+    assert verdict.inequality == canonicalize_row(raw)
+    v = next(iter(raw.coeffs))
+    assert verdict.violation == \
+        abs(r) * verdict.inequality.coeffs[v] / raw.coeffs[v]
+    assert farkas_certificate(numeric) == cert
+
+
+# A table that breaks one equivalence at two slots with equal |r| gets the
+# first slot in scenario order.
+BREAKING = {
+    # P1 alone answers 0 to M1: residuals 1/4 at (M1, 0), -1/4 at (M1, 1)
+    "scn41": ({(1, 1): 1}, ("prep", 0), prep_equality(1, 0, HALVES)),
+    # every preparation answers 0 to M1: residual 1/3 at every P_j
+    "scn63": ({(1, j): 1 for j in range(1, 7)}, ("meas", 0),
+              meas_equality(1, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BREAKING))
+def test_equivalence_breaking_table_needs_no_lp(name, request, monkeypatch):
+    scn = request.getfixturevalue(name)
+    vs = request.getfixturevalue(name.replace("scn", "verts"))
+    p0, oe, weights = BREAKING[name]
+    assert_broken_equality_certificate(monkeypatch, scn, vs,
+                                       binary_table(scn, p0), oe, weights)
+
+
+@pytest.mark.parametrize("delta, oe, weights", [
+    (F(1, 4), ("prep", 0), prep_equality(1, 0, HALVES)),  # 1/4 > 1/6
+    (F(3, 8), ("prep", 0), prep_equality(1, 0, HALVES)),  # tie: prep first
+    (F(1, 2), ("meas", 0), meas_equality(5, 3)),          # 1/3 > 1/4
+])
+def test_largest_residual_picks_the_equivalence(scn63, verts63, delta, oe,
+                                                weights, monkeypatch):
+    """P1 moves M1 and M2 oppositely, which breaks the first preparation
+    equivalence by 1/4 and keeps the measurement one; P5 and P6 move M1
+    oppositely, which keeps the preparation equivalences and breaks the
+    measurement one by 2 delta / 3."""
+    table = binary_table(scn63, {(1, 1): 1, (2, 1): 0, (1, 5): HALF + delta,
+                                 (1, 6): HALF - delta})
+    broken = [key for key, worst in validate_table(scn63, table).oe_residuals
+              if worst]
+    assert broken == [("prep", 0), ("meas", 0)]
+    assert_broken_equality_certificate(monkeypatch, scn63, verts63, table, oe,
+                                       weights)
 
 
 def contextual_corners(scn, poly):

@@ -91,6 +91,19 @@ def test_orbit_closure_violation_detected(group41, poly41):
                         poly41.variables)
 
 
+def test_term_outside_variables_rejected(group41, poly41):
+    """A coefficient on a coordinate outside the scenario (the term
+    [9, 9, 9, "1"] in a polytope document) raises instead of being dropped."""
+    first = poly41.facets[0]
+    row = LinRow({**first.coeffs, ("p", 9, 9, 9): F(1)}, first.const,
+                 first.kind)
+    with pytest.raises(ValueError, match="9, 9, 9"):
+        classify_orbits([row] + poly41.facets[1:], group41,
+                        poly41.equalities, poly41.variables)
+    with pytest.raises(ValueError, match="9, 9, 9"):
+        expand_orbit(row, group41, poly41.equalities, poly41.variables)
+
+
 def assert_same_classes(rows, group, equalities, variables):
     """classify_orbits and expand_orbit agree with the Fraction oracle."""
     got = classify_orbits(rows, group, equalities, variables)
