@@ -20,8 +20,7 @@ from .scenario import (DataTable, Scenario, scenario, validate_scenario,
 from .measurement_polytope import (VertexSet, build_measurement_h,
                                    enumerate_vertices, membership)
 from .ncsystem import build_f2, bind_table, reconstruct_table
-from .projection import (NCPolytope, fm_eliminate_var,
-                         project_to_nc_polytope, remove_redundant)
+from .projection import NCPolytope, project_to_nc_polytope
 from .feasibility import (Certificate, Feasible, Infeasible, check_table,
                           farkas_certificate, certificate_to_inequality,
                           optimize)

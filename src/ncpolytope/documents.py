@@ -39,12 +39,12 @@ def _index(value, what) -> int:
 
 def read_document(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     return doc
@@ -224,8 +224,8 @@ def polytope_to_doc(poly: NCPolytope) -> dict:
 
 def polytope_from_doc(doc: dict, scn: Scenario) -> NCPolytope:
     for key in ("equalities", "facets"):
-        if key not in doc:
-            raise ParseError(f"polytope document missing {key!r}")
+        if not isinstance(doc.get(key), list):
+            raise ParseError(f"polytope document needs a list of {key!r}")
     equalities = [row_from_doc(r, EQ) for r in doc["equalities"]]
     facets = [row_from_doc(r, GEQ) for r in doc["facets"]]
     variables = p_vars(scn)

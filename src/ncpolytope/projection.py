@@ -8,15 +8,14 @@ its facet inequalities, and conversely.
 The pipeline substitutes the equality rows away first (preferring to
 eliminate distribution variables, so data-table coordinates stay free
 wherever possible).  Small systems then remove the remaining distribution
-variables one at a time by Fourier-Motzkin elimination with Chernikov
-ancestor pruning, running an exact-LP irredundancy pass after every
-elimination step to keep the intermediate row count at the true facet
-count.  Larger systems take the hull route instead: the distribution-
-polytope vertices are mapped into table space by the finite system's own
-linking rows (:meth:`.ncsystem.F2System.linking_map`), and the image
-points, with no filtering, go through a polar double description
-(:mod:`.dd`) that returns the facets of their hull.  Both routes build
-their dense integer rows with :func:`.linalg.dense_row`.
+variables one at a time by Fourier-Motzkin elimination, running an exact-LP
+irredundancy pass after every elimination step to keep the intermediate row
+count at the true facet count.  Larger systems take the hull route instead:
+the distribution-polytope vertices are mapped into table space by the
+finite system's own linking rows (:meth:`.ncsystem.F2System.linking_map`),
+and the image points, with no filtering, go through a polar double
+description (:mod:`.dd`) that returns the facets of their hull.  Both
+routes build their dense integer rows with :func:`.linalg.dense_row`.
 """
 
 from __future__ import annotations
@@ -64,8 +63,7 @@ class NCPolytope:
 # --- Fourier-Motzkin on dense integer rows -------------------------------
 #
 # A dense row is (coeff_0, ..., coeff_{d-1}, const) of ints, meaning
-# coeffs . x + const >= 0.  Ancestor sets are frozensets of original row
-# indices, used for the Chernikov cardinality rule.
+# coeffs . x + const >= 0.
 
 
 def _combine(pos_row, pos_val, neg_row, neg_val, col):
@@ -74,103 +72,60 @@ def _combine(pos_row, pos_val, neg_row, neg_val, col):
                       for bp, bn in zip(pos_row, neg_row)])
 
 
-def fm_step(rows, ancestors, col, eliminations_done):
-    """One Fourier-Motzkin elimination with Chernikov ancestor pruning.
+def fm_step(rows, col):
+    """One Fourier-Motzkin elimination of coordinate ``col``.
 
-    ``col`` is the index of the coordinate to eliminate; the output rows
-    have that coordinate removed.  A combined row whose ancestor set
-    exceeds ``1 + eliminations_done`` (counting this step) is provably
-    redundant and dropped.
+    Returns the sorted, deduplicated rows of the projection with that
+    coordinate removed; combined rows that hold trivially are dropped.
     """
-    limit = 1 + eliminations_done + 1
-    pos, neg, zero = [], [], []
-    for row, anc in zip(rows, ancestors):
+    pos, neg = [], []
+    out = set()
+    for row in rows:
         v = row[col]
-        (pos if v > 0 else neg if v < 0 else zero).append((row, anc, v))
-
-    def strip(row):
-        return row[:col] + row[col + 1:]
-
-    out_rows, out_anc = [], []
-    seen = {}
-    for row, anc, _ in zero:
-        key = strip(row)
-        if key not in seen or len(anc) < len(seen[key]):
-            seen[key] = anc
-    for prow, panc, pval in pos:
-        for nrow, nanc, nval in neg:
-            anc = panc | nanc
-            if len(anc) > limit:
-                continue
-            combo = strip(_combine(prow, pval, nrow, nval, col))
-            if not any(combo[:-1]) and combo[-1] >= 0:
-                continue  # trivially true
-            if combo in seen:
-                if len(anc) < len(seen[combo]):
-                    seen[combo] = anc
-            else:
-                seen[combo] = anc
-    for key in sorted(seen):
-        out_rows.append(key)
-        out_anc.append(seen[key])
-    return out_rows, out_anc
+        if v > 0:
+            pos.append((row, v))
+        elif v < 0:
+            neg.append((row, v))
+        else:
+            out.add(row[:col] + row[col + 1:])
+    for prow, pval in pos:
+        for nrow, nval in neg:
+            combo = _combine(prow, pval, nrow, nval, col)
+            combo = combo[:col] + combo[col + 1:]
+            if any(combo[:-1]) or combo[-1] < 0:
+                out.add(combo)
+    return sorted(out)
 
 
-def fm_eliminate_var(rows, var):
-    """Public single-variable elimination on GEQ LinRows.
-
-    The solution set of the output is exactly the projection of the
-    input's solution set along ``var``.
-    """
-    variables = sorted({v for r in rows for v in r.coeffs} | {var})
-    col = variables.index(var)
-    dense = []
-    for r in rows:
-        if r.kind != GEQ:
-            raise ValueError("fm_eliminate_var expects GEQ rows only")
-        dense.append(dense_row(r, variables))
-    anc = [frozenset([i]) for i in range(len(dense))]
-    out, _ = fm_step(dense, anc, col, 0)
-    rest = variables[:col] + variables[col + 1:]
-    return [_lift_row(row, rest) for row in out]
-
-
-def _lift_row(dense, variables, kind=GEQ) -> LinRow:
+def _lift_row(dense, variables) -> LinRow:
     coeffs = {v: Fraction(a) for v, a in zip(variables, dense[:-1]) if a}
-    return LinRow(coeffs, Fraction(dense[-1]), kind)
+    return LinRow(coeffs, Fraction(dense[-1]), GEQ)
 
 
 # --- LP-certified irredundancy -------------------------------------------
 
 
-def irredundant_rows(rows, witnesses=None):
+def irredundant_rows(rows, witnesses):
     """Minimal subset of dense rows defining the same region.
 
     Each surviving row is certified non-redundant by a point that violates
     it while satisfying all other survivors; each removed row is certified
     implied by an exact LP.  ``witnesses`` (rational points ``(ints, den)``)
-    from earlier passes short-circuit most LPs.
+    from earlier passes short-circuit most LPs; the list is extended with
+    the points this pass finds and returned.
     """
     rows = sorted(set(rows))
-    if witnesses is None:
-        witnesses = []
     alive = [True] * len(rows)
 
     def value(point, row):
         ints, den = point
         return sum(a * w for a, w in zip(row[:-1], ints)) + row[-1] * den
 
-    # witness index -> row index it is known to violate
     for idx, row in enumerate(rows):
         others = [r for k, r in enumerate(rows) if alive[k] and k != idx]
-        certified = False
-        for point in witnesses:
-            if value(point, row) < 0 and all(value(point, r) >= 0 for r in others):
-                certified = True
-                break
-        if certified:
+        if any(value(point, row) < 0 and all(value(point, r) >= 0 for r in others)
+               for point in witnesses):
             continue
-        dim = len(row) - 1
         bound = row[:-1] + (row[-1] + 1,)  # keeps the LP bounded below
         res = minimize_over_rows(others + [bound], [Fraction(a) for a in row[:-1]])
         if res.status != OPTIMAL:
@@ -182,53 +137,29 @@ def irredundant_rows(rows, witnesses=None):
     return [r for k, r in enumerate(rows) if alive[k]], witnesses
 
 
-def remove_redundant(rows, equalities=()):
-    """Minimal sub-list of GEQ LinRows defining the same region, modulo
-    the given equalities.  Survivors are returned as given (not reduced)."""
-    variables = sorted({v for r in rows for v in r.coeffs}
-                       | {v for e in equalities for v in e.coeffs})
-    eqs = rref(list(equalities), variables) if equalities else []
-    reduced = [reduce_modulo(r, eqs, variables) for r in rows]
-    free = [v for v in variables
-            if not any(max(e.coeffs, key=variables.index) == v for e in eqs)]
-    dense = [dense_row(r, free) for r in reduced]
-    keep_set = set(irredundant_rows(dense)[0])
-    out = []
-    seen = set()
-    for orig, d in zip(rows, dense):
-        if d in keep_set and d not in seen:
-            seen.add(d)
-            out.append(orig)
-    return out
-
-
 # --- Full projection -----------------------------------------------------
 
 
-FM_MAX_NU_DIM = 9
+FM_MAX_NU_DIM = 8
 
 
-def project_to_nc_polytope(f2: F2System, progress=None, engine=None) -> NCPolytope:
+def project_to_nc_polytope(f2: F2System, progress=None) -> NCPolytope:
     """Eliminate every distribution variable; return the NC polytope.
 
-    Two exact engines produce identical output.  ``"fm"`` eliminates the
-    distribution coordinates one by one (Fourier-Motzkin with an LP
-    irredundancy pass per step); its per-step LP count grows quickly with
-    the distribution dimension, so for larger systems the default is
-    ``"hull"``: enumerate the vertices of the distribution polytope, map
-    them through the linking rows, and convert the resulting point set
-    back to facets via a polar double description.
+    Two exact routes produce identical output, and the number of free
+    distribution coordinates picks one.  Up to ``FM_MAX_NU_DIM`` of them
+    are eliminated one by one (Fourier-Motzkin with an LP irredundancy
+    pass per step); the per-step LP count grows quickly with that number,
+    so larger systems take the hull route: enumerate the vertices of the
+    distribution polytope, map them through the linking rows, and convert
+    the resulting point set back to facets via a polar double description.
     """
     subs, reduced, equalities, all_p = _affine_hull(f2)
-    if engine is None:
-        nu_dim = sum(1 for v in reduced.variables if v[0] == "nu")
-        engine = "fm" if nu_dim <= FM_MAX_NU_DIM else "hull"
-    if engine == "hull":
-        facets = _hull_facets(f2, equalities, all_p, progress)
-    elif engine == "fm":
+    nu_dim = sum(1 for v in reduced.variables if v[0] == "nu")
+    if nu_dim <= FM_MAX_NU_DIM:
         facets = _fm_facets(f2, reduced, progress)
     else:
-        raise ValueError(f"unknown projection engine {engine!r}")
+        facets = _hull_facets(f2, equalities, all_p, progress)
     facets.sort(key=lambda r: r.key(all_p))
     return NCPolytope(all_p, equalities, facets)
 
@@ -252,23 +183,17 @@ def _affine_hull(f2: F2System):
 def _fm_facets(f2: F2System, reduced, progress):
     free = reduced.variables
     dense = [dense_row(r, free) for r in reduced.rows]
-    ancestors = [frozenset([i]) for i in range(len(dense))]
-    eliminations = 0
     witnesses = []
     while True:
         nu_cols = [k for k, v in enumerate(free) if v[0] == "nu"]
         if not nu_cols:
             break
         col = _pick_column(dense, nu_cols, free, f2.nu_vars)
-        dense, ancestors = fm_step(dense, ancestors, col, eliminations)
+        dense = fm_step(dense, col)
         free = free[:col] + free[col + 1:]
         # Projecting a feasible point just drops the eliminated coordinate.
         witnesses = [(w[:col] + w[col + 1:], den) for w, den in witnesses]
         dense, witnesses = irredundant_rows(dense, witnesses)
-        # After LP filtering every survivor is a facet of the current
-        # projection, so Chernikov bookkeeping restarts from a clean system.
-        ancestors = [frozenset([i]) for i in range(len(dense))]
-        eliminations = 0
         if progress:
             progress(len(free), len(dense))
 

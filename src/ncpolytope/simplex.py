@@ -33,7 +33,6 @@ class LPResult:
     x: list | None = None
     value: Fraction | None = None
     duals: list | None = None
-    ray: list | None = None
 
 
 def solve_standard(A, b, c) -> LPResult:
@@ -41,7 +40,6 @@ def solve_standard(A, b, c) -> LPResult:
 
     On OPTIMAL, ``duals`` holds the simplex multipliers y (one per row)
     satisfying y.b == value when the reduced costs vanish on the basis.
-    On UNBOUNDED, ``ray`` is a direction of unbounded decrease.
     """
     m = len(A)
     n = len(c)
@@ -130,34 +128,17 @@ def solve_standard(A, b, c) -> LPResult:
         cb = c[basis[i]] if basis[i] < n else ZERO
         if cb:
             tableau[m] = [a - cb * p for a, p in zip(tableau[m], tableau[i])]
-    blocked = set(range(n, total))
-    status = run(blocked)
-    if status == UNBOUNDED:
-        # Reconstruct the improving ray for the entering column found last.
-        for j in range(n):
-            if tableau[m][j] < 0 and all(tableau[i][j] <= 0 for i in range(m)):
-                ray = [ZERO] * n
-                ray[j] = ONE
-                for i in range(m):
-                    if basis[i] < n:
-                        ray[basis[i]] = -tableau[i][j]
-                x = _extract(tableau, basis, m, n, total)
-                return LPResult(UNBOUNDED, x=x, ray=ray)
-        raise InternalError("unbounded status without an unbounded column")
-    x = _extract(tableau, basis, m, n, total)
+    if run(blocked=set(range(n, total))) == UNBOUNDED:
+        return LPResult(UNBOUNDED)
+    x = [ZERO] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tableau[i][total]
     value = -tableau[m][total]
     # Reduced cost of artificial i is -y_i (its phase-2 cost is zero).
     duals = [-tableau[m][n + i] for i in range(m)]
     duals = [-y if f else y for y, f in zip(duals, flipped)]
     return LPResult(OPTIMAL, x=x, value=value, duals=duals)
-
-
-def _extract(tableau, basis, m, n, total):
-    x = [ZERO] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tableau[i][total]
-    return x
 
 
 def minimize_over_rows(rows, c) -> LPResult:

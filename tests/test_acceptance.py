@@ -28,7 +28,7 @@ from ncpolytope.scenario import DataTable, p_var, scenario
 from ncpolytope.symmetry import act_on_row, classify_orbits
 from oracles import brute_force_f2_points, in_convex_hull
 from test_projection import (REFERENCE_EQUALITIES_41, REFERENCE_FACETS_41,
-                             facet_keys, reduced_key)
+                             facet_keys, fm_and_hull, reduced_key)
 
 F = Fraction
 HALF = F(1, 2)
@@ -339,7 +339,7 @@ def test_criterion_08_feasibility_matches_membership(random_check_scenarios):
                 assert isinstance(verdict, Feasible) == member
 
 
-def test_criterion_09_projection_matches_hull_oracle():
+def test_criterion_09_projection_matches_hull_oracle(monkeypatch):
     with criterion(9, "small-scenario projection equals the "
                       "vertex-enumeration hull oracle"):
         rng = random.Random(20230818)
@@ -350,8 +350,7 @@ def test_criterion_09_projection_matches_hull_oracle():
             f2 = build_f2(scn, vs)
             # total (nu, p) dimension stays within the oracle budget
             assert len(f2.nu_vars) + len(f2.p_vars) <= 10
-            fm = project_to_nc_polytope(f2, engine="fm")
-            hull = project_to_nc_polytope(f2, engine="hull")
+            fm, hull = fm_and_hull(f2, monkeypatch)
             assert fm.equalities == hull.equalities
             assert fm.facets == hull.facets
             free = free_p_coords(fm)

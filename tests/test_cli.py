@@ -122,6 +122,7 @@ def test_orbits_pipeline(capsys, tmp_path):
     ("facets", [9, 9, 9, "1"], None),       # coordinate outside the scenario
     ("equalities", [9, 9, 9, "1"], None),
     ("equalities", None, "1"),              # 0 = 1
+    ("equalities", None, None),             # not a list of rows
 ])
 def test_orbits_rejects_malformed_polytope(capsys, tmp_path, block, term,
                                            constant):
@@ -129,8 +130,10 @@ def test_orbits_rejects_malformed_polytope(capsys, tmp_path, block, term,
     doc = json.loads(Path(poly).read_text())
     if term:
         doc[block][0]["terms"].append(term)
-    else:
+    elif constant:
         doc[block].append({"constant": constant, "terms": []})
+    else:
+        doc[block] = 5
     Path(poly).write_text(json.dumps(doc))
     capsys.readouterr()
     code, out, err = run(capsys, "orbits", scn, poly, gens)
@@ -145,6 +148,16 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "vertices", str(bad))
     assert code == EXIT_PARSE
     assert "error:" in err
+
+
+def test_non_utf8_input_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "vertices", str(bad))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_invalid_scenario_exit_code(capsys, tmp_path):

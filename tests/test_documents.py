@@ -3,6 +3,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (SCENARIO_DIR, contextual_table_41, four_prep_scenario,
                       six_prep_scenario, uniform_table)
@@ -17,7 +19,8 @@ from ncpolytope.documents import (ParseError, generators_from_doc,
                                   vertices_to_doc, write_document)
 from ncpolytope.linalg import EQ, GEQ, LinRow
 from ncpolytope.measurement_polytope import build_measurement_h, enumerate_vertices
-from ncpolytope.scenario import p_var
+from ncpolytope.scenario import InvalidScenario, p_var
+from ncpolytope.symmetry import GeneratorBreaksOE
 
 F = Fraction
 
@@ -154,3 +157,48 @@ def test_write_document_is_deterministic(poly41):
     write_document(polytope_to_doc(poly41), a)
     write_document(polytope_to_doc(poly41), b)
     assert a.getvalue() == b.getvalue()
+
+
+# Arbitrary JSON trees, biased towards the documents' own values so that
+# the parsers get past their first checks.
+_SCALARS = (st.none() | st.booleans() | st.integers(-1, 5)
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from(["1/2", "1", "0", "-1", "1/0", "min", "max",
+                               "swap_measurements", "swap_preparations",
+                               "flip_outcomes"])
+            | st.text(max_size=3))
+_TREES = st.recursive(
+    _SCALARS, lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(["lhs", "rhs", "terms", "constant",
+                                       "type", "args"]) | st.text(max_size=3),
+                      kids, max_size=4), max_leaves=16)
+
+_SIMPLEST = scenario_from_doc(read_document(SCENARIO_DIR / "simplest.json"))
+# Each parser with the top-level keys it reads; any of them may be absent.
+_PARSERS = {
+    "scenario": (scenario_from_doc, ["preparations", "measurements", "outcomes",
+                                     "prep_equivalences", "meas_equivalences"]),
+    "table": (table_from_doc, ["probabilities"]),
+    "row": (row_from_doc, ["terms", "constant"]),
+    "objective": (objective_from_doc, ["terms", "constant", "sense"]),
+    "vertices": (vertices_from_doc, ["vertices"]),
+    "polytope": (lambda doc: polytope_from_doc(doc, _SIMPLEST),
+                 ["equalities", "facets"]),
+    "generators": (lambda doc: generators_from_doc(doc, _SIMPLEST),
+                   ["generators"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PARSERS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_parsers_raise_only_parse_errors(kind, data):
+    # A top-level document is always an object (read_document checks it).
+    # Only the errors that the command line reports with exit code 1 may
+    # escape; a generator that breaks the equivalences is one of them.
+    parse, keys = _PARSERS[kind]
+    doc = data.draw(st.fixed_dictionaries({}, optional=dict.fromkeys(keys, _TREES)))
+    try:
+        parse(doc)
+    except (ParseError, InvalidScenario, GeneratorBreaksOE):
+        pass

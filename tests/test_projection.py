@@ -1,14 +1,15 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 import ncpolytope.projection as projection
-from conftest import (contextual_table_41, four_prep_scenario, uniform_table)
+from conftest import (contextual_table_41, four_prep_scenario,
+                      six_prep_scenario, uniform_table)
 from ncpolytope.linalg import EQ, GEQ, InternalError, LinRow, canonicalize_row
 from ncpolytope.measurement_polytope import build_measurement_h, enumerate_vertices
 from ncpolytope.ncsystem import build_f2
-from ncpolytope.projection import (fm_eliminate_var, project_to_nc_polytope,
-                                   remove_redundant)
+from ncpolytope.projection import project_to_nc_polytope
 from ncpolytope.scenario import p_var, scenario
 
 F = Fraction
@@ -93,22 +94,43 @@ def test_membership_of_known_tables(poly41):
     assert not poly41.contains(contextual_table_41().as_dict())
 
 
-def test_engines_agree_on_small_scenarios(f2_41):
-    fm = project_to_nc_polytope(f2_41, engine="fm")
-    hull = project_to_nc_polytope(f2_41, engine="hull")
+def fm_and_hull(f2, monkeypatch):
+    """The projection by each route, forced through ``FM_MAX_NU_DIM``."""
+    out = []
+    for limit in (len(f2.nu_vars), -1):
+        monkeypatch.setattr(projection, "FM_MAX_NU_DIM", limit)
+        out.append(project_to_nc_polytope(f2))
+    return out
+
+
+def test_engines_agree_on_small_scenarios(f2_41, monkeypatch):
+    fm, hull = fm_and_hull(f2_41, monkeypatch)
     assert fm.equalities == hull.equalities
     assert fm.facets == hull.facets
 
 
-def test_engines_agree_without_equivalences():
+def test_engines_agree_without_equivalences(monkeypatch):
     scn = scenario(g=2, l=2, d=2)
     f2 = build_f2(scn, enumerate_vertices(build_measurement_h(scn)))
-    fm = project_to_nc_polytope(f2, engine="fm")
-    hull = project_to_nc_polytope(f2, engine="hull")
+    fm, hull = fm_and_hull(f2, monkeypatch)
     assert fm.equalities == hull.equalities
     assert fm.facets == hull.facets
     # with no equivalences the polytope is the full box
     assert poly_is_unit_box(fm, scn)
+
+
+def test_default_route_finishes_with_nine_distribution_coordinates():
+    # nine free distribution coordinates: Fourier-Motzkin runs for minutes
+    # on this scenario, and the hull route takes a fraction of a second
+    scn = scenario(g=4, l=3, d=2,
+                   oe_p=[({1: HALF, 2: HALF}, {3: HALF, 4: HALF})],
+                   oe_m=six_prep_scenario().oe_m)
+    f2 = build_f2(scn, enumerate_vertices(build_measurement_h(scn)))
+    start = time.perf_counter()
+    poly = project_to_nc_polytope(f2)
+    assert time.perf_counter() - start < 60
+    assert len(poly.facets) == 144
+    assert len(poly.equalities) == 18
 
 
 def poly_is_unit_box(poly, scn):
@@ -131,45 +153,6 @@ def test_hull_dd_failure_is_an_internal_error(f2_41, monkeypatch, kernel):
         raise ValueError("inequality rows do not span the space")
 
     monkeypatch.setattr(projection, kernel, fails)
+    monkeypatch.setattr(projection, "FM_MAX_NU_DIM", -1)
     with pytest.raises(InternalError, match="do not span"):
-        project_to_nc_polytope(f2_41, engine="hull")
-
-
-def test_unknown_engine_rejected(f2_41):
-    with pytest.raises(ValueError):
-        project_to_nc_polytope(f2_41, engine="cdd")
-
-
-def test_fm_eliminate_projects_a_square():
-    # project {0 <= x <= 1, 0 <= y <= 1, x + y >= 1/2} along y
-    rows = [LinRow({"x": 1}, 0, GEQ), LinRow({"x": -1}, F(1), GEQ),
-            LinRow({"y": 1}, 0, GEQ), LinRow({"y": -1}, F(1), GEQ),
-            LinRow({"x": 1, "y": 1}, F(-1, 2), GEQ)]
-    out = fm_eliminate_var(rows, "y")
-    # the shadow is 0 <= x <= 1 (x + 1 - 1/2 >= 0 is implied)
-    points = [F(-1), F(0), HALF, F(1), F(2)]
-    for x in points:
-        inside = 0 <= x <= 1
-        assert all(r.satisfied_by({"x": x}) for r in out) == inside
-
-
-def test_fm_eliminate_rejects_equalities():
-    with pytest.raises(ValueError):
-        fm_eliminate_var([LinRow({"x": 1}, 0, EQ)], "x")
-
-
-def test_remove_redundant_keeps_tight_rows():
-    rows = [LinRow({"x": 1}, 0, GEQ),          # x >= 0
-            LinRow({"x": -1}, F(1), GEQ),      # x <= 1
-            LinRow({"x": -1}, F(2), GEQ),      # x <= 2, redundant
-            LinRow({"x": 1}, F(1), GEQ)]       # x >= -1, redundant
-    out = remove_redundant(rows)
-    assert out == rows[:2]
-
-
-def test_remove_redundant_uses_equalities():
-    # modulo x = y, the two bounds coincide
-    rows = [LinRow({"x": -1}, F(1), GEQ), LinRow({"y": -1}, F(1), GEQ)]
-    eqs = [LinRow({"x": 1, "y": -1}, 0, EQ)]
-    out = remove_redundant(rows, eqs)
-    assert len(out) == 1
+        project_to_nc_polytope(f2_41)
