@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 parse or validation failure, 2 internal limit
-exceeded, 3 contextual table (a result, not a failure; distinguished so
-shell scripts can branch on it), 4 internal error (a failed invariant).
+Exit codes: 0 success, 1 usage, parse, validation or write failure, 2
+internal limit exceeded, 3 contextual table (a result, not a failure;
+distinguished so shell scripts can branch on it), 4 internal error (a
+failed invariant).
 """
 
 from __future__ import annotations
@@ -32,8 +33,15 @@ EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse's own exit code 2 would read as an internal limit
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="ncpolytope",
         description="Noncontextual polytopes of prepare-and-measure scenarios")
     top.add_argument("--version", action="version", version=__version__)
@@ -42,7 +50,6 @@ def _parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--output", metavar="PATH",
                        help="write the result document here (default stdout)")
-        p.add_argument("-v", "--verbose", action="count", default=0)
 
     p = sub.add_parser("vertices",
                        help="extremal noncontextual measurement assignments")
@@ -52,6 +59,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("polytope",
                        help="affine hull and facets of the noncontextual polytope")
     p.add_argument("scenario")
+    p.add_argument("-v", "--verbose", action="count", default=0)
     common(p)
 
     p = sub.add_parser("check",
@@ -150,6 +158,9 @@ def main(argv=None) -> int:
     except (ParseError, InvalidScenario, DimensionMismatch, MalformedTable,
             EmptyPolytope, GeneratorBreaksOE, RowNotInOrbitClosure) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:   # read_document reports read failures as ParseError
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_PARSE
     except GroupTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,6 +37,16 @@ def _index(value, what) -> int:
     return value
 
 
+def _unique(pairs, what) -> dict:
+    """The dict of (key, value) pairs; a repeated key is a ParseError."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"{what} lists {key} twice")
+        out[key] = value
+    return out
+
+
 def read_document(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -84,11 +94,12 @@ def scenario_from_doc(doc: dict) -> Scenario:
         if key not in doc:
             raise ParseError(f"scenario document missing {key!r}")
     def prep_side(side):
-        return {_index(j, "preparation"): _fraction(w) for j, w in side}
+        return _unique(((_index(j, "preparation"), _fraction(w))
+                        for j, w in side), "equivalence side")
 
     def meas_side(side):
-        return {(_index(i, "measurement"), _index(m, "outcome")): _fraction(w)
-                for i, m, w in side}
+        return _unique((((_index(i, "measurement"), _index(m, "outcome")),
+                         _fraction(w)) for i, m, w in side), "equivalence side")
 
     try:
         oe_p = [(prep_side(e["lhs"]), prep_side(e["rhs"]))
@@ -195,8 +206,9 @@ def vertices_from_doc(doc: dict) -> VertexSet:
     variables = None
     try:
         for entry in doc["vertices"]:
-            point = {xi_var(_index(i, "measurement"), _index(m, "outcome")):
-                     _fraction(v) for i, m, v in entry}
+            point = _unique(((xi_var(_index(i, "measurement"),
+                                     _index(m, "outcome")), _fraction(v))
+                             for i, m, v in entry), "vertex")
             keys = sorted(point)
             if variables is None:
                 variables = keys

@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from .linalg import GEQ, ONE, ZERO, InternalError, LinRow, canonicalize_row
 from .measurement_polytope import VertexSet
-from .ncsystem import (LINKING, NORMALIZATION, OE_P, F2System, NumericF2,
-                       build_f2, bind_table, reconstruct_table)
+from .ncsystem import (LINKING, NORMALIZATION, OE_P, InvalidDistribution,
+                       NumericF2, build_f2, bind_table, reconstruct_table)
 from .scenario import (PREP, DataTable, DimensionMismatch, Scenario,
                        equivalence_rows, p_var, validate_table)
 from .simplex import OPTIMAL, UNBOUNDED, solve_standard
@@ -84,8 +84,11 @@ def check_table(scn: Scenario, vertices: VertexSet, table: DataTable) -> Verdict
                              [ZERO] * len(numeric.nu_vars))
         if res.status == OPTIMAL:
             return Feasible(dict(zip(numeric.nu_vars, res.x)))
-    cert = farkas_certificate(numeric)
-    inequality, violation = certificate_to_inequality(cert, f2)
+    try:
+        cert = farkas_certificate(numeric)
+    except PrimalFeasible as exc:
+        raise InternalError(f"phase 1 found no model, yet {exc}") from exc
+    inequality, violation = certificate_to_inequality(cert)
     return Infeasible(cert, inequality, violation)
 
 
@@ -175,7 +178,7 @@ def _dot(a, b):
     return sum((x * y for x, y in zip(a, b)), ZERO)
 
 
-def certificate_to_inequality(cert: Certificate, f2: F2System):
+def certificate_to_inequality(cert: Certificate):
     """Translate a certificate into a violated noncontextuality inequality.
 
     The inequality ``sum(gamma.p) + gamma0 >= 0`` holds for every feasible
@@ -225,4 +228,7 @@ def optimize(scn: Scenario, vertices: VertexSet, objective: LinRow, sense="max")
         raise InternalError(f"optimize LP {res.status} on a nonempty bounded polytope")
     nu = dict(zip(f2.nu_vars, res.x))
     value = (-res.value if sense == "max" else res.value) + objective.const
-    return value, reconstruct_table(f2, nu)
+    try:
+        return value, reconstruct_table(f2, nu)
+    except InvalidDistribution as exc:
+        raise InternalError(f"optimize LP solution: {exc}") from exc

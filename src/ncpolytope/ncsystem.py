@@ -134,16 +134,11 @@ def reconstruct_table(f2: F2System, nu: dict) -> DataTable:
     for v in f2.nu_vars:
         if nu[v] < 0:
             raise InvalidDistribution(f"{v} = {nu[v]} is negative")
-    scn = f2.scenario
-    nverts = len(f2.vertices)
-    for j in scn.preparations():
-        if sum(nu[nu_var(j, k)] for k in range(1, nverts + 1)) != 1:
-            raise InvalidDistribution(f"distribution for P_{j} is not normalized")
-    for s, eq in enumerate(scn.oe_p):
-        diff = eq.difference()
-        for k in range(1, nverts + 1):
-            if sum(w * nu[nu_var(j, k)] for j, w in diff.items()) != 0:
-                raise InvalidDistribution(
-                    f"OE_P[{s}] violated at vertex {k}")
+    for row, label in zip(f2.eq_rows(), f2.eq_labels):
+        if label[0] != LINKING and row.evaluate(nu) != 0:
+            raise InvalidDistribution(
+                f"distribution for P_{label[1]} is not normalized"
+                if label[0] == NORMALIZATION else
+                f"OE_P[{label[1]}] violated at vertex {label[2]}")
     return DataTable.make({p[1:]: LinRow(*expr).evaluate(nu)
                            for p, expr in f2.linking_map().items()})

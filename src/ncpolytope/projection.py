@@ -28,9 +28,9 @@ from operator import mul
 from .dd import hull_facets, vertices
 from .linalg import (EQ, GEQ, ONE, ZERO, InternalError, LinRow, LinearSystem,
                      canonicalize_row, dense_row, over_common_denominator,
-                     primitive, reduce_modulo, rref, row_reduce_equalities)
+                     primitive, reduce_modulo, rref, row_reduce_equalities,
+                     substitution_map)
 from .ncsystem import F2System
-from .scenario import p_vars
 from .simplex import OPTIMAL, minimize_over_rows
 # Unused here; kept importable because tracing wraps projection.solve_standard.
 from .simplex import solve_standard  # noqa: F401
@@ -154,14 +154,14 @@ def project_to_nc_polytope(f2: F2System, progress=None) -> NCPolytope:
     distribution polytope, map them through the linking rows, and convert
     the resulting point set back to facets via a polar double description.
     """
-    subs, reduced, equalities, all_p = _affine_hull(f2)
+    reduced, equalities = _affine_hull(f2)
     nu_dim = sum(1 for v in reduced.variables if v[0] == "nu")
     if nu_dim <= FM_MAX_NU_DIM:
         facets = _fm_facets(f2, reduced, progress)
     else:
-        facets = _hull_facets(f2, equalities, all_p, progress)
-    facets.sort(key=lambda r: r.key(all_p))
-    return NCPolytope(all_p, equalities, facets)
+        facets = _hull_facets(f2, equalities, progress)
+    facets.sort(key=lambda r: r.key(f2.p_vars))
+    return NCPolytope(f2.p_vars, equalities, facets)
 
 
 def _affine_hull(f2: F2System):
@@ -176,8 +176,7 @@ def _affine_hull(f2: F2System):
             row = dict(coeffs)
             row[var] = row.get(var, ZERO) - ONE
             eq_rows.append(LinRow(row, const, EQ))
-    all_p = p_vars(f2.scenario)
-    return subs, reduced, rref(eq_rows, all_p), all_p
+    return reduced, rref(eq_rows, f2.p_vars)
 
 
 def _fm_facets(f2: F2System, reduced, progress):
@@ -215,7 +214,7 @@ def _fm_facets(f2: F2System, reduced, progress):
 # Everything below is exact integer arithmetic.
 
 
-def _hull_facets(f2: F2System, equalities, all_p, progress):
+def _hull_facets(f2: F2System, equalities, progress):
     nu_rows = [r for r in f2.system.rows
                if all(v[0] == "nu" for v in r.coeffs)]
     nu_system = LinearSystem(list(f2.nu_vars), nu_rows)
@@ -229,8 +228,8 @@ def _hull_facets(f2: F2System, equalities, all_p, progress):
     if progress:
         progress(len(free_nu), len(nu_vertices))
 
-    pivots = {max(e.coeffs, key=all_p.index) for e in equalities}
-    free_p = [v for v in all_p if v not in pivots]
+    pivots = substitution_map(equalities, f2.p_vars)
+    free_p = [v for v in f2.p_vars if v not in pivots]
     image, den = _image_map(f2, subs, free_nu, free_p)
     points = set()
     for ys, t in nu_vertices:

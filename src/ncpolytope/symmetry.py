@@ -3,12 +3,11 @@
 A relabeling permutes measurements, permutes preparations, or flips
 outcomes coherently across a set of measurements.  Every such operation is
 compiled down to a single permutation of the table-coordinate set, so
-composition and row actions are uniform.  A relabeling is only admitted if
-it respects the scenario's operational equivalences: the span of the
-equivalence difference vectors must be invariant under the induced
-permutation (the set of differences itself need not map to itself, since
-chained equivalences can be re-expressed as different pairings of the same
-affine constraints).
+composition and row actions are uniform.  :func:`generate_group` checks
+each generator once: it must map the span of the table's equivalence
+equalities (:func:`.scenario.equivalence_rows`) to itself.  The rows
+themselves need not map to rows, since chained equivalences can be paired
+differently.
 
 Orbit classification identifies two rows when they agree after reduction
 modulo the polytope's affine-hull equalities; this matters because outcome
@@ -24,9 +23,12 @@ from dataclasses import dataclass
 from math import lcm
 
 from .linalg import (EQ, ZERO, LinRow, canonicalize_row,
-                     over_common_denominator, primitive, reduce_modulo, rref,
+                     over_common_denominator, primitive, rref,
                      substitution_map)
-from .scenario import Scenario, flatten_coord, p_var, unflatten_coord
+# Unused here; kept importable because tracing wraps symmetry.reduce_modulo.
+from .linalg import reduce_modulo  # noqa: F401
+from .scenario import (PREP, Scenario, equivalence_rows, flatten_coord, p_var,
+                       p_vars, unflatten_coord)
 
 GROUP_CAP = 10 ** 6
 
@@ -76,10 +78,6 @@ class RelabelingGroup:
     order: int
 
 
-def _identity_perm(scn: Scenario) -> tuple:
-    return tuple(range(scn.l * scn.g * scn.d))
-
-
 def _compile(scn: Scenario, meas_map, prep_map, flip_set) -> tuple:
     """Coordinate permutation from index maps (all 1-based, identity-filled)."""
     perm = [0] * (scn.l * scn.g * scn.d)
@@ -96,9 +94,7 @@ def swap_measurements(scn: Scenario, i1: int, i2: int) -> Relabeling:
     """Transposition of two measurements (all outcomes follow along)."""
     _check_index(i1, scn.l, "measurement")
     _check_index(i2, scn.l, "measurement")
-    rel = Relabeling(scn, _compile(scn, {i1: i2, i2: i1}, {}, frozenset()))
-    _require_oe_respect(rel)
-    return rel
+    return Relabeling(scn, _compile(scn, {i1: i2, i2: i1}, {}, frozenset()))
 
 
 def swap_preparations(scn: Scenario, pairs) -> Relabeling:
@@ -117,18 +113,14 @@ def swap_preparations(scn: Scenario, pairs) -> Relabeling:
         if j1 in prep_map or j2 in prep_map:
             raise ValueError("swap pairs must be disjoint")
         prep_map[j1], prep_map[j2] = j2, j1
-    rel = Relabeling(scn, _compile(scn, {}, prep_map, frozenset()))
-    _require_oe_respect(rel)
-    return rel
+    return Relabeling(scn, _compile(scn, {}, prep_map, frozenset()))
 
 
 def flip_outcomes(scn: Scenario, measurements) -> Relabeling:
     """Coherent outcome reversal m -> d-1-m on the listed measurements."""
     for i in measurements:
         _check_index(i, scn.l, "measurement")
-    rel = Relabeling(scn, _compile(scn, {}, {}, frozenset(measurements)))
-    _require_oe_respect(rel)
-    return rel
+    return Relabeling(scn, _compile(scn, {}, {}, frozenset(measurements)))
 
 
 def _check_index(k, bound, what):
@@ -136,73 +128,42 @@ def _check_index(k, bound, what):
         raise ValueError(f"{what} index {k} out of range 1..{bound}")
 
 
-# --- OE preservation ------------------------------------------------------
-
-
-def _require_oe_respect(rel: Relabeling):
-    scn = rel.scenario
-    if not _span_invariant(_prep_rows(scn), _prep_action(rel)):
-        raise GeneratorBreaksOE(
-            "relabeling does not preserve the preparation equivalences")
-    if not _span_invariant(_effect_rows(scn), _effect_action(rel)):
-        raise GeneratorBreaksOE(
-            "relabeling does not preserve the measurement equivalences")
-
-
-def _prep_rows(scn: Scenario):
-    return [LinRow({("q", j): w for j, w in eq.difference().items()}, ZERO, EQ)
-            for eq in scn.oe_p]
-
-
-def _effect_rows(scn: Scenario):
-    return [LinRow({("e",) + im: w for im, w in eq.difference().items()}, ZERO, EQ)
-            for eq in scn.oe_m]
-
-
-def _prep_action(rel: Relabeling):
-    scn = rel.scenario
-    # Recover the preparation permutation from the coordinate permutation.
-    mapping = {}
-    for j in scn.preparations():
-        k = rel.perm[flatten_coord(scn, (1, j, 0)) - 1]
-        _, j2, _ = unflatten_coord(scn, k + 1)
-        mapping[("q", j)] = ("q", j2)
-    return mapping
-
-
-def _effect_action(rel: Relabeling):
-    scn = rel.scenario
-    mapping = {}
-    for (i, m) in scn.effects():
-        k = rel.perm[flatten_coord(scn, (i, 1, m)) - 1]
-        i2, _, m2 = unflatten_coord(scn, k + 1)
-        mapping[("e", i, m)] = ("e", i2, m2)
-    return mapping
-
-
-def _span_invariant(rows, mapping) -> bool:
-    if not rows:
-        return True
-    variables = sorted({v for r in rows for v in r.coeffs} | set(mapping))
-    basis = rref(rows, variables)
-    for row in rows:
-        moved = LinRow({mapping[v]: c for v, c in row.coeffs.items()}, ZERO, EQ)
-        residue = reduce_modulo(moved, basis, variables)
-        if residue.coeffs:
-            return False
-    return True
-
-
 # --- Group closure --------------------------------------------------------
 
 
+def _require_oe_respect(scn: Scenario, generators):
+    """Reject a generator that moves an equivalence row out of their span.
+
+    One reduction per kind, preparation first; a row in the span reduces to 0.
+    """
+    rows = {}
+    for (kind, _), _, weights in equivalence_rows(scn):
+        rows.setdefault(kind, []).append(
+            LinRow({p_var(c): w for c, w in weights.items()}, ZERO, EQ))
+    checks = []
+    for kind, eqs in rows.items():
+        reduction = _Reduction(scn, eqs, p_vars(scn))
+        checks.append((kind, reduction, [reduction.terms(r) for r in eqs]))
+    for gen in generators:
+        for kind, reduction, terms in checks:
+            if any(any(reduction.key(t, gen.perm, EQ)) for t in terms):
+                what = "preparation" if kind == PREP else "measurement"
+                raise GeneratorBreaksOE(
+                    f"relabeling does not preserve the {what} equivalences")
+
+
 def generate_group(scn: Scenario, generators) -> RelabelingGroup:
-    """Breadth-first closure of the generated permutation group."""
+    """Breadth-first closure of the generated permutation group.
+
+    Raises GeneratorBreaksOE for a generator that breaks an equivalence.
+    """
+    identity = tuple(range(scn.l * scn.g * scn.d))
     for gen in generators:
         if gen.scenario is not scn and gen.scenario != scn:
             raise ValueError("generator built for a different scenario")
-        _require_oe_respect(gen)
-    identity = _identity_perm(scn)
+        if sorted(gen.perm) != list(identity):
+            raise ValueError("generator is not a permutation of the coordinates")
+    _require_oe_respect(scn, generators)
     seen = {identity}
     frontier = [identity]
     gens = [g.perm for g in generators]

@@ -12,7 +12,7 @@ from conftest import SCENARIO_DIR
 from ncpolytope import feasibility, measurement_polytope
 from ncpolytope.cli import (EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_LIMIT,
                             EXIT_OK, EXIT_PARSE, main)
-from ncpolytope.simplex import UNBOUNDED, LPResult
+from ncpolytope.simplex import UNBOUNDED, LPResult, solve_standard
 
 F = Fraction
 
@@ -253,3 +253,38 @@ def test_orbits_under_optimize_flag(capsys, tmp_path):
     proc = run_optimized("orbits", *paths)
     assert proc.returncode == EXIT_OK
     assert proc.stdout == expected
+
+
+def test_negative_optimize_solution_exit_code(capsys, monkeypatch):
+    def negative_entry(A, b, c):
+        res = solve_standard(A, b, c)
+        res.x = [F(-1)] + res.x[1:]
+        return res
+
+    monkeypatch.setattr(feasibility, "solve_standard", negative_entry)
+    code, out, err = run(capsys, "optimize", SIMPLEST, OBJECTIVE)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("internal error:")
+
+
+def test_unwritable_output_exit_code(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "vertices", SIMPLEST, "--output", str(target))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}:")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", SIMPLEST], EXIT_PARSE),            # missing the table
+    (["vertices", SIMPLEST, "-v"], EXIT_PARSE),   # -v is polytope's only
+    (["--bogus"], EXIT_PARSE),
+    (["-h"], EXIT_OK),
+    (["check", "-h"], EXIT_OK),
+    (["--version"], EXIT_OK),
+])
+def test_usage_exit_codes(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code

@@ -69,6 +69,14 @@ def test_table_round_trip():
 def test_table_duplicate_entry_rejected():
     with pytest.raises(ParseError):
         table_from_doc({"probabilities": [[1, 1, 0, "1/2"], [1, 1, 0, "1/2"]]})
+    # a repeated index is an error in every document, not a silent overwrite:
+    # weights 1 and 1 are not P1 with weight 1, values 1 and 0 not xi = 0
+    with pytest.raises(ParseError, match="twice"):
+        scenario_from_doc({"preparations": 2, "measurements": 1, "outcomes": 2,
+                           "prep_equivalences": [{"lhs": [[1, "1"], [1, "1"]],
+                                                  "rhs": [[2, "1"]]}]})
+    with pytest.raises(ParseError, match="twice"):
+        vertices_from_doc({"vertices": [[[1, 0, "1"], [1, 0, "0"]]]})
 
 
 def test_row_round_trip():

@@ -16,7 +16,7 @@ from ncpolytope.ncsystem import bind_table, build_f2, reconstruct_table
 from ncpolytope.projection import project_to_nc_polytope
 from ncpolytope.scenario import (DataTable, DimensionMismatch, p_var,
                                  validate_table)
-from ncpolytope.simplex import UNBOUNDED, LPResult, solve_standard
+from ncpolytope.simplex import INFEASIBLE, UNBOUNDED, LPResult, solve_standard
 from oracles import box_dual_optimum
 from test_acceptance import CHECK_SHAPES, random_small_scenario
 
@@ -375,3 +375,31 @@ def test_certificate_outside_box_raises_internal_error(scn41, verts41,
     monkeypatch.setattr(feasibility, "solve_standard", doubled_duals)
     with pytest.raises(InternalError, match="box constraint"):
         check_table(scn41, verts41, contextual_table_41())
+
+
+def test_phase1_false_infeasible_raises_internal_error(scn41, verts41,
+                                                       monkeypatch):
+    # the uniform table has a model, so no certificate exists for it
+    calls = []
+
+    def infeasible_phase1(A, b, c):
+        calls.append(len(c))
+        res = solve_standard(A, b, c)
+        return LPResult(INFEASIBLE) if len(calls) == 1 else res
+
+    monkeypatch.setattr(feasibility, "solve_standard", infeasible_phase1)
+    with pytest.raises(InternalError, match="phase 1"):
+        check_table(scn41, verts41, uniform_table(scn41))
+    assert len(calls) == 2
+
+
+def test_negative_optimize_solution_raises_internal_error(scn41, verts41,
+                                                          monkeypatch):
+    def negative_entry(A, b, c):
+        res = solve_standard(A, b, c)
+        res.x = [F(-1)] + res.x[1:]
+        return res
+
+    monkeypatch.setattr(feasibility, "solve_standard", negative_entry)
+    with pytest.raises(InternalError, match="negative"):
+        optimize(scn41, verts41, multiplexing_objective(), "max")

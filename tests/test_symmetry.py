@@ -6,8 +6,8 @@ import pytest
 import ncpolytope.symmetry as symmetry
 from conftest import four_prep_scenario, six_prep_scenario
 from ncpolytope.linalg import EQ, GEQ, LinRow, canonicalize_row
-from ncpolytope.scenario import p_var, scenario
-from ncpolytope.symmetry import (GeneratorBreaksOE, GroupTooLarge,
+from ncpolytope.scenario import flatten_coord, p_var, scenario
+from ncpolytope.symmetry import (GeneratorBreaksOE, GroupTooLarge, Relabeling,
                                  RowNotInOrbitClosure, act_on_row,
                                  classify_orbits, expand_orbit,
                                  flip_outcomes, generate_group,
@@ -205,13 +205,35 @@ def test_oe_breaking_generators_rejected():
     scn = six_prep_scenario()
     # flipping one measurement alone breaks the three-way measurement
     # equivalence; flipping all three together respects it
-    with pytest.raises(GeneratorBreaksOE):
-        flip_outcomes(scn, [1])
-    flip_outcomes(scn, [1, 2, 3])
+    with pytest.raises(GeneratorBreaksOE, match="measurement"):
+        generate_group(scn, [flip_outcomes(scn, [1])])
+    assert generate_group(scn, [flip_outcomes(scn, [1, 2, 3])]).order == 2
     # exchanging P1 with P3 alone breaks the preparation equivalences
-    with pytest.raises(GeneratorBreaksOE):
-        swap_preparations(scn, (1, 3))
-    swap_preparations(scn, [(1, 3), (2, 4)])
+    with pytest.raises(GeneratorBreaksOE, match="preparation"):
+        generate_group(scn, [swap_preparations(scn, (1, 3))])
+    assert generate_group(
+        scn, [swap_preparations(scn, [(1, 3), (2, 4)])]).order == 2
+
+
+def test_oe_checked_on_every_table_coordinate():
+    # P1 and P3 swapped under (M2, outcome 0) only: the map fixes every
+    # coordinate of M1 yet breaks 1/2 P1 + 1/2 P2 = 1/2 P3 + 1/2 P4 at (M2, 0)
+    scn = four_prep_scenario()
+    perm = list(range(16))
+    a, b = (flatten_coord(scn, (2, j, 0)) - 1 for j in (1, 3))
+    perm[a], perm[b] = b, a
+    with pytest.raises(GeneratorBreaksOE, match="preparation"):
+        generate_group(scn, [Relabeling(scn, tuple(perm))])
+
+
+@pytest.mark.parametrize("perm", [(0,) * 16, tuple(range(15))],
+                         ids=["constant", "too_short"])
+def test_non_permutation_rejected(perm):
+    # every equivalence row's weights sum to zero, so a constant map would
+    # send each row to zero and pass the equivalence check
+    scn = four_prep_scenario()
+    with pytest.raises(ValueError, match="not a permutation"):
+        generate_group(scn, [Relabeling(scn, perm)])
 
 
 def test_six_preparation_group_order():
