@@ -3,8 +3,8 @@
 Computes the 1596-facet noncontextual polytope (under ten seconds of exact
 arithmetic), classifies its facets under the 576-element relabeling group,
 and checks the ideal quantum table against it.  The two progress lines of
-the projection count the free distribution coordinates with the
-distribution-polytope vertices (20, 846), then the free table coordinates
+the projection count all distribution coordinates with the
+distribution-polytope vertices (36, 846), then the free table coordinates
 with the distinct image points of those vertices (8, 774), which include
 points that are not extreme.
 

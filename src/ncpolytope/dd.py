@@ -77,37 +77,33 @@ def extreme_rays(rows, D) -> list:
 def _simplicial_start(rows, D):
     """The first D independent rows and the rays of the cone they bound.
 
-    Those rays are the columns of the inverse of the rows' matrix.
+    Those rays are the columns of the inverse of the rows' matrix.  One
+    Gauss-Jordan pass over the rows, each augmented by the unit vector of
+    its place among the chosen rows, skips the dependent ones and leaves
+    the rows of that inverse in the augmented halves.
     """
-    init, echelon = [], []
+    init, pivots = [], []      # pivots: (column, reduced augmented row)
     for k, row in enumerate(rows):
-        v = [Fraction(a) for a in row]
-        for col, e in echelon:
+        v = ([Fraction(a) for a in row]
+             + [ONE if j == len(init) else ZERO for j in range(D)])
+        for col, p in pivots:
             if v[col]:
                 f = v[col]
-                v = [a - f * b for a, b in zip(v, e)]
+                v = [a - f * b for a, b in zip(v, p)]
         col = next((c for c in range(D) if v[c]), None)
         if col is None:
             continue
-        echelon.append((col, [a / v[col] for a in v]))
+        v = [a / v[col] for a in v]
+        pivots = [(c, [a - p[col] * b for a, b in zip(p, v)] if p[col] else p)
+                  for c, p in pivots]
+        pivots.append((col, v))
         init.append(k)
         if len(init) == D:
             break
     else:
         raise ValueError("inequality rows do not span the space")
-    aug = [[Fraction(a) for a in rows[k]] + [ONE if i == j else ZERO
-                                             for j in range(D)]
-           for i, k in enumerate(init)]
-    for col in range(D):
-        piv = next(i for i in range(col, D) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        prow = aug[col] = [a / aug[col][col] for a in aug[col]]
-        for i in range(D):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], prow)]
-    rays = [primitive(over_common_denominator([aug[i][D + j]
-                                               for i in range(D)])[0])
+    inverse = [p[D:] for _, p in sorted(pivots)]   # pivot columns differ
+    rays = [primitive(over_common_denominator([r[j] for r in inverse])[0])
             for j in range(D)]
     return init, rays
 

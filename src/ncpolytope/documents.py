@@ -127,14 +127,10 @@ def table_to_doc(table: DataTable) -> dict:
 def table_from_doc(doc: dict) -> DataTable:
     if "probabilities" not in doc:
         raise ParseError("table document missing 'probabilities'")
-    entries = {}
     try:
-        for i, j, m, v in doc["probabilities"]:
-            key = (_index(i, "measurement"), _index(j, "preparation"),
-                   _index(m, "outcome"))
-            if key in entries:
-                raise ParseError(f"duplicate table entry for {key}")
-            entries[key] = _fraction(v)
+        entries = _unique((((_index(i, "measurement"), _index(j, "preparation"),
+                             _index(m, "outcome")), _fraction(v))
+                           for i, j, m, v in doc["probabilities"]), "table")
     except ParseError:
         raise
     except (TypeError, ValueError) as exc:
@@ -153,13 +149,10 @@ def row_to_doc(row: LinRow) -> dict:
 
 def row_from_doc(doc: dict, kind=GEQ) -> LinRow:
     try:
-        coeffs = {}
-        for i, j, m, c in doc["terms"]:
-            var = p_var((_index(i, "measurement"), _index(j, "preparation"),
-                         _index(m, "outcome")))
-            if var in coeffs:
-                raise ParseError(f"duplicate term for {var}")
-            coeffs[var] = _fraction(c)
+        coeffs = _unique(((p_var((_index(i, "measurement"),
+                                  _index(j, "preparation"),
+                                  _index(m, "outcome"))), _fraction(c))
+                          for i, j, m, c in doc["terms"]), "row")
         return LinRow(coeffs, _fraction(doc["constant"]), kind)
     except ParseError:
         raise

@@ -1,26 +1,28 @@
-"""The noncontextual measurement-assignment polytope and its vertices.
+"""Vertices of H-polytopes, and the measurement-assignment polytope.
 
-The H-representation couples positivity of every response-function value,
-per-measurement normalization, and one equality per measurement operational
-equivalence.  Vertices are enumerated exactly by the double description
-method (:mod:`.dd`): the normalization/OE equalities are substituted away
-first (so the iteration starts on the affine subspace), then the positivity
-rows are inserted incrementally.
+:func:`enumerate_vertices` returns the vertices of any bounded
+:class:`.linalg.LinearSystem` exactly, by the double description method
+(:mod:`.dd`) on the affine subspace its equalities cut out.  It serves the
+measurement-assignment polytope built here (positivity, per-measurement
+normalization and one equality per measurement operational equivalence)
+and the vertex-distribution polytope of the projection's hull route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .dd import vertices
 from .linalg import (EQ, GEQ, ONE, ZERO, InconsistentSystem, InternalError,
-                     LinearSystem, LinRow, dense_row, row_reduce_equalities)
+                     LinearSystem, LinRow, dense_row, over_common_denominator,
+                     row_reduce_equalities)
 from .scenario import DimensionMismatch, Scenario
 
 
 class EmptyPolytope(Exception):
-    """The OE_M equalities are inconsistent with positivity/normalization."""
+    """No point satisfies every row of the H-system."""
 
 
 def xi_var(i, m) -> tuple:
@@ -28,17 +30,13 @@ def xi_var(i, m) -> tuple:
 
 
 @dataclass
-class HPolytope:
-    variables: list  # the l*d xi variables in canonical (i, m) order
-    system: LinearSystem
-
-
-@dataclass
 class VertexSet:
-    """Extremal measurement assignments, lexicographically sorted.
+    """Vertices of an H-polytope, lexicographically sorted.
 
-    ``vertices[k]`` is a dict xi-var -> Fraction; kappa indices are the
-    1-based positions in this canonical order.
+    ``vertices[k]`` is a dict variable -> Fraction over ``variables``.  For
+    the measurement polytope these are the extremal measurement
+    assignments, and kappa indices are the 1-based positions in this
+    canonical order.
     """
 
     variables: list
@@ -54,7 +52,7 @@ class VertexSet:
         return [tuple(v[var] for var in self.variables) for v in self.vertices]
 
 
-def build_measurement_h(scn: Scenario) -> HPolytope:
+def build_measurement_h(scn: Scenario) -> LinearSystem:
     """Positivity, normalization, and OE_M rows over the xi coordinates."""
     variables = [xi_var(i, m) for (i, m) in scn.effects()]
     rows = [LinRow({v: ONE}, ZERO, GEQ) for v in variables]
@@ -63,32 +61,26 @@ def build_measurement_h(scn: Scenario) -> HPolytope:
     for eq in scn.oe_m:
         diff = eq.difference()
         rows.append(LinRow({xi_var(i, m): w for (i, m), w in diff.items()}, ZERO, EQ))
-    return HPolytope(variables, LinearSystem(variables, rows))
+    return LinearSystem(variables, rows)
 
 
-def membership(h: HPolytope, point: dict):
+def membership(h: LinearSystem, point: dict):
     """Return None if the point is inside, else one violated row."""
     if set(point) != set(h.variables):
-        raise DimensionMismatch("point does not match the xi coordinates")
-    for row in h.system.rows:
+        raise DimensionMismatch("point does not match the system's coordinates")
+    for row in h.rows:
         if not row.satisfied_by(point):
             return row
     return None
 
 
-def enumerate_vertices(h: HPolytope) -> VertexSet:
-    """All extremal points of the H-polytope, exact and canonically ordered."""
+def enumerate_vertices(h: LinearSystem) -> VertexSet:
+    """All vertices of a bounded H-polytope, exact and canonically ordered."""
     try:
-        subs, reduced = row_reduce_equalities(h.system)
+        subs, reduced = row_reduce_equalities(h)
     except InconsistentSystem as exc:
         raise EmptyPolytope(str(exc)) from exc
     free = reduced.variables
-    if not free:
-        point = {v: const for v, (coeffs, const) in subs.items()}
-        for row in reduced.rows:
-            if row.const < 0:
-                raise EmptyPolytope("equalities force a point violating positivity")
-        return VertexSet(h.variables, [point])
     # Dense integer inequalities a.y + a0 >= 0 over the free coordinates.
     ineqs = []
     for q in (dense_row(row, free) for row in reduced.rows):
@@ -98,15 +90,19 @@ def enumerate_vertices(h: HPolytope) -> VertexSet:
             raise EmptyPolytope("constant row violated")
     try:
         raw = vertices(ineqs, len(free))
-    except ValueError as exc:   # the 0 <= xi <= 1 rows bound the region
-        raise InternalError(f"measurement polytope: {exc}") from exc
+    except ValueError as exc:   # callers' systems are bounded
+        raise InternalError(f"vertex enumeration: {exc}") from exc
     if not raw:
         raise EmptyPolytope("no point satisfies all rows")
+    # Each eliminated coordinate as ints over the free ones and a constant.
+    exprs = [(v, over_common_denominator([coeffs.get(w, ZERO) for w in free]
+                                         + [const]))
+             for v, (coeffs, const) in subs.items()]
     points = []
     for ys, t in raw:
         point = {v: Fraction(a, t) for v, a in zip(free, ys)}
-        for v, (coeffs, const) in subs.items():
-            point[v] = sum((c * point[w] for w, c in coeffs.items()), const)
+        for v, (ints, den) in exprs:
+            point[v] = Fraction(sum(map(mul, ints, ys)) + ints[-1] * t, den * t)
         points.append(point)
     points.sort(key=lambda p: tuple(p[v] for v in h.variables))
     return VertexSet(h.variables, points)

@@ -14,22 +14,23 @@ count at the true facet count.  Larger systems take the hull route instead:
 the distribution-polytope vertices are mapped into table space by the
 finite system's own linking rows (:meth:`.ncsystem.F2System.linking_map`),
 and the image points, with no filtering, go through a polar double
-description (:mod:`.dd`) that returns the facets of their hull.  Both
-routes build their dense integer rows with :func:`.linalg.dense_row`.
+description (:mod:`.dd`) that returns the facets of their hull.  The
+distribution-polytope vertices come from
+:func:`.measurement_polytope.enumerate_vertices`, the enumerator of every
+H-polytope in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from operator import mul
 
-from .dd import hull_facets, vertices
+from .dd import hull_facets
 from .linalg import (EQ, GEQ, ONE, ZERO, InternalError, LinRow, LinearSystem,
                      canonicalize_row, dense_row, over_common_denominator,
                      primitive, reduce_modulo, rref, row_reduce_equalities,
                      substitution_map)
+from .measurement_polytope import enumerate_vertices
 from .ncsystem import F2System
 from .simplex import OPTIMAL, minimize_over_rows
 # Unused here; kept importable because tracing wraps projection.solve_standard.
@@ -211,31 +212,21 @@ def _fm_facets(f2: F2System, reduced, progress):
 # vertices, push them through the linking map, and recover the facets of
 # the image points' hull by a polar double description.  Image points that
 # are not extreme need no filtering; they only add redundant polar rows.
-# Everything below is exact integer arithmetic.
 
 
 def _hull_facets(f2: F2System, equalities, progress):
     nu_rows = [r for r in f2.system.rows
                if all(v[0] == "nu" for v in r.coeffs)]
-    nu_system = LinearSystem(list(f2.nu_vars), nu_rows)
-    subs, reduced = row_reduce_equalities(nu_system)
-    free_nu = reduced.variables
-    try:
-        nu_vertices = vertices([dense_row(r, free_nu) for r in reduced.rows],
-                               len(free_nu))
-    except ValueError as exc:   # nu is a bounded probability vector
-        raise InternalError(f"distribution polytope: {exc}") from exc
+    nu_vertices = enumerate_vertices(LinearSystem(f2.nu_vars, nu_rows))
     if progress:
-        progress(len(free_nu), len(nu_vertices))
+        progress(len(f2.nu_vars), len(nu_vertices))
 
     pivots = substitution_map(equalities, f2.p_vars)
     free_p = [v for v in f2.p_vars if v not in pivots]
-    image, den = _image_map(f2, subs, free_nu, free_p)
-    points = set()
-    for ys, t in nu_vertices:
-        ints = [sum(map(mul, row, ys)) + row[-1] * t for row in image]
-        g = gcd(den * t, *ints)
-        points.add((tuple(a // g for a in ints), den * t // g))
+    linking = f2.linking_map()
+    image = [LinRow(*linking[v]) for v in free_p]
+    points = {over_common_denominator([row.evaluate(nu) for row in image])
+              for nu in nu_vertices.vertices}
     if progress:
         progress(len(free_p), len(points))
 
@@ -246,24 +237,6 @@ def _hull_facets(f2: F2System, equalities, progress):
     except ValueError as exc:   # the equalities are the points' affine hull
         raise InternalError(f"image hull: {exc}") from exc
     return [canonicalize_row(_lift_row(r, free_p)) for r in facets]
-
-
-def _image_map(f2: F2System, subs, free_nu, free_p):
-    """The linking map from free nu-coordinates to free p-coordinates.
-
-    Each free p-coordinate's linking row, with ``subs`` expressing the
-    eliminated nu-coordinates.  Returns integer rows (coefficients,
-    constant) and one denominator ``den``: p = (row . nu + constant) / den
-    for each free p-coordinate.
-    """
-    linking = f2.linking_map()
-    entries = []
-    for p in free_p:
-        image = LinRow(*linking[p]).substituted(subs)
-        entries += [image.coeffs.get(v, ZERO) for v in free_nu] + [image.const]
-    ints, den = over_common_denominator(entries)
-    width = len(free_nu) + 1
-    return [ints[k:k + width] for k in range(0, len(ints), width)], den
 
 
 def _pick_column(dense, nu_cols, free, nu_order):

@@ -157,6 +157,7 @@ def generate_group(scn: Scenario, generators) -> RelabelingGroup:
 
     Raises GeneratorBreaksOE for a generator that breaks an equivalence.
     """
+    generators = list(generators)
     identity = tuple(range(scn.l * scn.g * scn.d))
     for gen in generators:
         if gen.scenario is not scn and gen.scenario != scn:
@@ -182,7 +183,7 @@ def generate_group(scn: Scenario, generators) -> RelabelingGroup:
                     nxt.append(q)
         frontier = nxt
     rels = [Relabeling(scn, p) for p in elements]
-    return RelabelingGroup(list(generators), rels, len(rels))
+    return RelabelingGroup(generators, rels, len(rels))
 
 
 # --- Action on rows and orbits -------------------------------------------

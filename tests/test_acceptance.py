@@ -20,7 +20,7 @@ from conftest import (TIMINGS, contextual_table_41, four_prep_scenario,
 from ncpolytope.documents import polytope_to_doc, write_document
 from ncpolytope.feasibility import Feasible, Infeasible, check_table, optimize
 from ncpolytope.linalg import EQ, GEQ, LinRow, LinearSystem, canonicalize_row, span_equal
-from ncpolytope.measurement_polytope import (HPolytope, build_measurement_h,
+from ncpolytope.measurement_polytope import (build_measurement_h,
                                              enumerate_vertices, xi_var)
 from ncpolytope.ncsystem import bind_table, build_f2, reconstruct_table
 from ncpolytope.projection import project_to_nc_polytope
@@ -362,7 +362,7 @@ def test_criterion_09_projection_matches_hull_oracle(monkeypatch):
             # every vertex of the computed facet region lies in the hull
             # of the oracle points, so the two polytopes coincide
             if free:
-                region = HPolytope(free, LinearSystem(free, fm.facets))
+                region = LinearSystem(free, fm.facets)
                 for vertex in enumerate_vertices(region).vertices:
                     tup = tuple(vertex[v] for v in free)
                     assert in_convex_hull(tup, points)

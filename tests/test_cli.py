@@ -198,10 +198,17 @@ def test_group_cap_exit_code(capsys, tmp_path, monkeypatch):
     assert code == EXIT_LIMIT
 
 
-def test_verbose_progress_on_stderr(capsys):
-    code, out, err = run(capsys, "polytope", SIMPLEST, "-v")
+@pytest.mark.parametrize("name, lines", [
+    # Fourier-Motzkin: one line per eliminated distribution coordinate
+    ("simplest", 3),
+    # hull route: the distribution-polytope vertices, then the image points
+    ("state_discrimination", 2)], ids=["simplest", "state_discrimination"])
+def test_verbose_progress_on_stderr(capsys, name, lines):
+    code, out, err = run(capsys, "polytope",
+                         str(SCENARIO_DIR / f"{name}.json"), "-v")
     assert code == EXIT_OK
     assert "coordinates left" in err
+    assert sum(line.startswith("#") for line in err.splitlines()) == lines
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -7,8 +7,7 @@ import pytest
 
 from ncpolytope.dd import hull_facets, vertices
 from ncpolytope.linalg import GEQ, LinRow, LinearSystem, dense_row
-from ncpolytope.measurement_polytope import (EmptyPolytope, HPolytope,
-                                             enumerate_vertices)
+from ncpolytope.measurement_polytope import EmptyPolytope, enumerate_vertices
 from oracles import brute_force_vertices, in_convex_hull
 
 F = Fraction
@@ -111,6 +110,6 @@ def test_empty_region_raises_empty_polytope():
     rows = [lower((1, 0), 0), lower((0, 1), 0), upper((1, 0), 1),
             upper((0, 1), 1), lower((1, 1), 3)]
     assert kernel_vertices(rows, VARS[:2]) == []
-    h = HPolytope(VARS[:2], LinearSystem(VARS[:2], rows))
+    h = LinearSystem(VARS[:2], rows)
     with pytest.raises(EmptyPolytope):
         enumerate_vertices(h)

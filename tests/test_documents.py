@@ -20,7 +20,6 @@ from ncpolytope.documents import (ParseError, generators_from_doc,
 from ncpolytope.linalg import EQ, GEQ, LinRow
 from ncpolytope.measurement_polytope import build_measurement_h, enumerate_vertices
 from ncpolytope.scenario import InvalidScenario, p_var
-from ncpolytope.symmetry import GeneratorBreaksOE
 
 F = Fraction
 
@@ -67,8 +66,11 @@ def test_table_round_trip():
 
 
 def test_table_duplicate_entry_rejected():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="twice"):
         table_from_doc({"probabilities": [[1, 1, 0, "1/2"], [1, 1, 0, "1/2"]]})
+    with pytest.raises(ParseError, match="twice"):
+        row_from_doc({"constant": "0",
+                      "terms": [[1, 1, 0, "1"], [1, 1, 0, "-1"]]})
     # a repeated index is an error in every document, not a silent overwrite:
     # weights 1 and 1 are not P1 with weight 1, values 1 and 0 not xi = 0
     with pytest.raises(ParseError, match="twice"):
@@ -203,10 +205,10 @@ _PARSERS = {
 def test_parsers_raise_only_parse_errors(kind, data):
     # A top-level document is always an object (read_document checks it).
     # Only the errors that the command line reports with exit code 1 may
-    # escape; a generator that breaks the equivalences is one of them.
+    # escape.
     parse, keys = _PARSERS[kind]
     doc = data.draw(st.fixed_dictionaries({}, optional=dict.fromkeys(keys, _TREES)))
     try:
         parse(doc)
-    except (ParseError, InvalidScenario, GeneratorBreaksOE):
+    except (ParseError, InvalidScenario):
         pass

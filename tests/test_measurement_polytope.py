@@ -84,25 +84,40 @@ def test_uniform_assignment_is_always_a_member():
 def test_empty_polytope_raises():
     # a hand-built system with contradictory equalities has no vertices
     from ncpolytope.linalg import EQ, GEQ, LinRow, LinearSystem
-    from ncpolytope.measurement_polytope import HPolytope
     v = xi_var(1, 0)
     rows = [LinRow({v: F(1)}, F(0), GEQ),
             LinRow({v: F(1)}, F(-2), EQ),
             LinRow({v: F(1)}, F(-3), EQ)]
-    h = HPolytope([v], LinearSystem([v], rows))
+    h = LinearSystem([v], rows)
     with pytest.raises(EmptyPolytope):
         enumerate_vertices(h)
 
 
 def test_empty_polytope_from_inequalities():
     from ncpolytope.linalg import GEQ, LinRow, LinearSystem
-    from ncpolytope.measurement_polytope import HPolytope
     v = xi_var(1, 0)
     rows = [LinRow({v: F(1)}, F(-2), GEQ),   # x >= 2
             LinRow({v: F(-1)}, F(1), GEQ)]   # x <= 1
-    h = HPolytope([v], LinearSystem([v], rows))
+    h = LinearSystem([v], rows)
     with pytest.raises(EmptyPolytope):
         enumerate_vertices(h)
+
+
+def test_equalities_fixing_every_coordinate_give_one_vertex():
+    # xi(0|M1) = xi(1|M1) and normalization leave no free coordinate
+    scn = scenario(g=1, l=1, d=2, oe_m=[({(1, 0): 1}, {(1, 1): 1})])
+    vs = enumerate_vertices(build_measurement_h(scn))
+    assert vs.as_tuples() == [(HALF, HALF)]
+
+
+def test_equalities_fixing_a_point_outside_positivity_are_empty():
+    from ncpolytope.linalg import EQ, GEQ, LinRow, LinearSystem
+    x, y = xi_var(1, 0), xi_var(1, 1)
+    rows = [LinRow({x: F(1)}, F(0), GEQ), LinRow({y: F(1)}, F(0), GEQ),
+            LinRow({x: F(1), y: F(1)}, F(-1), EQ),   # x + y = 1
+            LinRow({x: F(1), y: F(-1)}, F(-3), EQ)]  # x - y = 3, so y = -1
+    with pytest.raises(EmptyPolytope):
+        enumerate_vertices(LinearSystem([x, y], rows))
 
 
 def oe_m_strategy(l, d):
@@ -141,10 +156,10 @@ def test_vertices_match_brute_force_oracle(l, d, data):
     try:
         vs = enumerate_vertices(h)
     except EmptyPolytope:
-        assert brute_force_vertices(h.system) == []
+        assert brute_force_vertices(h) == []
         return
     got = sorted(vs.as_tuples())
-    expected = brute_force_vertices(h.system)
+    expected = brute_force_vertices(h)
     assert got == expected
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import ncpolytope.measurement_polytope as measurement_polytope
 import ncpolytope.projection as projection
 from conftest import (contextual_table_41, four_prep_scenario,
                       six_prep_scenario, uniform_table)
@@ -145,14 +146,17 @@ def poly_is_unit_box(poly, scn):
     return keys == expected
 
 
-@pytest.mark.parametrize("kernel", ["vertices", "hull_facets"])
-def test_hull_dd_failure_is_an_internal_error(f2_41, monkeypatch, kernel):
+@pytest.mark.parametrize("module, kernel", [
+    pytest.param(measurement_polytope, "vertices", id="vertices"),
+    pytest.param(projection, "hull_facets", id="hull_facets")])
+def test_hull_dd_failure_is_an_internal_error(f2_41, monkeypatch, module,
+                                              kernel):
     # the distribution polytope is bounded and the image points span the
     # free coordinates, so a ValueError from the kernel is a failed invariant
     def fails(*args):
         raise ValueError("inequality rows do not span the space")
 
-    monkeypatch.setattr(projection, kernel, fails)
+    monkeypatch.setattr(module, kernel, fails)
     monkeypatch.setattr(projection, "FM_MAX_NU_DIM", -1)
     with pytest.raises(InternalError, match="do not span"):
         project_to_nc_polytope(f2_41)

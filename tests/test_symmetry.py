@@ -236,14 +236,26 @@ def test_non_permutation_rejected(perm):
         generate_group(scn, [Relabeling(scn, perm)])
 
 
-def test_six_preparation_group_order():
-    scn = six_prep_scenario()
-    gens = [swap_measurements(scn, 1, 2), swap_measurements(scn, 1, 3),
+def six_prep_generators(scn):
+    return [swap_measurements(scn, 1, 2), swap_measurements(scn, 1, 3),
             flip_outcomes(scn, [1, 2, 3]), swap_preparations(scn, (1, 2)),
             swap_preparations(scn, [(1, 3), (2, 4)]),
             swap_preparations(scn, [(1, 5), (2, 6)])]
-    group = generate_group(scn, gens)
+
+
+def test_six_preparation_group_order():
+    scn = six_prep_scenario()
+    group = generate_group(scn, six_prep_generators(scn))
     assert group.order == 576
+
+
+def test_generators_may_be_a_one_shot_iterable():
+    # the generators are read once, so a generator expression gives the
+    # same group as a list
+    scn = six_prep_scenario()
+    group = generate_group(scn, (g for g in six_prep_generators(scn)))
+    assert group.order == 576
+    assert len(group.generators) == 6
 
 
 def test_generator_scenario_mismatch():
