@@ -160,7 +160,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:   # read_document reports read failures as ParseError
-        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        target = exc.filename or "<stdout>"   # stdout errors name no file
+        print(f"error: cannot write {target}: {exc.strerror}", file=sys.stderr)
         return EXIT_PARSE
     except GroupTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,13 +49,13 @@ def rat(value) -> Fraction:
 def primitive(ints) -> tuple:
     """The ints divided by their gcd; signs are kept."""
     g = gcd(*ints)
-    return tuple(a // g for a in ints) if g > 1 else tuple(ints)
+    return tuple([a // g for a in ints]) if g > 1 else tuple(ints)
 
 
 def over_common_denominator(values):
     """``(ints, den)`` with ``values == ints / den`` and ``den`` the least."""
-    den = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
+    den = lcm(*[v.denominator for v in values])
+    return tuple([v.numerator * (den // v.denominator) for v in values]), den
 
 
 def dense_row(row, variables) -> tuple:

@@ -14,7 +14,9 @@ modulo the polytope's affine-hull equalities; this matters because outcome
 flips typically map a facet to its complement-form twin, which is the same
 facet of the polytope but a different literal row.  Classification runs
 on integer rows: each coordinate's reduced image is computed once per
-call, so a group element moves a row by summing int vectors.
+call, so a group element moves a row by summing int vectors.  A class
+carries its representative and its orbit size; :func:`expand_orbit`
+gives its members.
 """
 
 from __future__ import annotations
@@ -56,19 +58,11 @@ class Relabeling:
     scenario: Scenario
     perm: tuple
 
-    def compose(self, other: "Relabeling") -> "Relabeling":
-        """self after other: (self * other)(c) = self(other(c))."""
-        return Relabeling(self.scenario,
-                          tuple(self.perm[q] for q in other.perm))
-
     def inverse(self) -> "Relabeling":
         inv = [0] * len(self.perm)
         for k, q in enumerate(self.perm):
             inv[q] = k
         return Relabeling(self.scenario, tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(k == q for k, q in enumerate(self.perm))
 
 
 @dataclass
@@ -202,9 +196,11 @@ def act_on_row(rel: Relabeling, row: LinRow) -> LinRow:
 
 @dataclass
 class OrbitClass:
+    """One orbit, as its least member and its size; the members are
+    ``expand_orbit(representative, ...)``."""
+
     representative: LinRow   # lexicographic minimum of the orbit, canonical
     orbit_size: int
-    members: list
 
 
 class _Reduction:
@@ -248,13 +244,13 @@ class _Reduction:
         ``variables``.
         """
         try:
-            coeffs = [(self.flat[v], c) for v, c in row.coeffs.items()]
+            coords = [self.flat[v] for v in row.coeffs]
         except KeyError as exc:
             raise ValueError(f"row has a term on {exc.args[0]}, "
                              "which is not among the variables") from None
         ints = primitive(over_common_denominator(
-            [c for _, c in coeffs] + [row.const])[0])
-        return [(q, a) for (q, _), a in zip(coeffs, ints)], ints[-1]
+            [*row.coeffs.values(), row.const])[0])
+        return list(zip(coords, ints)), ints[-1]
 
     def key(self, terms, perm, kind) -> tuple:
         """The canonical reduced row of ``terms`` moved by ``perm``."""
@@ -302,17 +298,17 @@ def classify_orbits(rows, group: RelabelingGroup, equalities, variables):
                 raise RowNotInOrbitClosure(
                     f"group action maps {row} to {act_on_row(g, row)}, "
                     "absent from the input set")
-        keys = sorted(orbit)
-        members = [reduction.row(k, row.kind) for k in keys]
-        classes.append((keys[0], OrbitClass(members[0], len(keys), members)))
-        assigned.update(keys)
+        least = min(orbit)
+        classes.append((least, OrbitClass(reduction.row(least, row.kind),
+                                          len(orbit))))
+        assigned.update(orbit)
     classes.sort(key=lambda kc: kc[0])
     return [c for _, c in classes]
 
 
 def expand_orbit(representative: LinRow, group: RelabelingGroup,
                  equalities, variables):
-    """All distinct images of a row, reduced modulo the equalities."""
+    """All distinct images of a row, reduced modulo the equalities, sorted."""
     reduction = _Reduction(group.elements[0].scenario, equalities, variables)
     kind = representative.kind
     orbit = _orbit(reduction, reduction.terms(representative), kind, group)

@@ -153,9 +153,9 @@ def classify_orbits_oracle(rows, group, equalities, variables):
             reduced, moved = orbit[missing[0]]
             raise RowNotInOrbitClosure(
                 f"group action maps {row} to {moved}, absent from the input set")
-        members = sorted((orbit[k][0] for k in orbit),
-                         key=lambda r: r.key(variables))
-        classes.append(OrbitClass(members[0], len(orbit), members))
+        least = min((orbit[k][0] for k in orbit),
+                    key=lambda r: r.key(variables))
+        classes.append(OrbitClass(least, len(orbit)))
         assigned.update(orbit)
     classes.sort(key=lambda c: c.representative.key(variables))
     return classes

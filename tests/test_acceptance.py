@@ -25,7 +25,7 @@ from ncpolytope.measurement_polytope import (build_measurement_h,
 from ncpolytope.ncsystem import bind_table, build_f2, reconstruct_table
 from ncpolytope.projection import project_to_nc_polytope
 from ncpolytope.scenario import DataTable, p_var, scenario
-from ncpolytope.symmetry import act_on_row, classify_orbits
+from ncpolytope.symmetry import act_on_row, classify_orbits, expand_orbit
 from oracles import brute_force_f2_points, in_convex_hull
 from test_projection import (REFERENCE_EQUALITIES_41, REFERENCE_FACETS_41,
                              facet_keys, fm_and_hull, reduced_key)
@@ -241,7 +241,9 @@ def test_criterion_07_six_prep_orbits(scn63, poly63, group63):
         classes = classify_orbits(poly63.facets, group63, poly63.equalities,
                                   poly63.variables)
         assert len(classes) == 7
-        keysets = [{m.key(poly63.variables) for m in c.members}
+        keysets = [{m.key(poly63.variables)
+                    for m in expand_orbit(c.representative, group63,
+                                          poly63.equalities, poly63.variables)}
                    for c in classes]
         hits = []
         for coeffs, bound in REFERENCE_FACETS_63:

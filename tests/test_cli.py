@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -281,6 +282,21 @@ def test_unwritable_output_exit_code(capsys, tmp_path):
     assert code == EXIT_PARSE
     assert out == ""
     assert err.startswith(f"error: cannot write {target}:")
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone away, as under ``| head -1``."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_closed_stdout_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["vertices", SIMPLEST])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err == "error: cannot write <stdout>: Broken pipe\n"
 
 
 @pytest.mark.parametrize("argv, code", [
