@@ -18,7 +18,7 @@ from .linalg import EQ, GEQ, LinRow, LinearSystem, canonicalize_row
 from .scenario import (DataTable, Scenario, scenario, validate_scenario,
                        validate_table)
 from .measurement_polytope import (VertexSet, build_measurement_h,
-                                   enumerate_vertices, membership)
+                                   enumerate_vertices)
 from .ncsystem import build_f2, bind_table, reconstruct_table
 from .projection import NCPolytope, project_to_nc_polytope
 from .feasibility import (Certificate, Feasible, Infeasible, check_table,

@@ -1,9 +1,11 @@
-"""Serialization of scenarios, tables, polytopes, and results.
+"""The JSON documents the commands read and write.
 
-All documents are JSON trees with every rational stored as a string
-("3/4", "1", "-1/2"), so files are a bit-exact interchange format: parsing
-an emitted document always reproduces the value that produced it.  Every
-emitted document carries the package version under the "version" key.
+Inputs are parsed: scenarios, tables, objectives, polytopes and generator
+lists.  Results are emitted: vertex sets, polytopes, verdicts, optima and
+orbit classes.  Every rational is stored as a string ("3/4", "1", "-1/2"),
+so a polytope document is a bit-exact interchange format: parsing an
+emitted polytope reproduces the value that produced it.  Every emitted
+document carries the package version under the "version" key.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ def read_document(path) -> dict:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{path} is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     return doc
@@ -71,22 +75,6 @@ def _stamp(doc: dict) -> dict:
 
 
 # --- scenario -------------------------------------------------------------
-
-
-def scenario_to_doc(scn: Scenario) -> dict:
-    return _stamp({
-        "preparations": scn.g,
-        "measurements": scn.l,
-        "outcomes": scn.d,
-        "prep_equivalences": [
-            {"lhs": [[j, str(w)] for j, w in eq.lhs],
-             "rhs": [[j, str(w)] for j, w in eq.rhs]}
-            for eq in scn.oe_p],
-        "meas_equivalences": [
-            {"lhs": [[i, m, str(w)] for (i, m), w in eq.lhs],
-             "rhs": [[i, m, str(w)] for (i, m), w in eq.rhs]}
-            for eq in scn.oe_m],
-    })
 
 
 def scenario_from_doc(doc: dict) -> Scenario:
@@ -117,11 +105,6 @@ def scenario_from_doc(doc: dict) -> Scenario:
 
 
 # --- data table -----------------------------------------------------------
-
-
-def table_to_doc(table: DataTable) -> dict:
-    return _stamp({"probabilities": [[i, j, m, str(v)]
-                                     for (i, j, m), v in table.entries]})
 
 
 def table_from_doc(doc: dict) -> DataTable:
@@ -175,12 +158,6 @@ def objective_from_doc(doc: dict):
     return row, sense
 
 
-def objective_to_doc(row: LinRow, sense: str) -> dict:
-    doc = row_to_doc(row)
-    doc["sense"] = sense
-    return _stamp(doc)
-
-
 # --- vertex sets ----------------------------------------------------------
 
 
@@ -190,31 +167,6 @@ def vertices_to_doc(vs: VertexSet) -> dict:
         out.append([[i, m, str(vertex[xi_var(i, m)])]
                     for (_, i, m) in vs.variables])
     return _stamp({"vertices": out})
-
-
-def vertices_from_doc(doc: dict) -> VertexSet:
-    if "vertices" not in doc:
-        raise ParseError("vertex document missing 'vertices'")
-    vertices = []
-    variables = None
-    try:
-        for entry in doc["vertices"]:
-            point = _unique(((xi_var(_index(i, "measurement"),
-                                     _index(m, "outcome")), _fraction(v))
-                             for i, m, v in entry), "vertex")
-            keys = sorted(point)
-            if variables is None:
-                variables = keys
-            elif keys != variables:
-                raise ParseError("vertices use inconsistent coordinate sets")
-            vertices.append(point)
-    except ParseError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed vertex document: {exc}") from exc
-    if not vertices:
-        raise ParseError("vertex document lists no vertices")
-    return VertexSet(variables, vertices)
 
 
 # --- polytopes ------------------------------------------------------------
@@ -236,7 +188,7 @@ def polytope_from_doc(doc: dict, scn: Scenario) -> NCPolytope:
     variables = p_vars(scn)
     try:   # rows over the scenario's coordinates, consistent equalities
         LinearSystem(variables, facets)
-        rref(equalities, variables)
+        equalities = rref(equalities, variables)
     except (ValueError, InconsistentSystem) as exc:
         raise ParseError(f"polytope document: {exc}") from exc
     return NCPolytope(variables, equalities, facets)
@@ -245,15 +197,14 @@ def polytope_from_doc(doc: dict, scn: Scenario) -> NCPolytope:
 # --- generators -----------------------------------------------------------
 
 
-def generators_from_doc(doc, scn: Scenario):
-    """Compile a generator list document into Relabeling objects."""
+def generators_from_doc(doc: dict, scn: Scenario):
+    """Compile a ``{"generators": [...]}`` document into Relabeling objects."""
     from .symmetry import flip_outcomes, swap_measurements, swap_preparations
-    if isinstance(doc, dict):
-        doc = doc.get("generators", doc)
-    if not isinstance(doc, list):
-        raise ParseError("generator document must be a list")
+    entries = doc.get("generators")
+    if not isinstance(entries, list):
+        raise ParseError("generator document needs a list of 'generators'")
     out = []
-    for entry in doc:
+    for entry in entries:
         try:
             kind = entry["type"]
             args = entry["args"]

@@ -81,15 +81,6 @@ class LinRow:
     def evaluate(self, point: Mapping) -> Fraction:
         return sum((c * point[v] for v, c in self.coeffs.items()), self.const)
 
-    def satisfied_by(self, point: Mapping) -> bool:
-        value = self.evaluate(point)
-        return value == 0 if self.kind == EQ else value >= 0
-
-    def scaled(self, factor: Fraction) -> "LinRow":
-        factor = rat(factor)
-        return LinRow({v: c * factor for v, c in self.coeffs.items()},
-                      self.const * factor, self.kind)
-
     def substituted(self, subs: Mapping) -> "LinRow":
         """Replace each substituted variable by its affine expression."""
         coeffs: dict = {}
@@ -108,10 +99,6 @@ class LinRow:
     def key(self, variables: Iterable) -> tuple:
         """Deterministic sort key: dense coefficient vector plus constant."""
         return tuple(self.coeffs.get(v, ZERO) for v in variables) + (self.const,)
-
-    def __eq__(self, other):
-        return (isinstance(other, LinRow) and self.kind == other.kind
-                and self.const == other.const and self.coeffs == other.coeffs)
 
     def __repr__(self):
         terms = " + ".join(f"{c}*{v}" for v, c in sorted(self.coeffs.items()))
@@ -245,8 +232,3 @@ def substitution_map(equalities: list, variables: list) -> dict:
         subs[pv] = ({v: -a / c for v, a in eq.coeffs.items() if v != pv},
                     -eq.const / c)
     return subs
-
-
-def span_equal(rows_a: list, rows_b: list, variables: list) -> bool:
-    """Do two lists of EQ rows span the same affine row space?"""
-    return rref(rows_a, variables) == rref(rows_b, variables)

@@ -18,7 +18,7 @@ from .dd import vertices
 from .linalg import (EQ, GEQ, ONE, ZERO, InconsistentSystem, InternalError,
                      LinearSystem, LinRow, dense_row, over_common_denominator,
                      row_reduce_equalities)
-from .scenario import DimensionMismatch, Scenario
+from .scenario import Scenario
 
 
 class EmptyPolytope(Exception):
@@ -62,16 +62,6 @@ def build_measurement_h(scn: Scenario) -> LinearSystem:
         diff = eq.difference()
         rows.append(LinRow({xi_var(i, m): w for (i, m), w in diff.items()}, ZERO, EQ))
     return LinearSystem(variables, rows)
-
-
-def membership(h: LinearSystem, point: dict):
-    """Return None if the point is inside, else one violated row."""
-    if set(point) != set(h.variables):
-        raise DimensionMismatch("point does not match the system's coordinates")
-    for row in h.rows:
-        if not row.satisfied_by(point):
-            return row
-    return None
 
 
 def enumerate_vertices(h: LinearSystem) -> VertexSet:

@@ -42,9 +42,6 @@ class F2System:
     # ("oe_p", s, kappa), or ("linking", (i, j, m)).
     eq_labels: list
 
-    def positivity_rows(self):
-        return self.system.geq_rows()
-
     def eq_rows(self):
         return self.system.eq_rows()
 

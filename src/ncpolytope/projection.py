@@ -51,12 +51,6 @@ class NCPolytope:
     equalities: list
     facets: list
 
-    def contains(self, probs: dict) -> bool:
-        """Exact membership of a full coordinate assignment."""
-        point = {("p",) + c: p for c, p in probs.items()}
-        return (all(r.satisfied_by(point) for r in self.equalities)
-                and all(r.satisfied_by(point) for r in self.facets))
-
     def reduce(self, row: LinRow) -> LinRow:
         return reduce_modulo(row, self.equalities, self.variables)
 

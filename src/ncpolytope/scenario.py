@@ -141,9 +141,6 @@ class DataTable:
     def as_dict(self) -> dict:
         return dict(self.entries)
 
-    def __getitem__(self, coord):
-        return self.as_dict()[coord]
-
 
 @dataclass
 class TableReport:

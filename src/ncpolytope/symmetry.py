@@ -58,12 +58,6 @@ class Relabeling:
     scenario: Scenario
     perm: tuple
 
-    def inverse(self) -> "Relabeling":
-        inv = [0] * len(self.perm)
-        for k, q in enumerate(self.perm):
-            inv[q] = k
-        return Relabeling(self.scenario, tuple(inv))
-
 
 @dataclass
 class RelabelingGroup:

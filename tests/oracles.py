@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
-The vertex oracle enumerates basic solutions by brute force (every
-full-rank subset of tight rows), which is exponentially slower than the
-double description method but shares no code with it.  The certificate
+The membership oracles evaluate rows one at a time.  The vertex oracle
+enumerates basic solutions by brute force (every full-rank subset of
+tight rows), which is exponentially slower than the double description
+method but shares no code with it.  The certificate
 oracle solves the box LP of the Farkas certificate directly, where the
 package solves its LP dual.  The orbit oracles classify rows with
 Fraction arithmetic, one ``act_on_row`` and one substitution per group
@@ -20,6 +21,23 @@ from ncpolytope.simplex import OPTIMAL, UNBOUNDED, solve_standard
 from ncpolytope.symmetry import OrbitClass, RowNotInOrbitClosure, act_on_row
 
 ONE = Fraction(1)
+
+
+def satisfies(row, point) -> bool:
+    """Does a point satisfy one row, read as ``== 0`` or as ``>= 0``?"""
+    value = row.evaluate(point)
+    return value == 0 if row.kind == EQ else value >= 0
+
+
+def violated_row(system: LinearSystem, point):
+    """None if the point lies in the H-polytope, else one violated row."""
+    return next((r for r in system.rows if not satisfies(r, point)), None)
+
+
+def polytope_contains(poly, probs) -> bool:
+    """Exact membership of a table, ``{(i, j, m): p}``, in an NCPolytope."""
+    point = {("p",) + c: p for c, p in probs.items()}
+    return all(satisfies(r, point) for r in poly.equalities + poly.facets)
 
 
 def brute_force_vertices(system: LinearSystem):
@@ -45,7 +63,7 @@ def brute_force_vertices(system: LinearSystem):
             if reduced.variables:
                 continue  # underdetermined: not a candidate basis
             point = {v: const for v, (_, const) in subs.items()}
-            if all(r.satisfied_by(point) for r in system.rows):
+            if violated_row(system, point) is None:
                 vertices.add(tuple(point[v] for v in variables))
     return sorted(vertices)
 

@@ -19,14 +19,15 @@ from conftest import (TIMINGS, contextual_table_41, four_prep_scenario,
                       quantum_table_63, six_prep_scenario)
 from ncpolytope.documents import polytope_to_doc, write_document
 from ncpolytope.feasibility import Feasible, Infeasible, check_table, optimize
-from ncpolytope.linalg import EQ, GEQ, LinRow, LinearSystem, canonicalize_row, span_equal
+from ncpolytope.linalg import EQ, GEQ, LinRow, LinearSystem, canonicalize_row, rref
 from ncpolytope.measurement_polytope import (build_measurement_h,
                                              enumerate_vertices, xi_var)
 from ncpolytope.ncsystem import bind_table, build_f2, reconstruct_table
 from ncpolytope.projection import project_to_nc_polytope
 from ncpolytope.scenario import DataTable, p_var, scenario
 from ncpolytope.symmetry import act_on_row, classify_orbits, expand_orbit
-from oracles import brute_force_f2_points, in_convex_hull
+from oracles import (brute_force_f2_points, in_convex_hull,
+                     polytope_contains, satisfies)
 from test_projection import (REFERENCE_EQUALITIES_41, REFERENCE_FACETS_41,
                              facet_keys, fm_and_hull, reduced_key)
 
@@ -210,7 +211,8 @@ def test_criterion_06_six_prep_polytope(scn63, poly63, group63):
         for a in range(3):
             for b in range(a + 1, 3):
                 assert not (keysets[a] & keysets[b])
-        assert span_equal(orbit_rows, poly63.equalities, poly63.variables)
+        assert (rref(orbit_rows, poly63.variables)
+                == rref(poly63.equalities, poly63.variables))
         # the known noncontextuality inequality is a facet
         known = upper63({p(1, 1): 2, p(2, 3): 2, p(3, 5): 2}, 5)
         assert reduced_key(poly63, known) in facet_keys(poly63)
@@ -337,7 +339,7 @@ def test_criterion_08_feasibility_matches_membership(random_check_scenarios):
             for _ in range(100):
                 table = random_table(scn, rng)
                 verdict = check_table(scn, vs, table)
-                member = poly.contains(table.as_dict())
+                member = polytope_contains(poly, table.as_dict())
                 assert isinstance(verdict, Feasible) == member
 
 
@@ -360,7 +362,7 @@ def test_criterion_09_projection_matches_hull_oracle(monkeypatch):
             # every oracle point satisfies the computed facets
             for point in points:
                 assignment = dict(zip(free, point))
-                assert all(r.satisfied_by(assignment) for r in fm.facets)
+                assert all(satisfies(r, assignment) for r in fm.facets)
             # every vertex of the computed facet region lies in the hull
             # of the oracle points, so the two polytopes coincide
             if free:

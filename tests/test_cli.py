@@ -161,6 +161,16 @@ def test_non_utf8_input_is_a_parse_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_deeply_nested_input_is_a_parse_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"probabilities": ' + "[" * 1500 + "]" * 1500 + "}")
+    code, out, err = run(capsys, "check", SIMPLEST, str(deep))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "nested too deeply" in err and "Traceback" not in err
+
+
 def test_invalid_scenario_exit_code(capsys, tmp_path):
     doc = {"preparations": 2, "measurements": 1, "outcomes": 2,
            "prep_equivalences": [

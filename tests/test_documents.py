@@ -10,16 +10,13 @@ from conftest import (SCENARIO_DIR, contextual_table_41, four_prep_scenario,
                       six_prep_scenario, uniform_table)
 from ncpolytope import __version__
 from ncpolytope.documents import (ParseError, generators_from_doc,
-                                  objective_from_doc, objective_to_doc,
-                                  polytope_from_doc, polytope_to_doc,
-                                  read_document, row_from_doc, row_to_doc,
-                                  scenario_from_doc, scenario_to_doc,
-                                  table_from_doc, table_to_doc,
-                                  verdict_to_doc, vertices_from_doc,
-                                  vertices_to_doc, write_document)
-from ncpolytope.linalg import EQ, GEQ, LinRow
-from ncpolytope.measurement_polytope import build_measurement_h, enumerate_vertices
+                                  objective_from_doc, polytope_from_doc,
+                                  polytope_to_doc, read_document, row_from_doc,
+                                  row_to_doc, scenario_from_doc, table_from_doc,
+                                  verdict_to_doc, write_document)
+from ncpolytope.linalg import EQ, GEQ, LinRow, rref
 from ncpolytope.scenario import InvalidScenario, p_var
+from test_feasibility import multiplexing_objective
 
 F = Fraction
 
@@ -31,10 +28,9 @@ def round_trip(doc):
 
 
 def test_scenario_round_trip():
-    for scn in (four_prep_scenario(), six_prep_scenario()):
-        doc = round_trip(scenario_to_doc(scn))
-        assert doc["version"] == __version__
-        assert scenario_from_doc(doc) == scn
+    for name, scn in (("simplest.json", four_prep_scenario()),
+                      ("six_preparations.json", six_prep_scenario())):
+        assert scenario_from_doc(read_document(SCENARIO_DIR / name)) == scn
 
 
 def test_bundled_scenarios_parse():
@@ -57,12 +53,14 @@ def test_bundled_generators_compile():
     doc = read_document(SCENARIO_DIR / "six_preparations_generators.json")
     gens = generators_from_doc(doc, scn)
     assert len(gens) == 6
+    # only the object form exists: read_document rejects a bare list
+    with pytest.raises(ParseError, match="generators"):
+        generators_from_doc({"type": "flip_outcomes", "args": [1]}, scn)
 
 
 def test_table_round_trip():
-    table = contextual_table_41()
-    doc = round_trip(table_to_doc(table))
-    assert table_from_doc(doc) == table
+    doc = read_document(SCENARIO_DIR / "simplest_table_contextual.json")
+    assert table_from_doc(doc) == contextual_table_41()
 
 
 def test_table_duplicate_entry_rejected():
@@ -77,8 +75,6 @@ def test_table_duplicate_entry_rejected():
         scenario_from_doc({"preparations": 2, "measurements": 1, "outcomes": 2,
                            "prep_equivalences": [{"lhs": [[1, "1"], [1, "1"]],
                                                   "rhs": [[2, "1"]]}]})
-    with pytest.raises(ParseError, match="twice"):
-        vertices_from_doc({"vertices": [[[1, 0, "1"], [1, 0, "0"]]]})
 
 
 def test_row_round_trip():
@@ -90,10 +86,8 @@ def test_row_round_trip():
 
 
 def test_objective_round_trip():
-    row = LinRow({p_var((1, 1, 0)): F(1, 8)}, F(1, 4), GEQ)
-    doc = round_trip(objective_to_doc(row, "min"))
-    row2, sense = objective_from_doc(doc)
-    assert (row2, sense) == (row, "min")
+    doc = read_document(SCENARIO_DIR / "simplest_pom_objective.json")
+    assert objective_from_doc(doc) == (multiplexing_objective(), "max")
 
 
 def test_objective_defaults_and_validation():
@@ -105,28 +99,31 @@ def test_objective_defaults_and_validation():
         objective_from_doc({"sense": "max"})
 
 
-def test_vertices_round_trip():
-    scn = six_prep_scenario()
-    vs = enumerate_vertices(build_measurement_h(scn))
-    doc = round_trip(vertices_to_doc(vs))
-    vs2 = vertices_from_doc(doc)
-    assert vs2.as_tuples() == vs.as_tuples()
-
-
-def test_vertices_validation():
-    with pytest.raises(ParseError):
-        vertices_from_doc({"vertices": []})
-    with pytest.raises(ParseError):
-        vertices_from_doc({"vertices": [[[1, 0, "1"]], [[2, 0, "1"]]]})
-
-
 def test_polytope_round_trip(poly41):
     scn = four_prep_scenario()
     doc = round_trip(polytope_to_doc(poly41))
+    assert doc["version"] == __version__
     poly2 = polytope_from_doc(doc, scn)
     assert poly2.equalities == poly41.equalities
     assert poly2.facets == poly41.facets
     assert poly2.variables == poly41.variables
+
+
+def test_polytope_equalities_are_stored_in_rref(poly41):
+    # equality 0 replaced by equality 0 + equality 1 spans the same space;
+    # stored as given, the two rows would share a pivot and ``reduce``
+    # would leave that pivot's coordinate unreduced
+    doc = polytope_to_doc(poly41)
+    eq0, eq1 = poly41.equalities[:2]
+    mixed = LinRow({v: eq0.coeffs.get(v, 0) + eq1.coeffs.get(v, 0)
+                    for v in {**eq0.coeffs, **eq1.coeffs}},
+                   eq0.const + eq1.const, EQ)
+    doc["equalities"][0] = row_to_doc(mixed)
+    poly2 = polytope_from_doc(doc, four_prep_scenario())
+    assert poly2.equalities == rref(poly41.equalities, poly41.variables)
+    for v in poly41.variables:
+        row = LinRow({v: 1}, 0, GEQ)
+        assert poly2.reduce(row) == poly41.reduce(row)
 
 
 def test_verdict_documents(scn41, verts41):
@@ -191,7 +188,6 @@ _PARSERS = {
     "table": (table_from_doc, ["probabilities"]),
     "row": (row_from_doc, ["terms", "constant"]),
     "objective": (objective_from_doc, ["terms", "constant", "sense"]),
-    "vertices": (vertices_from_doc, ["vertices"]),
     "polytope": (lambda doc: polytope_from_doc(doc, _SIMPLEST),
                  ["equalities", "facets"]),
     "generators": (lambda doc: generators_from_doc(doc, _SIMPLEST),

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used by that module."""
+"""Every name a package module imports is used by that module, and every
+name it defines is used outside the tests."""
 
 import ast
 from pathlib import Path
@@ -10,9 +11,24 @@ import ncpolytope
 KEPT_FOR_TRACING = {("projection", "solve_standard"),
                     ("symmetry", "reduce_modulo")}
 
+# Defined but never named by the package, the benchmark or the scripts.
+KEPT_UNREFERENCED = {
+    "cli._Parser.error",         # argparse calls it
+    "symmetry.expand_orbit",     # the README documents it
+}
 
-def unused_imports(path):
-    tree = ast.parse(path.read_text())
+PACKAGE = Path(ncpolytope.__file__).parent
+REPO = PACKAGE.parent.parent
+
+
+def modules():
+    """Each package module but ``__init__``, with its parsed tree."""
+    return [(path.stem, ast.parse(path.read_text()))
+            for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "__init__.py"]
+
+
+def unused_imports(tree):
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module != "__future__":
@@ -24,10 +40,51 @@ def unused_imports(path):
     return imported - used
 
 
+def definitions(tree, prefix):
+    """Qualified names of the functions, classes and methods in a tree;
+    dunder methods are left out, since Python calls them."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield f"{prefix}.{node.name}", node.name
+            yield from definitions(node, f"{prefix}.{node.name}")
+        else:
+            yield from definitions(node, prefix)
+
+
+def referenced_names(trees):
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
 def test_no_unused_imports():
-    package = Path(ncpolytope.__file__).parent
-    found = {(path.stem, name)
-             for path in sorted(package.glob("*.py"))
-             if path.name != "__init__.py"
-             for name in unused_imports(path)}
+    found = {(stem, name) for stem, tree in modules()
+             for name in unused_imports(tree)}
     assert found == KEPT_FOR_TRACING
+
+
+def test_no_library_only_names():
+    """Each definition is named somewhere in the package, the benchmark
+    (``perfbench/``) or the example scripts (``scripts/``), not only in
+    the tests.
+
+    The check matches bare names, so a method that shares its name with
+    any other name or attribute counts as used and can slip past it.
+    """
+    package = modules()
+    trees = [tree for _, tree in package]
+    trees += [ast.parse(path.read_text())
+              for folder in ("perfbench", "scripts")
+              for path in sorted((REPO / folder).glob("*.py"))]
+    used = referenced_names(trees)
+    unreferenced = {qualified for stem, tree in package
+                    for qualified, name in definitions(tree, stem)
+                    if name not in used}
+    assert unreferenced == KEPT_UNREFERENCED

@@ -22,7 +22,7 @@ def test_row_counts(f2):
     scn = f2.scenario
     nverts = len(f2.vertices)
     assert len(f2.nu_vars) == scn.g * nverts
-    assert len(f2.positivity_rows()) == scn.g * nverts
+    assert len(f2.system.geq_rows()) == scn.g * nverts
     labels = [lab[0] for lab in f2.eq_labels]
     assert labels.count(NORMALIZATION) == scn.g
     assert labels.count(OE_P) == nverts * len(scn.oe_p)
@@ -75,7 +75,7 @@ def test_reconstruct_uniform_model(f2):
     for (i, j, m) in scn.coords():
         avg = sum(f2.vertices.component(k, i, m)
                   for k in range(1, nverts + 1)) * w
-        assert table[i, j, m] == avg
+        assert table.as_dict()[i, j, m] == avg
 
 
 def test_reconstruct_rejects_bad_distributions(f2):

@@ -12,6 +12,7 @@ from ncpolytope.measurement_polytope import build_measurement_h, enumerate_verti
 from ncpolytope.ncsystem import build_f2
 from ncpolytope.projection import project_to_nc_polytope
 from ncpolytope.scenario import p_var, scenario
+from oracles import polytope_contains
 
 F = Fraction
 HALF = F(1, 2)
@@ -91,8 +92,8 @@ def test_sign_pair_structure(poly41):
 
 def test_membership_of_known_tables(poly41):
     scn = four_prep_scenario()
-    assert poly41.contains(uniform_table(scn).as_dict())
-    assert not poly41.contains(contextual_table_41().as_dict())
+    assert polytope_contains(poly41, uniform_table(scn).as_dict())
+    assert not polytope_contains(poly41, contextual_table_41().as_dict())
 
 
 def fm_and_hull(f2, monkeypatch):

@@ -139,6 +139,6 @@ def test_validate_table_unnormalized():
 def test_table_round_trip_and_lookup():
     scn = scenario(g=1, l=1, d=2)
     table = DataTable.make({(1, 1, 0): THIRD, (1, 1, 1): 1 - THIRD})
-    assert table[1, 1, 0] == THIRD
+    assert table.as_dict()[1, 1, 0] == THIRD
     assert table.as_dict() == {(1, 1, 0): THIRD, (1, 1, 1): 1 - THIRD}
     assert DataTable.make(table.as_dict()) == table
