@@ -11,10 +11,12 @@ document carries the package version under the "version" key.
 from __future__ import annotations
 
 import json
+import reprlib
 from fractions import Fraction
 
 from . import __version__
-from .linalg import EQ, GEQ, InconsistentSystem, LinearSystem, LinRow, rref
+from .linalg import (EQ, GEQ, InconsistentSystem, LinearSystem, LinRow,
+                     rref, substitution_map)
 from .measurement_polytope import VertexSet, xi_var
 from .projection import NCPolytope
 from .scenario import DataTable, Scenario, p_var, p_vars, scenario
@@ -24,18 +26,34 @@ class ParseError(Exception):
     """A document is malformed or fails validation."""
 
 
+CLIP_CHARS = 40
+
+
+def _clip(text: str) -> str:
+    """Text cut to CLIP_CHARS characters plus '…', so that an error line
+    stays short whatever the document holds."""
+    return text if len(text) <= CLIP_CHARS else text[:CLIP_CHARS] + "…"
+
+
+def _quote(value) -> str:
+    """A clipped repr of a rejected value.  ``reprlib`` stops at a fixed
+    depth, so a deeply nested list cannot overflow the stack here."""
+    return _clip(reprlib.repr(value))
+
+
 def _fraction(text) -> Fraction:
     if not isinstance(text, str):
-        raise ParseError(f"expected a rational string, got {text!r}")
+        raise ParseError(f"expected a rational string, got {_quote(text)}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}: {exc}") from exc
+        # the exception's own message repeats the whole string
+        raise ParseError(f"bad rational {_quote(text)}") from exc
 
 
 def _index(value, what) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ParseError(f"bad {what} index {value!r}")
+        raise ParseError(f"bad {what} index {_quote(value)}")
     return value
 
 
@@ -65,8 +83,7 @@ def read_document(path) -> dict:
 
 
 def write_document(doc: dict, stream) -> None:
-    json.dump(doc, stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    stream.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _stamp(doc: dict) -> dict:
@@ -191,6 +208,14 @@ def polytope_from_doc(doc: dict, scn: Scenario) -> NCPolytope:
         equalities = rref(equalities, variables)
     except (ValueError, InconsistentSystem) as exc:
         raise ParseError(f"polytope document: {exc}") from exc
+    # Facets must already be reduced modulo the equalities: no term on a
+    # pivot coordinate, the latest variable of each rref row.
+    pivots = set(substitution_map(equalities, variables))
+    for n, facet in enumerate(facets):
+        if not pivots.isdisjoint(facet.coeffs):
+            _, i, j, m = min(pivots.intersection(facet.coeffs))
+            raise ParseError(f"polytope document: facet {n} has a term on "
+                             f"[{i}, {j}, {m}], a pivot of the equalities")
     return NCPolytope(variables, equalities, facets)
 
 
@@ -215,11 +240,12 @@ def generators_from_doc(doc: dict, scn: Scenario):
             elif kind == "flip_outcomes":
                 out.append(flip_outcomes(scn, args))
             else:
-                raise ParseError(f"unknown generator type {kind!r}")
+                raise ParseError(f"unknown generator type {_quote(kind)}")
         except ParseError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed generator entry {entry!r}: {exc}") from exc
+            raise ParseError(f"malformed generator entry {_quote(entry)}: "
+                             f"{_clip(str(exc))}") from exc
     return out
 
 

@@ -106,17 +106,17 @@ def bind_table(f2: F2System, table: DataTable) -> NumericF2:
     matrix, rhs, labels = [], [], []
     for row, label in zip(f2.eq_rows(), f2.eq_labels):
         dense = [ZERO] * len(f2.nu_vars)
-        b = -row.const
+        # Store the linking row as  sum_k xi*nu = p  (positive xi), so
+        # certificate entries read off directly as p coefficients.
+        flip = label[0] == LINKING
+        b = row.const if flip else -row.const
         for v, c in row.coeffs.items():
             if v in index:
-                dense[index[v]] = c
+                dense[index[v]] = -c if flip else c
+            elif flip:
+                b += c * probs[v[1], v[2], v[3]]
             else:
                 b -= c * probs[v[1], v[2], v[3]]
-        if label[0] == LINKING:
-            # Store the linking row as  sum_k xi*nu = p  (positive xi), so
-            # certificate entries read off directly as p coefficients.
-            dense = [-c for c in dense]
-            b = -b
         matrix.append(dense)
         rhs.append(b)
         labels.append(label)

@@ -5,9 +5,11 @@ enumerates basic solutions by brute force (every full-rank subset of
 tight rows), which is exponentially slower than the double description
 method but shares no code with it.  The certificate
 oracle solves the box LP of the Farkas certificate directly, where the
-package solves its LP dual.  The orbit oracles classify rows with
-Fraction arithmetic, one ``act_on_row`` and one substitution per group
-element, where the package works on integer rows.
+package solves its LP dual, and the product oracles form y.M and y.b*
+densely, where the package skips the zero entries of y.  The orbit
+oracles classify rows with Fraction arithmetic, one ``act_on_row`` and
+one substitution per group element, where the package works on integer
+rows.
 """
 
 from fractions import Fraction
@@ -130,6 +132,18 @@ def box_dual_optimum(numeric):
         return None
     assert res.status == OPTIMAL, "y = 0 is feasible"
     return res.value
+
+
+def y_dot_columns(y, numeric):
+    """y.M column by column over every row: the dense definition that the
+    package's sparse product skips the zero entries of."""
+    return [sum((y[i] * numeric.matrix[i][k] for i in range(len(y))), ZERO)
+            for k in range(len(numeric.nu_vars))]
+
+
+def y_dot_rhs(y, numeric):
+    """y.b* over every row."""
+    return sum((a * b for a, b in zip(y, numeric.rhs)), ZERO)
 
 
 def _orbit_keys(row, group, subs, variables):

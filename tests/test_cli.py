@@ -143,6 +143,26 @@ def test_orbits_rejects_malformed_polytope(capsys, tmp_path, block, term,
     assert err.startswith("error: polytope")
 
 
+def test_orbits_rejects_unreduced_facet(capsys, tmp_path):
+    # facet 0 + equality 0: the same halfspace on the polytope's affine
+    # hull, written with terms on pivot coordinates
+    scn, poly, gens = orbits_inputs(tmp_path)
+    doc = json.loads(Path(poly).read_text())
+    facet, eq = doc["facets"][0], doc["equalities"][0]
+    terms = {tuple(t[:3]): F(t[3]) for t in facet["terms"]}
+    for *coord, c in eq["terms"]:
+        terms[tuple(coord)] = terms.get(tuple(coord), 0) + F(c)
+    facet["terms"] = [[*coord, str(c)] for coord, c in sorted(terms.items())
+                      if c]
+    facet["constant"] = str(F(facet["constant"]) + F(eq["constant"]))
+    Path(poly).write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, out, err = run(capsys, "orbits", scn, poly, gens)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: polytope document: facet 0 has a term on")
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
@@ -169,6 +189,19 @@ def test_deeply_nested_input_is_a_parse_error(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "nested too deeply" in err and "Traceback" not in err
+
+
+def test_long_value_in_parse_error_is_clipped(tmp_path):
+    # A probability nested 980 lists deep loads, but is not a rational.  A
+    # fresh process starts on a shallow stack, as the command does.
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"probabilities": [[1, 1, 0, ' + "[" * 980 + "]" * 980
+                    + "]]}")
+    proc = run_optimized("check", SIMPLEST, str(deep))
+    assert proc.returncode == EXIT_PARSE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: expected a rational string")
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr.encode()) < 200
 
 
 def test_invalid_scenario_exit_code(capsys, tmp_path):

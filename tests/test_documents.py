@@ -16,6 +16,7 @@ from ncpolytope.documents import (ParseError, generators_from_doc,
                                   verdict_to_doc, write_document)
 from ncpolytope.linalg import EQ, GEQ, LinRow, rref
 from ncpolytope.scenario import InvalidScenario, p_var
+from test_acceptance import SIX_PREP_DOCUMENT
 from test_feasibility import multiplexing_objective
 
 F = Fraction
@@ -109,21 +110,70 @@ def test_polytope_round_trip(poly41):
     assert poly2.variables == poly41.variables
 
 
+def row_sum(a, b, kind):
+    return LinRow({v: a.coeffs.get(v, 0) + b.coeffs.get(v, 0)
+                   for v in {**a.coeffs, **b.coeffs}}, a.const + b.const, kind)
+
+
 def test_polytope_equalities_are_stored_in_rref(poly41):
     # equality 0 replaced by equality 0 + equality 1 spans the same space;
     # stored as given, the two rows would share a pivot and ``reduce``
     # would leave that pivot's coordinate unreduced
     doc = polytope_to_doc(poly41)
     eq0, eq1 = poly41.equalities[:2]
-    mixed = LinRow({v: eq0.coeffs.get(v, 0) + eq1.coeffs.get(v, 0)
-                    for v in {**eq0.coeffs, **eq1.coeffs}},
-                   eq0.const + eq1.const, EQ)
+    mixed = row_sum(eq0, eq1, EQ)
     doc["equalities"][0] = row_to_doc(mixed)
     poly2 = polytope_from_doc(doc, four_prep_scenario())
     assert poly2.equalities == rref(poly41.equalities, poly41.variables)
     for v in poly41.variables:
         row = LinRow({v: 1}, 0, GEQ)
         assert poly2.reduce(row) == poly41.reduce(row)
+
+
+def test_polytope_facets_must_be_reduced(poly41):
+    # facet 0 + equality 0 holds on the same points, but has terms on
+    # pivot coordinates, which NCPolytope's facets never have
+    doc = polytope_to_doc(poly41)
+    facet = row_sum(poly41.facets[0], poly41.equalities[0], GEQ)
+    pivot = max(poly41.equalities[0].coeffs, key=poly41.variables.index)
+    assert pivot in facet.coeffs
+    doc["facets"][0] = row_to_doc(facet)
+    _, i, j, m = pivot
+    with pytest.raises(ParseError,
+                       match=rf"facet 0 has a term on \[{i}, {j}, {m}\]"):
+        polytope_from_doc(doc, four_prep_scenario())
+
+
+def test_bundled_polytope_facets_are_reduced():
+    doc = read_document(SIX_PREP_DOCUMENT)
+    poly = polytope_from_doc(doc, six_prep_scenario())
+    assert len(poly.facets) == 1596
+
+
+def nested(depth):
+    """A list nested ``depth`` lists deep."""
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+def six_prep_generators(doc):
+    return generators_from_doc(doc, six_prep_scenario())
+
+
+@pytest.mark.parametrize("parse, doc", [
+    (table_from_doc, {"probabilities": [[1, 1, 0, nested(980)]]}),
+    (table_from_doc, {"probabilities": [[1, 1, 0, "1/" + "9" * 5000 + "x"]]}),
+    (table_from_doc, {"probabilities": [[1, [0] * 5000, 0, "1/2"]]}),
+    (six_prep_generators, {"generators": [{"type": "t" * 5000, "args": []}]}),
+    (six_prep_generators, {"generators": [{"args": ["x" * 5000]}]}),
+])
+def test_parse_errors_stay_short(parse, doc):
+    """An error quotes a short, clipped repr of the value it rejects."""
+    with pytest.raises(ParseError) as info:
+        parse(doc)
+    assert len(str(info.value)) < 120
 
 
 def test_verdict_documents(scn41, verts41):

@@ -1,7 +1,10 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (SCENARIO_DIR, contextual_table_41, four_prep_scenario,
                       uniform_table)
@@ -10,14 +13,16 @@ from ncpolytope.documents import read_document, scenario_from_doc, table_from_do
 from ncpolytope.feasibility import (Certificate, Feasible, Infeasible,
                                     MalformedTable, PrimalFeasible,
                                     check_table, farkas_certificate, optimize)
-from ncpolytope.linalg import GEQ, InternalError, LinRow, canonicalize_row
+from ncpolytope.linalg import (GEQ, ZERO, InternalError, LinRow,
+                               canonicalize_row)
 from ncpolytope.measurement_polytope import build_measurement_h, enumerate_vertices
-from ncpolytope.ncsystem import bind_table, build_f2, reconstruct_table
+from ncpolytope.ncsystem import OE_P, bind_table, build_f2, reconstruct_table
 from ncpolytope.projection import project_to_nc_polytope
 from ncpolytope.scenario import (DataTable, DimensionMismatch, p_var,
                                  validate_table)
 from ncpolytope.simplex import INFEASIBLE, UNBOUNDED, LPResult, solve_standard
-from oracles import box_dual_optimum, polytope_contains
+from oracles import (box_dual_optimum, polytope_contains, y_dot_columns,
+                     y_dot_rhs)
 from test_acceptance import CHECK_SHAPES, random_small_scenario
 
 F = Fraction
@@ -154,11 +159,6 @@ def test_dichotomy_on_random_tables(scn41, verts41, poly41):
             point = {("p",) + c: v for c, v in table.as_dict().items()}
             assert verdict.inequality.evaluate(point) == -verdict.violation
     assert seen_inf > 0
-
-
-def y_dot_columns(y, numeric):
-    return [sum(y[i] * numeric.matrix[i][k] for i in range(len(y)))
-            for k in range(len(numeric.nu_vars))]
 
 
 def test_bundled_contextual_table_is_most_violated():
@@ -403,3 +403,54 @@ def test_negative_optimize_solution_raises_internal_error(scn41, verts41,
     monkeypatch.setattr(feasibility, "solve_standard", negative_entry)
     with pytest.raises(InternalError, match="negative"):
         optimize(scn41, verts41, multiplexing_objective(), "max")
+
+
+def test_tampered_closed_form_certificate_raises_internal_error(
+        scn41, verts41, monkeypatch):
+    """A closed-form certificate is re-verified like an LP one: without its
+    OE_P entries the broken equality no longer cancels on every column."""
+    closed_form = feasibility._equivalence_certificate
+    tampered = []
+
+    def without_oe_p(numeric):
+        oe, y = closed_form(numeric)
+        tampered.append(any(v for lab, v in zip(numeric.row_labels, y)
+                            if lab[0] == OE_P))
+        return oe, [ZERO if lab[0] == OE_P else v
+                    for lab, v in zip(numeric.row_labels, y)]
+
+    monkeypatch.setattr(feasibility, "_equivalence_certificate", without_oe_p)
+    p0, _, _ = BREAKING["scn41"]
+    with pytest.raises(InternalError, match="box constraint"):
+        check_table(scn41, verts41, binary_table(scn41, p0))
+    assert tampered == [True]
+
+
+BOUND_CASES = [("simplest.json", "simplest_table_contextual.json"),
+               ("simplest.json", None),
+               ("six_preparations.json", "six_preparations_table_quantum.json"),
+               ("state_discrimination.json", None)]
+
+
+@functools.cache
+def bound_system(case):
+    """A bundled scenario's M x = b*, bound to a bundled table or, for
+    None, to the uniform table."""
+    scenario_file, table_file = case
+    scn = scenario_from_doc(read_document(SCENARIO_DIR / scenario_file))
+    table = (table_from_doc(read_document(SCENARIO_DIR / table_file))
+             if table_file else uniform_table(scn))
+    vs = enumerate_vertices(build_measurement_h(scn))
+    return bind_table(build_f2(scn, vs), table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sparse_products_match_dense_oracle(data):
+    numeric = bound_system(data.draw(st.sampled_from(BOUND_CASES)))
+    y = [ZERO] * len(numeric.row_labels)
+    rows = st.integers(0, len(y) - 1)
+    for i in data.draw(st.sets(rows, max_size=10)):
+        y[i] = data.draw(st.fractions(-3, 3, max_denominator=12))
+    assert feasibility._y_dot_matrix(y, numeric) == y_dot_columns(y, numeric)
+    assert feasibility._dot(y, numeric.rhs) == y_dot_rhs(y, numeric)

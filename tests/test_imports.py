@@ -1,5 +1,5 @@
-"""Every name a package module imports is used by that module, and every
-name it defines is used outside the tests."""
+"""Every name a package module imports is used by that module, every
+name it defines is used outside the tests, and no module asserts."""
 
 import ast
 from pathlib import Path
@@ -88,3 +88,12 @@ def test_no_library_only_names():
                     for qualified, name in definitions(tree, stem)
                     if name not in used}
     assert unreferenced == KEPT_UNREFERENCED
+
+
+def test_no_assert_statements():
+    """Invariants raise typed errors: ``python -O`` strips every assert."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
