@@ -77,6 +77,9 @@ def read_document(path) -> dict:
         raise ParseError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
     except RecursionError:
         raise ParseError(f"{path} is nested too deeply") from None
+    except ValueError as exc:   # e.g. an int literal past the digit limit
+        raise ParseError(
+            f"{path} is not readable JSON: {_clip(str(exc))}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     return doc

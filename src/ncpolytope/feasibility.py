@@ -9,7 +9,8 @@ is the least total negativity of a quasiprobability representation of
 the table (zero exactly when a model exists).  When the table breaks an
 operational equivalence, ``b*`` leaves the column span of ``M``; no LP is
 solved then, because the broken equality itself is a Farkas vector with
-``y.M = 0`` (see :func:`_equivalence_certificate`).  Reading the
+``y.M = 0``; :func:`.ncsystem.bind_table` finds that equality in its one
+scan of the residuals (see :func:`_equivalence_certificate`).  Reading the
 linking-block entries of ``y`` as coefficients on the table probabilities
 turns the certificate into a violated noncontextuality inequality whose
 constant term is the sum of the normalization-block entries.  Every
@@ -27,9 +28,10 @@ from fractions import Fraction
 from .linalg import GEQ, ONE, ZERO, InternalError, LinRow, canonicalize_row
 from .measurement_polytope import VertexSet
 from .ncsystem import (LINKING, NORMALIZATION, OE_P, InvalidDistribution,
-                       NumericF2, build_f2, bind_table, reconstruct_table)
-from .scenario import (PREP, DataTable, DimensionMismatch, Scenario,
-                       equivalence_rows, p_var, validate_table)
+                       NumericF2, build_f2, bind_table, dot, fixed_rhs,
+                       reconstruct_table)
+from .scenario import (PREP, DataTable, DimensionMismatch, Scenario, p_var,
+                       validate_table)
 from .simplex import OPTIMAL, UNBOUNDED, solve_standard
 
 
@@ -78,12 +80,11 @@ Verdict = Feasible | Infeasible
 
 def check_table(scn: Scenario, vertices: VertexSet, table: DataTable) -> Verdict:
     """Decide noncontextuality of a numeric table, with witness or certificate."""
-    report = validate_table(scn, table)  # raises DimensionMismatch on shape
-    if not report.normalized:
+    if not validate_table(scn, table):  # raises DimensionMismatch on shape
         raise MalformedTable("table entries are not normalized probabilities")
     f2 = build_f2(scn, vertices)
     numeric = bind_table(f2, table)
-    if report.respects_equivalences:
+    if numeric.broken is None:
         res = solve_standard(numeric.matrix, numeric.rhs,
                              [ZERO] * len(numeric.nu_vars))
         if res.status == OPTIMAL:
@@ -107,7 +108,7 @@ def farkas_certificate(numeric: NumericF2) -> Certificate:
     """
     broken = _equivalence_certificate(numeric)
     oe, y = broken if broken else (None, _solve_box_dual(numeric))
-    value = _dot(y, numeric.rhs)
+    value = dot(y, numeric.rhs)
     if value >= 0:
         raise PrimalFeasible("the primal system M x = b* has a solution")
     _verify(y, numeric)
@@ -117,9 +118,9 @@ def farkas_certificate(numeric: NumericF2) -> Certificate:
 def _equivalence_certificate(numeric: NumericF2):
     """The broken equivalence's id and its equality as a Farkas vector.
 
-    Takes the equality of :func:`equivalence_rows` with the largest
-    |residual| r on the table (the first in scenario order on ties) and
-    returns ``(id, y)`` with y.M = 0 and y.b* = -|r|, or None when the
+    Takes the equality that :func:`.ncsystem.bind_table` stored as
+    ``numeric.broken``, the one with the largest |residual| r on the table,
+    and returns ``(id, y)`` with y.M = 0 and y.b* = -|r|, or None when the
     table keeps every equivalence.  With c = -sign(r): a preparation
     equivalence s broken at effect (i, m) gives y_linking(i, j, m) =
     c diff_s(j) and y_oe_p(s, k) = -c xi_k(m|M_i), which cancel on every
@@ -127,17 +128,10 @@ def _equivalence_certificate(numeric: NumericF2):
     y_linking(i, j, m) = c diff(i, m), whose column sums vanish because
     every vertex xi_k keeps that equivalence.
     """
-    labels = numeric.row_labels
-    probs = {lab[1]: b for lab, b in zip(labels, numeric.rhs)
-             if lab[0] == LINKING}
-    worst, broken = ZERO, None
-    for oe, slot, weights in equivalence_rows(numeric.f2.scenario):
-        r = sum((w * probs[c] for c, w in weights.items()), ZERO)
-        if abs(r) > worst:
-            worst, broken = abs(r), (oe, slot, weights, r)
-    if broken is None:
+    if numeric.broken is None:
         return None
-    (kind, s), slot, weights, r = broken
+    (kind, s), slot, weights, r = numeric.broken
+    labels = numeric.row_labels
     c = -ONE if r > 0 else ONE
     row = {lab: n for n, lab in enumerate(labels)}
     y = [ZERO] * len(labels)
@@ -189,11 +183,6 @@ def _y_dot_matrix(y, numeric: NumericF2) -> list:
     return ym
 
 
-def _dot(a, b):
-    """a.b, skipping the zero entries of a."""
-    return sum((x * y for x, y in zip(a, b) if x), ZERO)
-
-
 def certificate_to_inequality(cert: Certificate):
     """Translate a certificate into a violated noncontextuality inequality.
 
@@ -222,9 +211,9 @@ def optimize(scn: Scenario, vertices: VertexSet, objective: LinRow, sense="max")
     """Exact optimum of a linear functional of the table over the NC polytope.
 
     Works directly on the vertex-distribution parametrization (no
-    projection needed): substitute the linking map into the objective and
-    solve one LP over the distributions.  Returns the optimal value and a
-    witness table attaining it.
+    projection needed): the objective read through the linking rows is a
+    cost on the distributions, minimized by one LP over the other rows.
+    Returns the optimal value and a witness table attaining it.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
@@ -232,14 +221,16 @@ def optimize(scn: Scenario, vertices: VertexSet, objective: LinRow, sense="max")
     bad = [v for v in objective.coeffs if v not in set(f2.p_vars)]
     if bad:
         raise DimensionMismatch(f"objective mentions unknown coordinates {bad[:3]}")
-    cost = objective.substituted(f2.linking_map())
-    c = [cost.coeffs.get(v, ZERO) for v in f2.nu_vars]
+    rows = dict(zip(f2.eq_labels, f2.eq_matrix))
+    c = [ZERO] * len(f2.nu_vars)
+    for v, w in objective.coeffs.items():
+        for k, a in enumerate(rows[LINKING, v[1:]]):
+            c[k] += w * a
     if sense == "max":
         c = [-a for a in c]
-    rows = [r for r, lab in zip(f2.eq_rows(), f2.eq_labels) if lab[0] != LINKING]
-    A = [[row.coeffs.get(v, ZERO) for v in f2.nu_vars] for row in rows]
-    b = [-row.const for row in rows]
-    res = solve_standard(A, b, c)
+    model = [lab for lab in f2.eq_labels if lab[0] != LINKING]
+    res = solve_standard([rows[lab] for lab in model],
+                         [fixed_rhs(lab) for lab in model], c)
     if res.status != OPTIMAL:
         raise InternalError(f"optimize LP {res.status} on a nonempty bounded polytope")
     nu = dict(zip(f2.nu_vars, res.x))

@@ -1,22 +1,26 @@
 """The finite linear system in the vertex-distribution unknowns.
 
 Once the extremal measurement assignments are known, a noncontextual model
-is a choice of one probability distribution over them per preparation.
-This module builds that system symbolically (data-table probabilities as
-placeholder variables, ready for projection) and numerically (the
-``M x = b*`` form used by the feasibility check).  Its linking rows,
-p(m|M_i,P_j) = sum_k xi_k(m|M_i) nu_j(k), are the one place the map from
-distributions to tables is built; projection, optimization and table
-reconstruction read it through :meth:`F2System.linking_map`.
+is a choice of one probability distribution over them per preparation:
+``M x = b*, x >= 0`` over the distributions, where only ``b*`` depends on
+the data table.  :func:`build_f2` builds the equalities once, as dense
+Fraction rows over the distribution unknowns with a label each; the
+linking rows, p(m|M_i,P_j) = sum_k xi_k(m|M_i) nu_j(k), are the one map
+from distributions to tables.  Every reader uses these rows:
+:func:`bind_table` computes ``b*`` and the table's equivalence residuals,
+optimization and table reconstruction take the linking rows by coordinate,
+and only the projection derives symbolic rows, through
+:meth:`F2System.system`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import EQ, GEQ, ONE, ZERO, LinearSystem, LinRow, substitution_map
+from .linalg import EQ, GEQ, ONE, ZERO, LinearSystem, LinRow
 from .measurement_polytope import VertexSet
-from .scenario import DataTable, DimensionMismatch, Scenario, p_var, p_vars
+from .scenario import (DataTable, DimensionMismatch, Scenario,
+                       equivalence_rows, p_var, p_vars)
 
 NORMALIZATION = "normalization"
 OE_P = "oe_p"
@@ -31,96 +35,107 @@ def nu_var(j, kappa) -> tuple:
     return ("nu", j, kappa)
 
 
+def dot(a, b):
+    """a.b, skipping the zero entries of a."""
+    return sum((x * y for x, y in zip(a, b) if x), ZERO)
+
+
+def fixed_rhs(label):
+    """b of a row that no table changes: 1 for normalization, 0 for OE_P."""
+    return ONE if label[0] == NORMALIZATION else ZERO
+
+
 @dataclass
 class F2System:
     scenario: Scenario
     vertices: VertexSet
     nu_vars: list       # j-major, kappa-minor
     p_vars: list        # canonical coordinate order
-    system: LinearSystem
-    # Parallel to the EQ rows of `system`: ("normalization", j),
-    # ("oe_p", s, kappa), or ("linking", (i, j, m)).
+    # ("normalization", j), ("oe_p", s, kappa) or ("linking", (i, j, m)),
+    # parallel to eq_matrix: rows of Fractions over nu_vars with
+    # row . nu = b, where b is the table's p(m|M_i,P_j) for a linking row
+    # (which holds xi_k(m|M_i) in the nu_j(k) column) and fixed_rhs else.
     eq_labels: list
+    eq_matrix: list
 
-    def eq_rows(self):
-        return self.system.eq_rows()
-
-    def linking_map(self) -> dict:
-        """Each p-coordinate's expression ``sum_k xi_k(m|M_i) nu_j(kappa)``.
-
-        The substitution map of the linking rows (each pivots on its
-        p-coordinate, the latest variable in the registry), ready for
-        ``LinRow.substituted``.
-        """
-        return substitution_map(
-            [r for r, lab in zip(self.eq_rows(), self.eq_labels)
-             if lab[0] == LINKING], self.system.variables)
+    def system(self) -> LinearSystem:
+        """The rows over nu_vars + p_vars, for the projection: positivity
+        first, then each equality as row . nu - b = 0, except that a
+        linking row reads p - sum_k xi_k nu_j(k) = 0."""
+        rows = [LinRow({v: ONE}, ZERO, GEQ) for v in self.nu_vars]
+        for label, dense in zip(self.eq_labels, self.eq_matrix):
+            if label[0] == LINKING:
+                coeffs = {p_var(label[1]): ONE}
+                coeffs.update((v, -a) for v, a in zip(self.nu_vars, dense) if a)
+                rows.append(LinRow(coeffs, ZERO, EQ))
+            else:
+                rows.append(LinRow(dict(zip(self.nu_vars, dense)),
+                                   -fixed_rhs(label), EQ))
+        return LinearSystem(self.nu_vars + self.p_vars, rows)
 
 
 @dataclass
 class NumericF2:
-    """M x = b*, x >= 0, with the data table substituted in."""
+    """M x = b*, x >= 0, with M and its labels shared with the F2System."""
 
     f2: F2System
-    matrix: list    # rows of Fractions over the nu variables
     rhs: list
-    row_labels: list
+    # The equivalence row with the largest |residual| r on the table (the
+    # first in scenario order on ties) as (id, slot, weights, r), from
+    # scenario.equivalence_rows; None when the table keeps them all.
+    broken: tuple | None
 
     @property
     def nu_vars(self):
         return self.f2.nu_vars
 
+    @property
+    def matrix(self):
+        return self.f2.eq_matrix
+
+    @property
+    def row_labels(self):
+        return self.f2.eq_labels
+
 
 def build_f2(scn: Scenario, vertices: VertexSet) -> F2System:
-    nus = [nu_var(j, k) for j in scn.preparations()
-           for k in range(1, len(vertices) + 1)]
-    ps = p_vars(scn)
-    rows = [LinRow({v: ONE}, ZERO, GEQ) for v in nus]
-    labels = []
+    n = len(vertices)
+    nus = [nu_var(j, k) for j in scn.preparations() for k in range(1, n + 1)]
+    labels, matrix = [], []
+
+    def add(label, entries):
+        """A row from {(j, kappa): coefficient}, in the nu_j(kappa) columns."""
+        row = [ZERO] * len(nus)
+        for (j, k), a in entries.items():
+            row[(j - 1) * n + k - 1] = a
+        labels.append(label)
+        matrix.append(row)
+
     for j in scn.preparations():
-        rows.append(LinRow({nu_var(j, k): ONE
-                            for k in range(1, len(vertices) + 1)}, -ONE, EQ))
-        labels.append((NORMALIZATION, j))
+        add((NORMALIZATION, j), {(j, k): ONE for k in range(1, n + 1)})
     for s, eq in enumerate(scn.oe_p):
         diff = eq.difference()
-        for k in range(1, len(vertices) + 1):
-            rows.append(LinRow({nu_var(j, k): w for j, w in diff.items()}, ZERO, EQ))
-            labels.append((OE_P, s, k))
+        for k in range(1, n + 1):
+            add((OE_P, s, k), {(j, k): w for j, w in diff.items()})
     for (i, j, m) in scn.coords():
-        coeffs = {p_var((i, j, m)): ONE}
-        for k in range(1, len(vertices) + 1):
-            xi = vertices.component(k, i, m)
-            if xi:
-                coeffs[nu_var(j, k)] = -xi
-        rows.append(LinRow(coeffs, ZERO, EQ))
-        labels.append((LINKING, (i, j, m)))
-    return F2System(scn, vertices, nus, ps, LinearSystem(nus + ps, rows), labels)
+        add((LINKING, (i, j, m)),
+            {(j, k): vertices.component(k, i, m) for k in range(1, n + 1)})
+    return F2System(scn, vertices, nus, p_vars(scn), labels, matrix)
 
 
 def bind_table(f2: F2System, table: DataTable) -> NumericF2:
-    """Substitute a numeric table for the placeholders, yielding M x = b*."""
+    """b* for a numeric table, and the one scan of its equivalence residuals."""
     probs = table.as_dict()
     if set(probs) != set(f2.scenario.coords()):
         raise DimensionMismatch("table shape does not match the scenario")
-    index = {v: k for k, v in enumerate(f2.nu_vars)}
-    matrix, rhs, labels = [], [], []
-    for row, label in zip(f2.eq_rows(), f2.eq_labels):
-        dense = [ZERO] * len(f2.nu_vars)
-        # Store the linking row as  sum_k xi*nu = p  (positive xi), so
-        # certificate entries read off directly as p coefficients.
-        flip = label[0] == LINKING
-        b = row.const if flip else -row.const
-        for v, c in row.coeffs.items():
-            if v in index:
-                dense[index[v]] = -c if flip else c
-            elif flip:
-                b += c * probs[v[1], v[2], v[3]]
-            else:
-                b -= c * probs[v[1], v[2], v[3]]
-        matrix.append(dense)
-        rhs.append(b)
-        labels.append(label)
-    return NumericF2(f2, matrix, rhs, labels)
+    rhs = [probs[label[1]] if label[0] == LINKING else fixed_rhs(label)
+           for label in f2.eq_labels]
+    worst, broken = ZERO, None
+    for oe, slot, weights in equivalence_rows(f2.scenario):
+        r = sum((w * probs[c] for c, w in weights.items()), ZERO)
+        if abs(r) > worst:
+            worst, broken = abs(r), (oe, slot, weights, r)
+    return NumericF2(f2, rhs, broken)
 
 
 def reconstruct_table(f2: F2System, nu: dict) -> DataTable:
@@ -131,11 +146,14 @@ def reconstruct_table(f2: F2System, nu: dict) -> DataTable:
     for v in f2.nu_vars:
         if nu[v] < 0:
             raise InvalidDistribution(f"{v} = {nu[v]} is negative")
-    for row, label in zip(f2.eq_rows(), f2.eq_labels):
-        if label[0] != LINKING and row.evaluate(nu) != 0:
+    x = [nu[v] for v in f2.nu_vars]
+    probs = {}
+    for label, row in zip(f2.eq_labels, f2.eq_matrix):
+        if label[0] == LINKING:
+            probs[label[1]] = dot(row, x)
+        elif dot(row, x) != fixed_rhs(label):
             raise InvalidDistribution(
                 f"distribution for P_{label[1]} is not normalized"
                 if label[0] == NORMALIZATION else
                 f"OE_P[{label[1]}] violated at vertex {label[2]}")
-    return DataTable.make({p[1:]: LinRow(*expr).evaluate(nu)
-                           for p, expr in f2.linking_map().items()})
+    return DataTable.make(probs)

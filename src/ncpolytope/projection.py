@@ -5,14 +5,15 @@ generalized-noncontextual polytope: every data table admitting a
 noncontextual model satisfies its affine-hull equalities exactly and all of
 its facet inequalities, and conversely.
 
-The pipeline substitutes the equality rows away first (preferring to
-eliminate distribution variables, so data-table coordinates stay free
-wherever possible).  Small systems then remove the remaining distribution
+The pipeline substitutes the equality rows of
+:meth:`.ncsystem.F2System.system` away first (preferring to eliminate
+distribution variables, so data-table coordinates stay free wherever
+possible).  Small systems then remove the remaining distribution
 variables one at a time by Fourier-Motzkin elimination, running an exact-LP
 irredundancy pass after every elimination step to keep the intermediate row
 count at the true facet count.  Larger systems take the hull route instead:
 the distribution-polytope vertices are mapped into table space by the
-finite system's own linking rows (:meth:`.ncsystem.F2System.linking_map`),
+finite system's own dense linking rows (:attr:`.ncsystem.F2System.eq_matrix`),
 and the image points, with no filtering, go through a polar double
 description (:mod:`.dd`) that returns the facets of their hull.  The
 distribution-polytope vertices come from
@@ -31,7 +32,7 @@ from .linalg import (EQ, GEQ, ONE, ZERO, InternalError, LinRow, LinearSystem,
                      primitive, reduce_modulo, rref, row_reduce_equalities,
                      substitution_map)
 from .measurement_polytope import enumerate_vertices
-from .ncsystem import F2System
+from .ncsystem import LINKING, F2System, dot
 from .simplex import OPTIMAL, minimize_over_rows
 # Unused here; kept importable because tracing wraps projection.solve_standard.
 from .simplex import solve_standard  # noqa: F401
@@ -162,7 +163,7 @@ def project_to_nc_polytope(f2: F2System, progress=None) -> NCPolytope:
 def _affine_hull(f2: F2System):
     """Equality reduction; pure-p pivot rows are the affine-hull equalities."""
     prefer = set(f2.nu_vars)
-    subs, reduced = row_reduce_equalities(f2.system, prefer=prefer)
+    subs, reduced = row_reduce_equalities(f2.system(), prefer=prefer)
     # Substitutions whose pivot is a p-coordinate are guaranteed pure-p by
     # the nu-first pivot preference.
     eq_rows = []
@@ -209,7 +210,7 @@ def _fm_facets(f2: F2System, reduced, progress):
 
 
 def _hull_facets(f2: F2System, equalities, progress):
-    nu_rows = [r for r in f2.system.rows
+    nu_rows = [r for r in f2.system().rows
                if all(v[0] == "nu" for v in r.coeffs)]
     nu_vertices = enumerate_vertices(LinearSystem(f2.nu_vars, nu_rows))
     if progress:
@@ -217,10 +218,10 @@ def _hull_facets(f2: F2System, equalities, progress):
 
     pivots = substitution_map(equalities, f2.p_vars)
     free_p = [v for v in f2.p_vars if v not in pivots]
-    linking = f2.linking_map()
-    image = [LinRow(*linking[v]) for v in free_p]
-    points = {over_common_denominator([row.evaluate(nu) for row in image])
-              for nu in nu_vertices.vertices}
+    rows = dict(zip(f2.eq_labels, f2.eq_matrix))
+    image = [rows[LINKING, v[1:]] for v in free_p]
+    points = {over_common_denominator([dot(row, nu) for row in image])
+              for nu in nu_vertices.as_tuples()}
     if progress:
         progress(len(free_p), len(points))
 

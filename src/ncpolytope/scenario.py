@@ -142,38 +142,21 @@ class DataTable:
         return dict(self.entries)
 
 
-@dataclass
-class TableReport:
-    normalized: bool
-    oe_residuals: list  # [(equivalence id, max absolute violation), ...]
+def validate_table(scn: Scenario, table: DataTable) -> bool:
+    """Whether every entry is a probability and each (M_i, P_j) row sums to 1.
 
-    @property
-    def respects_equivalences(self) -> bool:
-        return all(res == 0 for _, res in self.oe_residuals)
-
-
-def validate_table(scn: Scenario, table: DataTable) -> TableReport:
-    """Check normalization and evaluate every OE-induced equality residual.
-
-    Tables violating the operational equivalences are legal input (the
-    feasibility check will simply report them infeasible); the residuals
-    here are diagnostics.
+    Raises DimensionMismatch when the table's shape is not the scenario's.
+    Tables violating the operational equivalences are legal input; the
+    feasibility check reports them infeasible.
     """
     probs = table.as_dict()
     expected = set(scn.coords())
     if set(probs) != expected:
         raise DimensionMismatch(
             f"table has {len(probs)} entries, scenario needs {len(expected)}")
-    normalized = all(0 <= p <= 1 for p in probs.values())
-    for i in scn.measurements():
-        for j in scn.preparations():
-            if sum(probs[i, j, m] for m in scn.outcomes()) != 1:
-                normalized = False
-    worst = {}
-    for oe, _, weights in equivalence_rows(scn):
-        residual = abs(sum(w * probs[c] for c, w in weights.items()))
-        worst[oe] = max(worst.get(oe, ZERO), residual)
-    return TableReport(normalized, list(worst.items()))
+    return (all(0 <= p <= 1 for p in probs.values())
+            and all(sum(probs[i, j, m] for m in scn.outcomes()) == 1
+                    for i in scn.measurements() for j in scn.preparations()))
 
 
 def equivalence_rows(scn: Scenario):

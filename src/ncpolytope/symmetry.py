@@ -112,7 +112,7 @@ def flip_outcomes(scn: Scenario, measurements) -> Relabeling:
 
 
 def _check_index(k, bound, what):
-    if not (isinstance(k, int) and 1 <= k <= bound):
+    if not (isinstance(k, int) and not isinstance(k, bool) and 1 <= k <= bound):
         raise ValueError(f"{what} index {k} out of range 1..{bound}")
 
 

@@ -76,7 +76,7 @@ def brute_force_f2_points(scn, meas_vertices, free_p):
     Vertices come from the brute-force oracle, not double description.
     """
     f2 = build_f2(scn, meas_vertices)
-    nu_rows = [r for r in f2.system.rows
+    nu_rows = [r for r in f2.system().rows
                if all(v[0] == "nu" for v in r.coeffs)]
     nu_system = LinearSystem(list(f2.nu_vars), nu_rows)
     nv = len(meas_vertices)

@@ -191,6 +191,30 @@ def test_deeply_nested_input_is_a_parse_error(capsys, tmp_path):
     assert "nested too deeply" in err and "Traceback" not in err
 
 
+def test_overlong_number_is_a_parse_error(capsys, tmp_path):
+    # json reads int literals of at most 4300 digits; a longer one raises
+    # a plain ValueError while loading
+    big = tmp_path / "big.json"
+    big.write_text('{"probabilities": [[1, 1, 0, ' + "1" * 5000 + "]]}")
+    code, out, err = run(capsys, "check", SIMPLEST, str(big))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_boolean_generator_index_is_a_parse_error(capsys, tmp_path):
+    # true is not measurement 1, though bool is a subclass of int
+    scn, poly, gens = orbits_inputs(tmp_path)
+    Path(gens).write_text(json.dumps({"generators": [
+        {"type": "swap_measurements", "args": [True, 2]}]}))
+    capsys.readouterr()
+    code, out, err = run(capsys, "orbits", scn, poly, gens)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: malformed generator entry")
+
+
 def test_long_value_in_parse_error_is_clipped(tmp_path):
     # A probability nested 980 lists deep loads, but is not a rational.  A
     # fresh process starts on a shallow stack, as the command does.

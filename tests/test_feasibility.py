@@ -1,4 +1,5 @@
 import functools
+import importlib
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (SCENARIO_DIR, contextual_table_41, four_prep_scenario,
                       uniform_table)
-from ncpolytope import feasibility
+from ncpolytope import feasibility, ncsystem
 from ncpolytope.documents import read_document, scenario_from_doc, table_from_doc
 from ncpolytope.feasibility import (Certificate, Feasible, Infeasible,
                                     MalformedTable, PrimalFeasible,
@@ -16,10 +17,11 @@ from ncpolytope.feasibility import (Certificate, Feasible, Infeasible,
 from ncpolytope.linalg import (GEQ, ZERO, InternalError, LinRow,
                                canonicalize_row)
 from ncpolytope.measurement_polytope import build_measurement_h, enumerate_vertices
-from ncpolytope.ncsystem import OE_P, bind_table, build_f2, reconstruct_table
+from ncpolytope.ncsystem import (OE_P, bind_table, build_f2, dot,
+                                 reconstruct_table)
 from ncpolytope.projection import project_to_nc_polytope
-from ncpolytope.scenario import (DataTable, DimensionMismatch, p_var,
-                                 validate_table)
+from ncpolytope.scenario import (DataTable, DimensionMismatch,
+                                 equivalence_rows, p_var)
 from ncpolytope.simplex import INFEASIBLE, UNBOUNDED, LPResult, solve_standard
 from oracles import (box_dual_optimum, polytope_contains, y_dot_columns,
                      y_dot_rhs)
@@ -268,11 +270,36 @@ def test_largest_residual_picks_the_equivalence(scn63, verts63, delta, oe,
     measurement one by 2 delta / 3."""
     table = binary_table(scn63, {(1, 1): 1, (2, 1): 0, (1, 5): HALF + delta,
                                  (1, 6): HALF - delta})
-    broken = [key for key, worst in validate_table(scn63, table).oe_residuals
-              if worst]
-    assert broken == [("prep", 0), ("meas", 0)]
+    probs = table.as_dict()
+    broken = {key for key, _, w in equivalence_rows(scn63)
+              if sum(c * probs[coord] for coord, c in w.items())}
+    assert broken == {("prep", 0), ("meas", 0)}
+    stored = bind_table(build_f2(scn63, verts63), table).broken
+    assert stored[0] == oe and stored[2] == weights
+    assert abs(stored[3]) == max(F(1, 4), 2 * delta / 3)
     assert_broken_equality_certificate(monkeypatch, scn63, verts63, table, oe,
                                        weights)
+
+
+def test_breaking_table_scans_the_equivalences_once(scn41, verts41,
+                                                   monkeypatch):
+    """check_table reads the residuals of one scan, made by bind_table,
+    for both the branch and the closed-form certificate."""
+    calls = []
+
+    def counted(scn):
+        calls.append(scn)
+        return equivalence_rows(scn)
+
+    # the package exports the function scenario(), which hides the module
+    scenario_module = importlib.import_module("ncpolytope.scenario")
+    for module in (scenario_module, ncsystem, feasibility):
+        if hasattr(module, "equivalence_rows"):
+            monkeypatch.setattr(module, "equivalence_rows", counted)
+    p0, oe, _ = BREAKING["scn41"]
+    verdict = check_table(scn41, verts41, binary_table(scn41, p0))
+    assert verdict.broken_equivalence == oe
+    assert len(calls) == 1
 
 
 def contextual_corners(scn, poly):
@@ -453,4 +480,4 @@ def test_sparse_products_match_dense_oracle(data):
     for i in data.draw(st.sets(rows, max_size=10)):
         y[i] = data.draw(st.fractions(-3, 3, max_denominator=12))
     assert feasibility._y_dot_matrix(y, numeric) == y_dot_columns(y, numeric)
-    assert feasibility._dot(y, numeric.rhs) == y_dot_rhs(y, numeric)
+    assert dot(y, numeric.rhs) == y_dot_rhs(y, numeric)

@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import four_prep_scenario, uniform_table
+from ncpolytope.measurement_polytope import build_measurement_h, enumerate_vertices
+from ncpolytope.ncsystem import bind_table, build_f2
 from ncpolytope.scenario import (MEAS, PREP, DataTable, DimensionMismatch,
                                  Equivalence, InvalidScenario, flatten_coord,
                                  scenario, unflatten_coord, validate_table)
@@ -97,12 +99,17 @@ def test_validate_table_shape_mismatch():
         validate_table(scn, table)
 
 
+def broken_row(scn, entries):
+    """The worst equivalence row that binding the table stores."""
+    vs = enumerate_vertices(build_measurement_h(scn))
+    return bind_table(build_f2(scn, vs), DataTable.make(entries)).broken
+
+
 def test_validate_table_normalization_and_residuals():
     scn = four_prep_scenario()
-    report = validate_table(scn, uniform_table(scn))
-    assert report.normalized
-    assert report.respects_equivalences
-    assert all(worst == 0 for _, worst in report.oe_residuals)
+    table = uniform_table(scn)
+    assert validate_table(scn, table) is True
+    assert broken_row(scn, table.as_dict()) is None
 
 
 def test_validate_table_flags_oe_violation():
@@ -110,11 +117,12 @@ def test_validate_table_flags_oe_violation():
     entries = {c: HALF for c in scn.coords()}
     entries[1, 1, 0] = Fraction(1)
     entries[1, 1, 1] = Fraction(0)
-    report = validate_table(scn, DataTable.make(entries))
-    assert report.normalized
-    assert not report.respects_equivalences
-    keys = [key for key, worst in report.oe_residuals if worst != 0]
-    assert keys == [(PREP, 0)]
+    assert validate_table(scn, DataTable.make(entries)) is True
+    # |r| = 1/4 at both effects of M1: the first in scenario order wins
+    oe, slot, weights, r = broken_row(scn, entries)
+    assert (oe, slot, r) == ((PREP, 0), (1, 0), Fraction(1, 4))
+    assert weights == {(1, 1, 0): HALF, (1, 2, 0): HALF,
+                       (1, 3, 0): -HALF, (1, 4, 0): -HALF}
 
 
 def test_validate_table_flags_meas_oe_violation():
@@ -124,16 +132,16 @@ def test_validate_table_flags_meas_oe_violation():
     entries = {c: HALF for c in scn.coords()}
     entries[1, 1, 0] = Fraction(1)
     entries[1, 1, 1] = Fraction(0)
-    report = validate_table(scn, DataTable.make(entries))
-    assert [key for key, worst in report.oe_residuals if worst != 0] \
-        == [(MEAS, 0)]
+    oe, slot, _, r = broken_row(scn, entries)
+    assert (oe, slot, r) == ((MEAS, 0), 1, Fraction(1, 3))
 
 
 def test_validate_table_unnormalized():
     scn = scenario(g=1, l=1, d=2)
-    report = validate_table(scn, DataTable.make(
-        {(1, 1, 0): HALF, (1, 1, 1): Fraction(3, 4)}))
-    assert not report.normalized
+    assert validate_table(scn, DataTable.make(
+        {(1, 1, 0): HALF, (1, 1, 1): Fraction(3, 4)})) is False
+    assert validate_table(scn, DataTable.make(
+        {(1, 1, 0): Fraction(3, 2), (1, 1, 1): -HALF})) is False
 
 
 def test_table_round_trip_and_lookup():

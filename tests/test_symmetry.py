@@ -330,6 +330,13 @@ def test_index_validation():
         swap_preparations(scn, [(1, 2), (2, 3)])
     with pytest.raises(ValueError):
         flip_outcomes(scn, [5])
+    # a bool is an int, but never an index (True is not measurement 1)
+    with pytest.raises(ValueError):
+        swap_measurements(scn, True, 2)
+    with pytest.raises(ValueError):
+        swap_preparations(scn, (True, 2))
+    with pytest.raises(ValueError):
+        flip_outcomes(scn, [True])
 
 
 def test_group_cap_enforced(monkeypatch, scn41_module):
