@@ -1,11 +1,14 @@
 """Vertices of H-polytopes, and the measurement-assignment polytope.
 
-:func:`enumerate_vertices` returns the vertices of any bounded
-:class:`.linalg.LinearSystem` exactly, by the double description method
-(:mod:`.dd`) on the affine subspace its equalities cut out.  It serves the
-measurement-assignment polytope built here (positivity, per-measurement
-normalization and one equality per measurement operational equivalence)
-and the vertex-distribution polytope of the projection's hull route.
+:func:`free_vertices` returns the vertices of any bounded
+:class:`.linalg.LinearSystem` exactly, as integer points over the
+coordinates its equalities leave free, by the double description method
+(:mod:`.dd`) on the affine subspace those equalities cut out; the
+projection's hull route maps the vertex-distribution polytope's points
+from there.  :func:`enumerate_vertices` writes them out over every
+coordinate, for the measurement-assignment polytope built here
+(positivity, per-measurement normalization and one equality per
+measurement operational equivalence).
 """
 
 from __future__ import annotations
@@ -64,8 +67,14 @@ def build_measurement_h(scn: Scenario) -> LinearSystem:
     return LinearSystem(variables, rows)
 
 
-def enumerate_vertices(h: LinearSystem) -> VertexSet:
-    """All vertices of a bounded H-polytope, exact and canonically ordered."""
+def free_vertices(h: LinearSystem):
+    """The vertices of a bounded H-polytope over its free coordinates.
+
+    Returns ``(subs, free, raw)``: the equality substitutions of
+    :func:`.linalg.row_reduce_equalities`, the coordinates they leave
+    free, and the vertices as the double description kernel gives them,
+    rational points ``(ys, t)`` over ``free``.
+    """
     try:
         subs, reduced = row_reduce_equalities(h)
     except InconsistentSystem as exc:
@@ -84,6 +93,12 @@ def enumerate_vertices(h: LinearSystem) -> VertexSet:
         raise InternalError(f"vertex enumeration: {exc}") from exc
     if not raw:
         raise EmptyPolytope("no point satisfies all rows")
+    return subs, free, raw
+
+
+def enumerate_vertices(h: LinearSystem) -> VertexSet:
+    """All vertices of a bounded H-polytope, exact and canonically ordered."""
+    subs, free, raw = free_vertices(h)
     # Each eliminated coordinate as ints over the free ones and a constant.
     exprs = [(v, over_common_denominator([coeffs.get(w, ZERO) for w in free]
                                          + [const]))

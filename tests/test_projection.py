@@ -135,6 +135,70 @@ def test_default_route_finishes_with_nine_distribution_coordinates():
     assert len(poly.equalities) == 18
 
 
+def count_lps(monkeypatch):
+    """The list that each projection LP appends to, from now on."""
+    calls = []
+    solve = projection.minimize_over_rows
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(projection, "minimize_over_rows", counting)
+    return calls
+
+
+def f2_without_equivalences(g):
+    scn = scenario(g=g, l=2, d=2)
+    return scn, build_f2(scn, enumerate_vertices(build_measurement_h(scn)))
+
+
+@pytest.mark.parametrize("g, facets", [(5, 20), (8, 32)])
+def test_facets_are_certified_without_lps(monkeypatch, g, facets):
+    # every facet of the unit box is found by a ray shot from the interior
+    # point, and no row of these systems is redundant, so no LP runs
+    scn, f2 = f2_without_equivalences(g)
+    lps = count_lps(monkeypatch)
+    start = time.perf_counter()
+    poly = project_to_nc_polytope(f2)
+    # the hull route would enumerate 4**g distribution vertices
+    assert time.perf_counter() - start < 20
+    assert len(poly.facets) == facets
+    assert poly_is_unit_box(poly, scn)
+    assert lps == []
+
+
+def test_lp_count_on_the_four_preparation_scenario(f2_41, poly41, monkeypatch):
+    # most of these LPs prove a row redundant, which a ray shot cannot
+    lps = count_lps(monkeypatch)
+    assert project_to_nc_polytope(f2_41).facets == poly41.facets
+    assert len(lps) == 70
+
+
+def test_wrong_shot_point_is_rejected_by_the_witness_check(monkeypatch):
+    # a shot point that violates every lower bound certifies no row, so
+    # the LP decides each row and the facets are unchanged
+    scn, f2 = f2_without_equivalences(5)
+    expected = project_to_nc_polytope(f2)
+
+    def wrong_shot(rows, alive, idx, interior, values):
+        return (-1,) * len(interior[0]), 1
+
+    monkeypatch.setattr(projection, "_ray_shot", wrong_shot)
+    lps = count_lps(monkeypatch)
+    assert project_to_nc_polytope(f2).facets == expected.facets
+    assert lps
+
+
+def test_boundary_point_is_not_taken_for_interior(f2_41, monkeypatch):
+    # the origin is tight on the positivity row of a free distribution
+    # coordinate
+    monkeypatch.setattr(projection, "_interior_point",
+                        lambda f2, free: ((0,) * len(free), 1))
+    with pytest.raises(InternalError, match="interior point"):
+        project_to_nc_polytope(f2_41)
+
+
 def poly_is_unit_box(poly, scn):
     keys = facet_keys(poly)
     expected = set()
