@@ -1,4 +1,5 @@
-"""Byte-identity of the result documents on every bundled scenario.
+"""Byte-identity of the result documents on every bundled scenario, and
+of the ``polytope`` documents of three inline Fourier-Motzkin-route ones.
 
 Each case runs one CLI command and compares the sha256 of the document it
 writes with a stored digest, so a refactor that changes any byte of a
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import ncpolytope.projection as projection
 from ncpolytope.cli import EXIT_INFEASIBLE, EXIT_OK, main
 
 ROOT = Path(__file__).parent.parent
@@ -130,9 +132,58 @@ def test_documents_byte_identical(name, tmp_path):
     assert got == want
 
 
+H = "1/2"
+
+# Scenarios that take the Fourier-Motzkin route, where the irredundancy
+# passes decide most of the facets, with the sha256 of their ``polytope``
+# documents.  Each has preparation or measurement equivalences, so the
+# eliminations produce redundant rows; ``simplest`` is the only bundled
+# scenario on this route.
+FM_ROUTE = {
+    "g3_l3_p3": (
+        {"preparations": 3, "measurements": 3, "outcomes": 2,
+         "prep_equivalences": [{"lhs": [[1, H], [2, H]], "rhs": [[3, "1"]]}],
+         "meas_equivalences": []},
+        "660095fd4bfbb58cda8383b314f20f623cc679a2ae18ab1224be0023682fc823"),
+    "g3_l3_pm": (
+        {"preparations": 3, "measurements": 3, "outcomes": 2,
+         "prep_equivalences": [{"lhs": [[1, H], [2, H]], "rhs": [[3, "1"]]}],
+         "meas_equivalences": [{"lhs": [[1, 0, H], [2, 0, H]],
+                                "rhs": [[1, 1, H], [3, 0, H]]}]},
+        "ad3f159789311a73bd23568bb016e1c1f468fa255678a94c67d8bc54fd56478c"),
+    "g5_l2_p2": (
+        {"preparations": 5, "measurements": 2, "outcomes": 2,
+         "prep_equivalences": [{"lhs": [[1, H], [2, H]],
+                                "rhs": [[3, H], [4, H]]},
+                               {"lhs": [[1, "1"]], "rhs": [[5, "1"]]}],
+         "meas_equivalences": []},
+        "d35c709d960ec3cdf9e35695edf7141cab22ef6f802649d92a8cc99668334e8b"),
+}
+
+
+def fm_route_digest(doc, tmp):
+    scenario, out = tmp / "scenario.json", tmp / "polytope.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["polytope", str(scenario), "--output", str(out)]) == EXIT_OK
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FM_ROUTE))
+def test_fm_route_polytope_byte_identical(name, tmp_path, monkeypatch):
+    def no_hull(*args):
+        raise AssertionError("took the hull route")
+
+    monkeypatch.setattr(projection, "_hull_facets", no_hull)
+    doc, digest = FM_ROUTE[name]
+    assert fm_route_digest(doc, tmp_path) == digest
+
+
 if __name__ == "__main__":
     import tempfile
     for name in ("simplest", "state_discrimination", "six_preparations"):
         with tempfile.TemporaryDirectory() as tmp:
             for what, digest in documents(name, Path(tmp)).items():
                 print(f'    ("{name}", "{what}"):\n        "{digest}",')
+    for name, (doc, _) in sorted(FM_ROUTE.items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f'    "{name}": {fm_route_digest(doc, Path(tmp))}')
