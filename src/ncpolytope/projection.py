@@ -11,11 +11,15 @@ distribution variables, so data-table coordinates stay free wherever
 possible).  Small systems then remove the remaining distribution
 variables one at a time by Fourier-Motzkin elimination, running an exact
 irredundancy pass after every elimination step to keep the intermediate row
-count at the true facet count.  The pass certifies each kept row by a
-witness point that violates it alone, most of them found by shooting rays
-from one point strictly inside the system (Clarkson, "More
-output-sensitive geometric algorithms", FOCS 1994), and each removed row by
-an exact LP.  Larger systems take the hull route instead: the
+count at the true facet count.  The pass removes most redundant rows by an
+exact two-row certificate, integer multipliers that show the row to be a
+nonnegative combination of two other rows plus a nonnegative constant.  It
+certifies each kept row by a witness point that violates it alone, most of
+them found by shooting rays from one point strictly inside the system
+(Clarkson, "More output-sensitive geometric algorithms", FOCS 1994) or,
+when that shot ties or crosses another row first, from four strictly
+interior points displaced from it.  Only a row that none of these decides
+costs an exact LP.  Larger systems take the hull route instead: the
 distribution-polytope vertices, as the integer points of
 :func:`.measurement_polytope.free_vertices`, are mapped into table space
 by one integer matrix, the finite system's dense linking rows
@@ -76,8 +80,8 @@ def _combine(pos_row, pos_val, neg_row, neg_val, col):
 def fm_step(rows, col):
     """One Fourier-Motzkin elimination of coordinate ``col``.
 
-    Returns the sorted, deduplicated rows of the projection with that
-    coordinate removed; combined rows that hold trivially are dropped.
+    Returns the set of rows of the projection with that coordinate
+    removed; combined rows that hold trivially are dropped.
     """
     pos, neg = [], []
     out = set()
@@ -95,7 +99,7 @@ def fm_step(rows, col):
             combo = combo[:col] + combo[col + 1:]
             if any(combo[:-1]) or combo[-1] < 0:
                 out.add(combo)
-    return sorted(out)
+    return out
 
 
 def _lift_row(dense, variables) -> LinRow:
@@ -103,7 +107,7 @@ def _lift_row(dense, variables) -> LinRow:
     return LinRow(coeffs, Fraction(dense[-1]), GEQ)
 
 
-# --- Irredundancy: witness points for kept rows, LPs for removed ones -----
+# --- Irredundancy: certificates and witness points, LPs for the rest ------
 
 
 def _value(point, row):
@@ -112,17 +116,93 @@ def _value(point, row):
     return sum(map(mul, row, ints)) + row[-1] * den
 
 
-def _ray_shot(rows, alive, idx, interior, values):
+def _sign_masks(row):
+    """Bitmasks of the coordinates where the row's coefficient is > 0, < 0."""
+    pos = neg = 0
+    for k, a in enumerate(row[:-1]):
+        if a > 0:
+            pos |= 1 << k
+        elif a < 0:
+            neg |= 1 << k
+    return pos, neg
+
+
+def _multipliers(row, s1, s2):
+    """Ints ``(lam, mu1, mu2)`` showing that s1, s2 >= 0 imply row >= 0.
+
+    They satisfy ``lam > 0``, ``mu1, mu2 >= 0``, ``lam * row ==
+    mu1 * s1 + mu2 * s2`` on the coefficients and ``lam * row >=`` the
+    combination on the constant.  When s2's coefficients are a multiple of
+    s1's (as for ``s2 = s1``) only s1 is used; None when there are none.
+    s1 must have a nonzero coefficient.
+    """
+    coords = range(len(row) - 1)
+    i = next(k for k in coords if s1[k])
+    j = next((k for k in coords if s1[i] * s2[k] != s1[k] * s2[i]), None)
+    if j is None:
+        lam, mu1, mu2 = abs(s1[i]), row[i] if s1[i] > 0 else -row[i], 0
+    else:   # Cramer's rule on the nonzero minor of coordinates i and j
+        lam = s1[i] * s2[j] - s1[j] * s2[i]
+        mu1 = row[i] * s2[j] - row[j] * s2[i]
+        mu2 = s1[i] * row[j] - s1[j] * row[i]
+        if lam < 0:
+            lam, mu1, mu2 = -lam, -mu1, -mu2
+    if mu1 < 0 or mu2 < 0:
+        return None
+    combo = [mu1 * a + mu2 * b for a, b in zip(s1, s2)]
+    if lam * row[-1] < combo[-1] or any(
+            lam * a != b for a, b in zip(row[:-1], combo)):
+        return None
+    return lam, mu1, mu2
+
+
+def _two_row_certificate(rows, alive, idx, masks):
+    """``(lam, mu1, k1, mu2, k2)``: alive rows k1, k2 imply row ``idx``.
+
+    The multipliers are those of :func:`_multipliers`, so ``mu2 == 0``
+    (with ``k2 == k1``) marks a parallel, weaker row.  Candidates must
+    match the signs of ``lam * row == mu1 * s1 + mu2 * s2`` coordinate by
+    coordinate, read off the sign ``masks`` of the rows: a parallel row has
+    the row's masks, and where the row is zero the signs of a pair cancel,
+    so the second row of a pair is looked up by its signs there.
+    """
+    row = rows[idx]
+    pos, neg = masks[idx]
+    zero = ~(pos | neg)
+    candidates = [k for k in range(len(rows)) if alive[k] and k != idx]
+    by_signs_at_zero = {}
+    for k in candidates:
+        p, n = masks[k]
+        if p == pos and n == neg:
+            m = _multipliers(row, rows[k], rows[k])
+            if m:
+                return m[0], m[1], k, 0, k
+        by_signs_at_zero.setdefault((p & zero, n & zero), []).append(k)
+    for k1 in candidates:
+        p1, n1 = masks[k1]
+        need_p = (pos & ~p1) | (n1 & ~neg)
+        need_n = (neg & ~n1) | (p1 & ~pos)
+        for k2 in by_signs_at_zero.get((n1 & zero, p1 & zero), ()):
+            p2, n2 = masks[k2]
+            if (k2 > k1 and p2 & need_p == need_p and n2 & need_n == need_n
+                    and not p2 & ~(pos | n1) and not n2 & ~(neg | p1)):
+                m = _multipliers(row, rows[k1], rows[k2])
+                if m:
+                    return m[0], m[1], k1, m[2], k2
+    return None
+
+
+def _ray_shot(rows, alive, idx, origin, values):
     """A point that violates one alive row and satisfies the others, or None.
 
-    The ray from the strictly interior point along minus row ``idx``'s
-    coefficients crosses the alive rows it approaches in order of the step
-    at which each becomes tight.  When exactly one row is crossed first,
-    the point halfway to the second crossing (or twice as far, when no
-    other row is approached) violates that row alone.  ``values`` holds
-    ``_value(interior, row)`` for every row.
+    The ray from the strictly interior point ``origin`` along minus row
+    ``idx``'s coefficients crosses the alive rows it approaches in order of
+    the step at which each becomes tight.  When exactly one row is crossed
+    first, the point halfway to the second crossing (or twice as far, when
+    no other row is approached) violates that row alone.  ``values`` holds
+    ``_value(origin, row)`` for every row.
     """
-    ints, den = interior
+    ints, den = origin
     direction = [-a for a in rows[idx][:-1]]
     first = second = None       # (step as value / speed, row index)
     for k, row in enumerate(rows):
@@ -145,44 +225,62 @@ def _ray_shot(rows, alive, idx, interior, values):
     return out[:-1], out[-1]
 
 
-def irredundant_rows(rows, witnesses, interior):
-    """Minimal subset of dense rows defining the same region.
+def irredundant_rows(rows, witnesses, origins):
+    """Sorted minimal subset of dense rows defining the same region.
 
     Each surviving row is certified non-redundant by a witness point that
     violates it while satisfying all other survivors; each removed row is
-    certified implied by an exact LP.  Witnesses (rational points
-    ``(ints, den)``) come from earlier passes, or from a ray shot out of
-    ``interior``, a point strictly inside every row, which is tried before
-    the LP; a shot point counts only if it passes the same witness check.
-    The witness list is extended with the points this pass finds and
-    returned.
+    certified implied by an exact two-row certificate
+    (:func:`_two_row_certificate`, verified in integers) or, when a row has
+    neither a certificate nor a witness, by an exact LP.  Witnesses
+    (rational points ``(ints, den)``) come from earlier passes, or from ray
+    shots out of ``origins``, points strictly inside every row, which are
+    tried in turn before the LP; a shot point counts only if it passes the
+    same witness check.  The witness list is extended with the points this
+    pass finds and returned.  Rows with no coefficients hold everywhere
+    inside, and duplicates add nothing, so both are dropped first.
     """
-    rows = sorted(set(rows))
+    rows = sorted({r for r in rows if any(r[:-1])})
     alive = [True] * len(rows)
-    values = [_value(interior, row) for row in rows]
 
-    for idx, row in enumerate(rows):
-        others = [r for k, r in enumerate(rows) if alive[k] and k != idx]
+    def certifies(point, idx):
+        return (_value(point, rows[idx]) < 0
+                and all(_value(point, r) >= 0
+                        for k, r in enumerate(rows) if alive[k] and k != idx))
 
-        def certifies(point):
-            return (_value(point, row) < 0
-                    and all(_value(point, r) >= 0 for r in others))
-
-        if any(map(certifies, witnesses)):
+    # Rows that a known witness keeps need no certificate search; removing
+    # rows only makes a witness of the rest stronger.
+    masks = [_sign_masks(row) for row in rows]
+    undecided = []
+    for idx in range(len(rows)):
+        if any(certifies(w, idx) for w in witnesses):
             continue
-        shot = _ray_shot(rows, alive, idx, interior, values)
-        if shot is not None:
-            witnesses.append(shot)
-            if certifies(shot):
-                continue
-        bound = row[:-1] + (row[-1] + 1,)  # keeps the LP bounded below
-        res = minimize_over_rows(others + [bound], [Fraction(a) for a in row[:-1]])
-        if res.status != OPTIMAL:
-            raise InternalError("redundancy LP of a nonempty region is not optimal")
-        if res.value + row[-1] >= 0:
+        if _two_row_certificate(rows, alive, idx, masks):
             alive[idx] = False
         else:
-            witnesses.append(over_common_denominator(res.x))
+            undecided.append(idx)
+
+    values = [None] * len(origins)   # _value of every row at each origin
+    for idx in undecided:
+        for k, origin in enumerate(origins):
+            if values[k] is None:
+                values[k] = [_value(origin, r) for r in rows]
+            shot = _ray_shot(rows, alive, idx, origin, values[k])
+            if shot is not None and certifies(shot, idx):
+                witnesses.append(shot)
+                break
+        else:
+            row = rows[idx]
+            others = [r for k, r in enumerate(rows) if alive[k] and k != idx]
+            bound = row[:-1] + (row[-1] + 1,)  # keeps the LP bounded below
+            res = minimize_over_rows(others + [bound],
+                                     [Fraction(a) for a in row[:-1]])
+            if res.status != OPTIMAL:
+                raise InternalError("redundancy LP of a nonempty region is not optimal")
+            if res.value + row[-1] >= 0:
+                alive[idx] = False
+            else:
+                witnesses.append(over_common_denominator(res.x))
     return [r for k, r in enumerate(rows) if alive[k]], witnesses
 
 
@@ -248,12 +346,42 @@ def _interior_point(f2: F2System, free):
     return over_common_denominator([point[v] for v in free])
 
 
+def _shot_origins(interior, rows):
+    """The interior point and four more points near it, for ray shots.
+
+    Each extra point displaces the interior point by plus or minus
+    ``2**-m`` times one of two generic vectors, ``k*k + 1`` and
+    ``(-1)**k * (2k + 3)`` over the coordinates k, with the least m that
+    stays within half the distance to every row along the vector.  Shots
+    from them break the ties of shots from the interior point, whose
+    weights are symmetric under many relabelings.
+    """
+    ints, den = interior
+    values = [_value(interior, r) for r in rows]
+    out = [interior]
+    for vec in ([k * k + 1 for k in range(len(ints))],
+                [(-1) ** k * (2 * k + 3) for k in range(len(ints))]):
+        # the least m with 2**m * value >= 2 * den * |row . vec| on every row
+        ratio = max((-(-2 * den * abs(sum(map(mul, r, vec))) // v)
+                     for r, v in zip(rows, values)), default=1)
+        m = max(ratio - 1, 0).bit_length()
+        for sign in (1, -1):
+            point = primitive([(a << m) + sign * den * b
+                               for a, b in zip(ints, vec)] + [den << m])
+            out.append((point[:-1], point[-1]))
+    return out
+
+
 def _fm_facets(f2: F2System, reduced, progress):
     free = reduced.variables
     dense = [dense_row(r, free) for r in reduced.rows]
     interior = _interior_point(f2, free)
     if any(_value(interior, r) <= 0 for r in dense):
         raise InternalError("Fourier-Motzkin: the interior point is not "
+                            "strictly inside every row")
+    origins = _shot_origins(interior, dense)
+    if any(_value(o, r) <= 0 for o in origins for r in dense):
+        raise InternalError("Fourier-Motzkin: a shot origin is not "
                             "strictly inside every row")
     witnesses = []
     while True:
@@ -265,16 +393,15 @@ def _fm_facets(f2: F2System, reduced, progress):
         free = free[:col] + free[col + 1:]
         # Projecting a feasible point just drops the eliminated coordinate.
         witnesses = [(w[:col] + w[col + 1:], den) for w, den in witnesses]
-        interior = (interior[0][:col] + interior[0][col + 1:], interior[1])
-        dense, witnesses = irredundant_rows(dense, witnesses, interior)
+        origins = [(o[:col] + o[col + 1:], den) for o, den in origins]
+        dense, witnesses = irredundant_rows(dense, witnesses, origins)
         if progress:
             progress(len(free), len(dense))
 
     # The equality reduction alone can eliminate every distribution
     # variable, in which case the loop body never ran; one final pass
     # guarantees the survivors are deduplicated and irredundant.
-    dense = [r for r in dense if any(r[:-1])]
-    dense, witnesses = irredundant_rows(dense, witnesses, interior)
+    dense, witnesses = irredundant_rows(dense, witnesses, origins)
     return [canonicalize_row(_lift_row(r, free)) for r in dense]
 
 

@@ -12,6 +12,7 @@ from ncpolytope.measurement_polytope import build_measurement_h, enumerate_verti
 from ncpolytope.ncsystem import build_f2
 from ncpolytope.projection import project_to_nc_polytope
 from ncpolytope.scenario import p_var, scenario
+from ncpolytope.simplex import OPTIMAL, minimize_over_rows
 from oracles import polytope_contains
 
 F = Fraction
@@ -169,25 +170,33 @@ def test_facets_are_certified_without_lps(monkeypatch, g, facets):
 
 
 def test_lp_count_on_the_four_preparation_scenario(f2_41, poly41, monkeypatch):
-    # most of these LPs prove a row redundant, which a ray shot cannot
+    # 8 of these LPs prove a row redundant that no two rows imply; the
+    # others keep a row whose shots from every origin tie or cross another
+    # row first
     lps = count_lps(monkeypatch)
     assert project_to_nc_polytope(f2_41).facets == poly41.facets
-    assert len(lps) == 70
+    assert len(lps) == 19
 
 
 def test_wrong_shot_point_is_rejected_by_the_witness_check(monkeypatch):
     # a shot point that violates every lower bound certifies no row, so
-    # the LP decides each row and the facets are unchanged
+    # the shots from all five origins fail, the LP decides each row and
+    # the facets are unchanged
     scn, f2 = f2_without_equivalences(5)
     expected = project_to_nc_polytope(f2)
+    origins = []
 
-    def wrong_shot(rows, alive, idx, interior, values):
-        return (-1,) * len(interior[0]), 1
+    def wrong_shot(rows, alive, idx, origin, values):
+        origins.append(origin)
+        return (-1,) * len(origin[0]), 1
 
     monkeypatch.setattr(projection, "_ray_shot", wrong_shot)
     lps = count_lps(monkeypatch)
     assert project_to_nc_polytope(f2).facets == expected.facets
     assert lps
+    assert len(origins) == 5 * len(lps)
+    assert all(len(set(origins[k:k + 5])) == 5
+               for k in range(0, len(origins), 5))
 
 
 def test_boundary_point_is_not_taken_for_interior(f2_41, monkeypatch):
@@ -196,6 +205,15 @@ def test_boundary_point_is_not_taken_for_interior(f2_41, monkeypatch):
     monkeypatch.setattr(projection, "_interior_point",
                         lambda f2, free: ((0,) * len(free), 1))
     with pytest.raises(InternalError, match="interior point"):
+        project_to_nc_polytope(f2_41)
+
+
+def test_boundary_point_is_not_taken_for_a_shot_origin(f2_41, monkeypatch):
+    # the same boundary point, offered as one more origin for ray shots
+    shot_origins = projection._shot_origins
+    monkeypatch.setattr(projection, "_shot_origins", lambda interior, rows: (
+        shot_origins(interior, rows) + [((0,) * len(interior[0]), 1)]))
+    with pytest.raises(InternalError, match="shot origin"):
         project_to_nc_polytope(f2_41)
 
 
@@ -225,3 +243,103 @@ def test_hull_dd_failure_is_an_internal_error(f2_41, monkeypatch, module,
     monkeypatch.setattr(projection, "FM_MAX_NU_DIM", -1)
     with pytest.raises(InternalError, match="do not span"):
         project_to_nc_polytope(f2_41)
+
+
+# --- Two-row certificates -------------------------------------------------
+#
+# Rows over (x, y, z) with the constant last: (a, b, c, k) means
+# a x + b y + c z + k >= 0.
+
+X, Y, Z = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)
+
+
+def certificate(rows, idx, alive=None):
+    alive = alive or [True] * len(rows)
+    masks = [projection._sign_masks(r) for r in rows]
+    return projection._two_row_certificate(rows, alive, idx, masks)
+
+
+def holds(rows, idx, cert):
+    """lam * row == mu1 * s1 + mu2 * s2 on the coefficients, and the
+    row's constant is at least the combination's."""
+    lam, mu1, k1, mu2, k2 = cert
+    combo = [mu1 * a + mu2 * b for a, b in zip(rows[k1], rows[k2])]
+    scaled = [lam * a for a in rows[idx]]
+    return (lam > 0 and mu1 >= 0 and mu2 >= 0 and idx not in (k1, k2)
+            and scaled[:-1] == combo[:-1] and scaled[-1] >= combo[-1])
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param([X, Y, (1, 2, 0, 3)], id="two rows plus slack"),
+    pytest.param([X, Y, Z, (2, 3, 0, 0)], id="two of three rows"),
+    pytest.param([(1, -1, 0, 0), Y, (2, -2, 0, 1)], id="parallel weaker row"),
+    pytest.param([(1, 1, 0, 0), (0, -1, 1, 1), (2, 1, 1, 3)],
+                 id="cancelling signs"),
+])
+def test_two_row_certificate_removes_an_implied_row(rows):
+    cert = certificate(rows, len(rows) - 1)
+    assert cert is not None and holds(rows, len(rows) - 1, cert)
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param([X, Y, (1, -1, 0, 0)], id="negative multiplier"),
+    pytest.param([X, Y, (1, 1, 0, -1)], id="constant shortfall"),
+    pytest.param([(2, -2, 0, 1), (1, -1, 0, 0)], id="parallel stronger row"),
+    pytest.param([(1, 1, 0, 0), (0, 1, 1, 0), (1, 3, 1, 0)],
+                 id="coefficient mismatch"),
+    pytest.param([X, Y, (1, 1, 1, 0)], id="uncovered coordinate"),
+])
+def test_two_row_certificate_rejects_a_row_that_is_not_implied(rows):
+    assert certificate(rows, len(rows) - 1) is None
+
+
+def test_two_row_certificate_uses_alive_rows_only():
+    rows = [X, Y, (1, 2, 0, 3)]
+    assert certificate(rows, 2, alive=[True, False, True]) is None
+
+
+# Fourier-Motzkin scenarios shaped like the benchmark's random ones, with
+# the number of rows their two-row certificates remove: the simplest
+# scenario and a relabeling of it, a two-against-one preparation
+# equivalence on three measurements, and a measurement equivalence on
+# three, whose eliminations leave no row redundant.
+AUDITED = {
+    "simplest": (four_prep_scenario, 40),
+    "g4_l2_p": (lambda: scenario(g=4, l=2, d=2, oe_p=[
+        ({1: HALF, 3: HALF}, {2: HALF, 4: HALF})]), 40),
+    "g3_l3_p3": (lambda: scenario(g=3, l=3, d=2, oe_p=[
+        ({2: HALF, 3: HALF}, {1: 1})]), 22),
+    "g4_l3_m": (lambda: scenario(g=4, l=3, d=2, oe_m=[
+        ({(2, 1): HALF, (1, 0): HALF}, {(2, 0): HALF, (3, 1): HALF})]), 0),
+}
+
+
+@pytest.mark.parametrize("name", AUDITED)
+def test_every_certified_removal_is_confirmed_by_the_lp(name, monkeypatch):
+    # each row a two-row certificate removes is redundant, by the LP over
+    # the rows alive at that moment, and the facets stay those of the route
+    # that decides every row by an LP or a witness
+    make, count = AUDITED[name]
+    scn = make()
+    f2 = build_f2(scn, enumerate_vertices(build_measurement_h(scn)))
+    search = projection._two_row_certificate
+    removed = []
+
+    def audited(rows, alive, idx, masks):
+        cert = search(rows, alive, idx, masks)
+        if cert is not None:
+            assert holds(rows, idx, cert)
+            row = rows[idx]
+            others = [r for k, r in enumerate(rows) if alive[k] and k != idx]
+            res = minimize_over_rows(others + [row[:-1] + (row[-1] + 1,)],
+                                     [F(a) for a in row[:-1]])
+            assert res.status == OPTIMAL and res.value + row[-1] >= 0
+            removed.append(row)
+        return cert
+
+    monkeypatch.setattr(projection, "_two_row_certificate", audited)
+    facets = project_to_nc_polytope(f2).facets
+    monkeypatch.setattr(projection, "_two_row_certificate",
+                        lambda *args: None)
+    assert facets == project_to_nc_polytope(f2).facets
+    assert len(removed) == count
