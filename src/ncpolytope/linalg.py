@@ -78,9 +78,6 @@ class LinRow:
         if self.kind not in (GEQ, EQ):
             raise ValueError(f"unknown row kind {self.kind!r}")
 
-    def evaluate(self, point: Mapping) -> Fraction:
-        return sum((c * point[v] for v, c in self.coeffs.items()), self.const)
-
     def substituted(self, subs: Mapping) -> "LinRow":
         """Replace each substituted variable by its affine expression."""
         coeffs: dict = {}

@@ -4,9 +4,9 @@
 :class:`.linalg.LinearSystem` exactly, as integer points over the
 coordinates its equalities leave free, by the double description method
 (:mod:`.dd`) on the affine subspace those equalities cut out; the
-projection's hull route maps the vertex-distribution polytope's points
-from there.  :func:`enumerate_vertices` writes them out over every
-coordinate, for the measurement-assignment polytope built here
+projection's hull route reads its image points off the vertices of the
+reduced finite system.  :func:`enumerate_vertices` writes them out over
+every coordinate, for the measurement-assignment polytope built here
 (positivity, per-measurement normalization and one equality per
 measurement operational equivalence).
 """
@@ -73,7 +73,10 @@ def free_vertices(h: LinearSystem):
     Returns ``(subs, free, raw)``: the equality substitutions of
     :func:`.linalg.row_reduce_equalities`, the coordinates they leave
     free, and the vertices as the double description kernel gives them,
-    rational points ``(ys, t)`` over ``free``.
+    rational points ``(ys, t)`` over ``free``.  A system with no
+    equalities, such as the projection's reduced system, keeps every
+    coordinate free, so each vertex holds its table coordinates as they
+    are.
     """
     try:
         subs, reduced = row_reduce_equalities(h)

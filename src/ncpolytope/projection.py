@@ -19,13 +19,12 @@ them found by shooting rays from one point strictly inside the system
 (Clarkson, "More output-sensitive geometric algorithms", FOCS 1994) or,
 when that shot ties or crosses another row first, from four strictly
 interior points displaced from it.  Only a row that none of these decides
-costs an exact LP.  Larger systems take the hull route instead: the
-distribution-polytope vertices, as the integer points of
-:func:`.measurement_polytope.free_vertices`, are mapped into table space
-by one integer matrix, the finite system's dense linking rows
-(:attr:`.ncsystem.F2System.eq_matrix`) composed with the distribution
-equalities, and the image points, with no filtering, go through a polar
-double description (:mod:`.dd`) that returns the facets of their hull.
+costs an exact LP.  Larger systems take the hull route instead, on the
+same reduced system: its coordinates are the free distribution and free
+table coordinates, so the free table coordinates of each of its vertices
+(:func:`.measurement_polytope.free_vertices`) are an image point, and
+the image points, with no filtering, go through a polar double
+description (:mod:`.dd`) that returns the facets of their hull.
 """
 
 from __future__ import annotations
@@ -35,10 +34,9 @@ from fractions import Fraction
 from operator import mul
 
 from .dd import hull_facets
-from .linalg import (EQ, GEQ, ONE, ZERO, InternalError, LinRow, LinearSystem,
+from .linalg import (EQ, GEQ, ONE, ZERO, InternalError, LinRow,
                      canonicalize_row, dense_row, over_common_denominator,
-                     primitive, reduce_modulo, rref, row_reduce_equalities,
-                     substitution_map)
+                     primitive, reduce_modulo, rref, row_reduce_equalities)
 from .measurement_polytope import free_vertices
 from .ncsystem import LINKING, F2System, dot
 from .scenario import p_var
@@ -159,12 +157,13 @@ def _multipliers(row, s1, s2):
 def _two_row_certificate(rows, alive, idx, masks):
     """``(lam, mu1, k1, mu2, k2)``: alive rows k1, k2 imply row ``idx``.
 
-    The multipliers are those of :func:`_multipliers`, so ``mu2 == 0``
-    (with ``k2 == k1``) marks a parallel, weaker row.  Candidates must
+    The multipliers are those of :func:`_multipliers`.  A parallel, weaker
+    row is the pair ``k1 == k2``, with ``mu2 == 0``.  Candidates must
     match the signs of ``lam * row == mu1 * s1 + mu2 * s2`` coordinate by
-    coordinate, read off the sign ``masks`` of the rows: a parallel row has
-    the row's masks, and where the row is zero the signs of a pair cancel,
-    so the second row of a pair is looked up by its signs there.
+    coordinate, read off the sign ``masks`` of the rows: where the row is
+    zero the signs of a pair cancel, so the second row of a pair is looked
+    up by its signs there, and for ``k1 == k2`` the conditions leave only
+    rows with the row's own masks.
     """
     row = rows[idx]
     pos, neg = masks[idx]
@@ -173,10 +172,6 @@ def _two_row_certificate(rows, alive, idx, masks):
     by_signs_at_zero = {}
     for k in candidates:
         p, n = masks[k]
-        if p == pos and n == neg:
-            m = _multipliers(row, rows[k], rows[k])
-            if m:
-                return m[0], m[1], k, 0, k
         by_signs_at_zero.setdefault((p & zero, n & zero), []).append(k)
     for k1 in candidates:
         p1, n1 = masks[k1]
@@ -184,7 +179,7 @@ def _two_row_certificate(rows, alive, idx, masks):
         need_n = (neg & ~n1) | (p1 & ~pos)
         for k2 in by_signs_at_zero.get((n1 & zero, p1 & zero), ()):
             p2, n2 = masks[k2]
-            if (k2 > k1 and p2 & need_p == need_p and n2 & need_n == need_n
+            if (k2 >= k1 and p2 & need_p == need_p and n2 & need_n == need_n
                     and not p2 & ~(pos | n1) and not n2 & ~(neg | p1)):
                 m = _multipliers(row, rows[k1], rows[k2])
                 if m:
@@ -298,7 +293,7 @@ def project_to_nc_polytope(f2: F2System, progress=None) -> NCPolytope:
     are eliminated one by one (Fourier-Motzkin with an irredundancy pass
     per step); the per-step row count grows quickly with that number,
     so larger systems take the hull route: enumerate the vertices of the
-    distribution polytope, map them through the linking rows, and convert
+    same reduced system, read their free table coordinates, and convert
     the resulting point set back to facets via a polar double description.
     """
     reduced, equalities = _affine_hull(f2)
@@ -306,7 +301,7 @@ def project_to_nc_polytope(f2: F2System, progress=None) -> NCPolytope:
     if nu_dim <= FM_MAX_NU_DIM:
         facets = _fm_facets(f2, reduced, progress)
     else:
-        facets = _hull_facets(f2, equalities, progress)
+        facets = _hull_facets(reduced, progress)
     facets.sort(key=lambda r: r.key(f2.p_vars))
     return NCPolytope(f2.p_vars, equalities, facets)
 
@@ -384,10 +379,12 @@ def _fm_facets(f2: F2System, reduced, progress):
         raise InternalError("Fourier-Motzkin: a shot origin is not "
                             "strictly inside every row")
     witnesses = []
-    while True:
-        nu_cols = [k for k, v in enumerate(free) if v[0] == "nu"]
-        if not nu_cols:
-            break
+    if all(v[0] != "nu" for v in free):
+        # The equality reduction alone eliminated every distribution
+        # variable; one pass still deduplicates the rows and removes the
+        # redundant ones.
+        dense, _ = irredundant_rows(dense, witnesses, origins)
+    while nu_cols := [k for k, v in enumerate(free) if v[0] == "nu"]:
         col = _pick_column(dense, nu_cols, free, f2.nu_vars)
         dense = fm_step(dense, col)
         free = free[:col] + free[col + 1:]
@@ -397,57 +394,39 @@ def _fm_facets(f2: F2System, reduced, progress):
         dense, witnesses = irredundant_rows(dense, witnesses, origins)
         if progress:
             progress(len(free), len(dense))
-
-    # The equality reduction alone can eliminate every distribution
-    # variable, in which case the loop body never ran; one final pass
-    # guarantees the survivors are deduplicated and irredundant.
-    dense, witnesses = irredundant_rows(dense, witnesses, origins)
     return [canonicalize_row(_lift_row(r, free)) for r in dense]
 
 
 # --- Hull engine ----------------------------------------------------------
 #
-# Vertices of the image of a polytope are images of its vertices, so the
-# projection can be computed as: enumerate the distribution-polytope
-# vertices, push them through the linking map, and recover the facets of
-# the image points' hull by a polar double description.  Image points that
-# are not extreme need no filtering; they only add redundant polar rows.
+# Vertices of the image of a polytope are images of its vertices.  The
+# reduced system's coordinates are the free distribution and free table
+# coordinates, so its vertices, with the distribution coordinates dropped,
+# are the image points, and a polar double description recovers the facets
+# of their hull.  Image points that are not extreme need no filtering; they
+# only add redundant polar rows.
 
 
-def _hull_facets(f2: F2System, equalities, progress):
-    nu_rows = [r for r in f2.system().rows
-               if all(v[0] == "nu" for v in r.coeffs)]
-    subs, free_nu, raw = free_vertices(LinearSystem(f2.nu_vars, nu_rows))
+def _hull_facets(reduced, progress):
+    _, free, raw = free_vertices(reduced)
     if progress:
-        progress(len(f2.nu_vars), len(raw))
-
-    pivots = substitution_map(equalities, f2.p_vars)
-    free_p = [v for v in f2.p_vars if v not in pivots]
-    # The linking rows composed with the distribution substitutions: one
-    # int matrix over (ys, t) and one denominator, so a vertex (ys, t)
-    # maps to the image point matrix . (ys, t) / (den * t).
-    rows = dict(zip(f2.eq_labels, f2.eq_matrix))
-    image = [LinRow(dict(zip(f2.nu_vars, rows[LINKING, v[1:]]))).substituted(subs)
-             for v in free_p]
-    entries = [[r.coeffs.get(w, ZERO) for w in free_nu] + [r.const] for r in image]
-    flat, den = over_common_denominator([a for e in entries for a in e])
-    width = len(free_nu) + 1
-    matrix = [flat[k:k + width] for k in range(0, len(flat), width)]
+        progress(len(free), len(raw))
+    p_cols = [k for k, v in enumerate(free) if v[0] == "p"]
     points = set()
     for ys, t in raw:
-        column = ys + (t,)
-        point = primitive([sum(map(mul, r, column)) for r in matrix] + [den * t])
+        point = primitive([ys[k] for k in p_cols] + [t])
         points.add((point[:-1], point[-1]))
     if progress:
-        progress(len(free_p), len(points))
+        progress(len(p_cols), len(points))
 
-    if not free_p or len(points) == 1:
+    if not p_cols or len(points) == 1:
         return []
     try:
         facets = hull_facets(points)
     except ValueError as exc:   # the equalities are the points' affine hull
         raise InternalError(f"image hull: {exc}") from exc
-    return [canonicalize_row(_lift_row(r, free_p)) for r in facets]
+    return [canonicalize_row(_lift_row(r, [free[k] for k in p_cols]))
+            for r in facets]
 
 
 def _pick_column(dense, nu_cols, free, nu_order):

@@ -25,9 +25,14 @@ from ncpolytope.symmetry import OrbitClass, RowNotInOrbitClosure, act_on_row
 ONE = Fraction(1)
 
 
+def evaluate(row, point) -> Fraction:
+    """``coeffs . point + const`` of one row at a point, a dict by variable."""
+    return sum((c * point[v] for v, c in row.coeffs.items()), row.const)
+
+
 def satisfies(row, point) -> bool:
     """Does a point satisfy one row, read as ``== 0`` or as ``>= 0``?"""
-    value = row.evaluate(point)
+    value = evaluate(row, point)
     return value == 0 if row.kind == EQ else value >= 0
 
 

@@ -267,16 +267,19 @@ def test_group_cap_exit_code(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name, lines", [
-    # Fourier-Motzkin: one line per eliminated distribution coordinate
-    ("simplest", 3),
-    # hull route: the distribution-polytope vertices, then the image points
-    ("state_discrimination", 2)], ids=["simplest", "state_discrimination"])
+    # Fourier-Motzkin: one line per eliminated distribution coordinate,
+    # with the coordinates and rows left after it
+    ("simplest", [(8, 24), (7, 24), (6, 24)]),
+    # hull route: the reduced system's free coordinates and its vertices,
+    # then the free table coordinates and the distinct image points
+    ("state_discrimination", [(21, 120), (9, 120)])],
+    ids=["simplest", "state_discrimination"])
 def test_verbose_progress_on_stderr(capsys, name, lines):
     code, out, err = run(capsys, "polytope",
                          str(SCENARIO_DIR / f"{name}.json"), "-v")
     assert code == EXIT_OK
-    assert "coordinates left" in err
-    assert sum(line.startswith("#") for line in err.splitlines()) == lines
+    assert err.splitlines() == [f"# {dim} coordinates left, {rows} rows"
+                                for dim, rows in lines]
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

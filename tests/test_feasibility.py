@@ -23,8 +23,8 @@ from ncpolytope.projection import project_to_nc_polytope
 from ncpolytope.scenario import (DataTable, DimensionMismatch,
                                  equivalence_rows, p_var)
 from ncpolytope.simplex import INFEASIBLE, UNBOUNDED, LPResult, solve_standard
-from oracles import (box_dual_optimum, polytope_contains, y_dot_columns,
-                     y_dot_rhs)
+from oracles import (box_dual_optimum, evaluate, polytope_contains,
+                     y_dot_columns, y_dot_rhs)
 from test_acceptance import CHECK_SHAPES, random_small_scenario
 
 F = Fraction
@@ -69,7 +69,7 @@ def test_certificate_box_conditions(scn41, verts41):
 def test_violation_matches_direct_evaluation(scn41, verts41):
     verdict = check_table(scn41, verts41, contextual_table_41())
     point = {("p",) + c: v for c, v in contextual_table_41().as_dict().items()}
-    assert verdict.inequality.evaluate(point) == -verdict.violation
+    assert evaluate(verdict.inequality, point) == -verdict.violation
 
 
 def test_malformed_table_rejected(scn41, verts41):
@@ -107,7 +107,7 @@ def test_multiplexing_optimum_is_three_quarters(scn41, verts41):
     assert value == F(3, 4)
     # the witness is a genuine table attaining the optimum
     point = {("p",) + c: v for c, v in witness.as_dict().items()}
-    assert multiplexing_objective().evaluate(point) - \
+    assert evaluate(multiplexing_objective(), point) - \
         multiplexing_objective().const == F(3, 4) - multiplexing_objective().const
     verdict = check_table(scn41, verts41, witness)
     assert isinstance(verdict, Feasible)
@@ -159,7 +159,7 @@ def test_dichotomy_on_random_tables(scn41, verts41, poly41):
             seen_inf += 1
             assert verdict.violation > 0
             point = {("p",) + c: v for c, v in table.as_dict().items()}
-            assert verdict.inequality.evaluate(point) == -verdict.violation
+            assert evaluate(verdict.inequality, point) == -verdict.violation
     assert seen_inf > 0
 
 

@@ -1,5 +1,5 @@
 """Byte-identity of the result documents on every bundled scenario, and
-of the ``polytope`` documents of three inline Fourier-Motzkin-route ones.
+of the ``polytope`` documents of inline scenarios on both projection routes.
 
 Each case runs one CLI command and compares the sha256 of the document it
 writes with a stored digest, so a refactor that changes any byte of a
@@ -161,21 +161,57 @@ FM_ROUTE = {
 }
 
 
-def fm_route_digest(doc, tmp):
+# A scenario with nine free distribution coordinates, one more than
+# ``FM_MAX_NU_DIM``, so that it takes the hull route; Fourier-Motzkin would
+# run for minutes on it.
+HULL_ROUTE = {
+    "g4_l3_pm": (
+        {"preparations": 4, "measurements": 3, "outcomes": 2,
+         "prep_equivalences": [{"lhs": [[1, H], [2, H]],
+                                "rhs": [[3, H], [4, H]]}],
+         "meas_equivalences": [{"lhs": [[1, 0, "1/3"], [2, 0, "1/3"],
+                                        [3, 0, "1/3"]],
+                                "rhs": [[1, 1, "1/3"], [2, 1, "1/3"],
+                                        [3, 1, "1/3"]]}]},
+        "fd0a9dad35860f9b8863769beff25f02fb6e3e482f8686b1bfecec0d8fc643f1"),
+}
+
+
+def polytope_digest(doc, tmp):
     scenario, out = tmp / "scenario.json", tmp / "polytope.json"
     scenario.write_text(json.dumps(doc))
     assert main(["polytope", str(scenario), "--output", str(out)]) == EXIT_OK
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def refuse(route):
+    def fails(*args):
+        raise AssertionError(f"took the {route} route")
+    return fails
+
+
 @pytest.mark.parametrize("name", sorted(FM_ROUTE))
 def test_fm_route_polytope_byte_identical(name, tmp_path, monkeypatch):
-    def no_hull(*args):
-        raise AssertionError("took the hull route")
-
-    monkeypatch.setattr(projection, "_hull_facets", no_hull)
+    monkeypatch.setattr(projection, "_hull_facets", refuse("hull"))
     doc, digest = FM_ROUTE[name]
-    assert fm_route_digest(doc, tmp_path) == digest
+    assert polytope_digest(doc, tmp_path) == digest
+
+
+@pytest.mark.parametrize("name", sorted(FM_ROUTE))
+def test_fm_route_scenario_through_the_hull_route(name, tmp_path,
+                                                  monkeypatch):
+    # the hull route gives the same bytes as Fourier-Motzkin
+    monkeypatch.setattr(projection, "FM_MAX_NU_DIM", -1)
+    monkeypatch.setattr(projection, "_fm_facets", refuse("Fourier-Motzkin"))
+    doc, digest = FM_ROUTE[name]
+    assert polytope_digest(doc, tmp_path) == digest
+
+
+@pytest.mark.parametrize("name", sorted(HULL_ROUTE))
+def test_hull_route_polytope_byte_identical(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(projection, "_fm_facets", refuse("Fourier-Motzkin"))
+    doc, digest = HULL_ROUTE[name]
+    assert polytope_digest(doc, tmp_path) == digest
 
 
 if __name__ == "__main__":
@@ -184,6 +220,11 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             for what, digest in documents(name, Path(tmp)).items():
                 print(f'    ("{name}", "{what}"):\n        "{digest}",')
+    for name, (doc, _) in sorted({**FM_ROUTE, **HULL_ROUTE}.items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f'    "{name}": {polytope_digest(doc, Path(tmp))}')
+    projection.FM_MAX_NU_DIM = -1
     for name, (doc, _) in sorted(FM_ROUTE.items()):
         with tempfile.TemporaryDirectory() as tmp:
-            print(f'    "{name}": {fm_route_digest(doc, Path(tmp))}')
+            print(f'    "{name}", hull route: '
+                  f'{polytope_digest(doc, Path(tmp))}')

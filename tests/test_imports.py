@@ -40,28 +40,31 @@ def unused_imports(tree):
     return imported - used
 
 
-def definitions(tree, prefix):
-    """Qualified names of the functions, classes and methods in a tree;
-    dunder methods are left out, since Python calls them."""
+def definitions(tree, prefix, in_class=False):
+    """``(qualified name, name, is_method)`` of the functions, classes and
+    methods in a tree; dunder methods are left out, since Python calls
+    them."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             if not (node.name.startswith("__") and node.name.endswith("__")):
-                yield f"{prefix}.{node.name}", node.name
-            yield from definitions(node, f"{prefix}.{node.name}")
+                yield f"{prefix}.{node.name}", node.name, in_class
+            yield from definitions(node, f"{prefix}.{node.name}",
+                                   isinstance(node, ast.ClassDef))
         else:
-            yield from definitions(node, prefix)
+            yield from definitions(node, prefix, in_class)
 
 
 def referenced_names(trees):
-    names = set()
+    """The bare names, and the names after a dot, that the trees use."""
+    names, attributes = set(), set()
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+                attributes.add(node.attr)
+    return names | attributes, attributes
 
 
 def test_no_unused_imports():
@@ -75,18 +78,19 @@ def test_no_library_only_names():
     (``perfbench/``) or the example scripts (``scripts/``), not only in
     the tests.
 
-    The check matches bare names, so a method that shares its name with
-    any other name or attribute counts as used and can slip past it.
+    A method counts as used only where some attribute access names it, so
+    a function or variable of the same name does not keep it alive; an
+    attribute of the same name on another class still does.
     """
     package = modules()
     trees = [tree for _, tree in package]
     trees += [ast.parse(path.read_text())
               for folder in ("perfbench", "scripts")
               for path in sorted((REPO / folder).glob("*.py"))]
-    used = referenced_names(trees)
+    used, attributes = referenced_names(trees)
     unreferenced = {qualified for stem, tree in package
-                    for qualified, name in definitions(tree, stem)
-                    if name not in used}
+                    for qualified, name, is_method in definitions(tree, stem)
+                    if name not in (attributes if is_method else used)}
     assert unreferenced == KEPT_UNREFERENCED
 
 
