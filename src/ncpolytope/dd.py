@@ -11,10 +11,12 @@ are tight on.  Tight sets are int bitsets over the rows inserted so far,
 and every number in the kernel is a Python int.
 
 A dense row is a tuple of ints ``(a_0, ..., a_{n-1}, a_n)`` meaning
-``a_0 y_0 + ... + a_{n-1} y_{n-1} + a_n >= 0``; a rational point is a pair
-``(ints, den)`` meaning ``ints / den`` with ``den > 0``.  Callers turn
-LinRows into dense rows with :func:`.linalg.dense_row`, and the kernel
-keeps its rows and rays primitive with :func:`.linalg.primitive`.
+``a_0 y_0 + ... + a_{n-1} y_{n-1} + a_n >= 0``.  A rational point is a
+ray of the homogenized cone, a primitive int tuple ``(b_0, ..., b_{n-1},
+t)`` with ``t > 0`` meaning ``b / t``; ``row . point`` is ``t`` times the
+row's value at ``b / t``, so it has that value's sign.  Callers make rows
+and points with :func:`.linalg.int_row`, and the kernel keeps its rows and
+rays primitive with :func:`.linalg.primitive`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .linalg import ONE, ZERO, over_common_denominator, primitive
+from .linalg import ONE, ZERO, int_row, primitive
 
 
 def extreme_rays(rows, D) -> list:
@@ -103,27 +105,24 @@ def _simplicial_start(rows, D):
     else:
         raise ValueError("inequality rows do not span the space")
     inverse = [p[D:] for _, p in sorted(pivots)]   # pivot columns differ
-    rays = [primitive(over_common_denominator([r[j] for r in inverse])[0])
-            for j in range(D)]
+    rays = [int_row([r[j] for r in inverse]) for j in range(D)]
     return init, rays
 
 
 def vertices(ineqs, dim) -> list:
     """Vertices of the bounded region {y in Q^dim : a . y + a0 >= 0}.
 
-    ``ineqs`` are dense rows; vertices are rational points ``(ints, den)``.
-    An empty region has none.  ValueError if the region is unbounded.
+    ``ineqs`` are dense rows; vertices are points.  An empty region has
+    none.  ValueError if the region is unbounded.
     """
-    out = []
-    for ray in extreme_rays([(0,) * dim + (1,)] + list(ineqs), dim + 1):
-        if ray[-1] == 0:
-            raise ValueError("region is unbounded")
-        out.append((ray[:-1], ray[-1]))
-    return out
+    rays = extreme_rays([(0,) * dim + (1,)] + list(ineqs), dim + 1)
+    if any(ray[-1] == 0 for ray in rays):
+        raise ValueError("region is unbounded")
+    return rays
 
 
 def hull_facets(points) -> list:
-    """Facets of the convex hull of rational points that span their space.
+    """Facets of the convex hull of points that span their space.
 
     Returns sorted dense rows.  Points that are not extreme are allowed:
     by polarity around the centroid c, each point p becomes the row
@@ -131,23 +130,23 @@ def hull_facets(points) -> list:
     point that is not extreme only adds a redundant row.
     """
     points = sorted(set(points))
-    n, dim = len(points), len(points[0][0])
-    den_all = lcm(*(d for _, d in points))
-    centre = [sum(p[k] * (den_all // d) for p, d in points) for k in range(dim)]
+    n, dim = len(points), len(points[0]) - 1
+    den_all = lcm(*(p[-1] for p in points))
+    centre = [sum(p[k] * (den_all // p[-1]) for p in points)
+              for k in range(dim)]
     den_c = n * den_all
 
-    def offset(point):   # (p - c) * d * den_c, as ints
-        ints, d = point
-        return [a * den_c - c * d for a, c in zip(ints, centre)]
+    def offset(p):   # (p - c) * t * den_c, as ints
+        return [a * den_c - c * p[-1] for a, c in zip(p, centre)]
 
     # Far points first keeps intermediate ray counts close to the output.
     points.sort(key=lambda p: Fraction(sum(x * x for x in offset(p)),
-                                       p[1] * p[1]), reverse=True)
-    polar = [primitive([-x for x in offset(p)] + [p[1] * den_c])
+                                       p[-1] * p[-1]), reverse=True)
+    polar = [primitive([-x for x in offset(p)] + [p[-1] * den_c])
              for p in points]
     facets = set()
-    for u, t in vertices(polar, dim):
-        # u . (x - c) <= 1 with u = ints / t, times t * den_c.
+    for *u, t in vertices(polar, dim):
+        # (u / t) . (x - c) <= 1 for the vertex u / t, times t * den_c.
         facets.add(primitive([-a * den_c for a in u]
                              + [t * den_c + sum(map(mul, u, centre))]))
     return sorted(facets)

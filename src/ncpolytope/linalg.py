@@ -8,9 +8,11 @@ arbitrary sortable values (we use tuples like ``("p", i, j, m)``).
 
 One Gaussian elimination, :func:`row_reduce_equalities`, decides every
 equality system; :func:`rref` is its canonical form.  The integer-row
-helpers (:func:`primitive`, :func:`over_common_denominator` and
-:func:`dense_row`) turn rational rows into the coprime int tuples that the
-double description kernel (:mod:`.dd`) and row canonicalization share.
+helpers (:func:`primitive`, :func:`int_row` and :func:`dense_row`) turn
+rational rows and points into the coprime int tuples that the double
+description kernel (:mod:`.dd`), the projection and row canonicalization
+share; a rational point ``values`` is ``int_row(values + [ONE])``, whose
+last entry is its least common denominator (see :mod:`.dd`).
 """
 
 from __future__ import annotations
@@ -52,16 +54,19 @@ def primitive(ints) -> tuple:
     return tuple([a // g for a in ints]) if g > 1 else tuple(ints)
 
 
-def over_common_denominator(values):
-    """``(ints, den)`` with ``values == ints / den`` and ``den`` the least."""
+def int_row(values) -> tuple:
+    """The coprime ints proportional to the Fractions ``values``; signs kept.
+
+    With ``ONE`` appended, the last entry is the least common denominator
+    ``t`` of ``values``, and entry k over ``t`` is ``values[k]``.
+    """
     den = lcm(*[v.denominator for v in values])
-    return tuple([v.numerator * (den // v.denominator) for v in values]), den
+    return primitive([v.numerator * (den // v.denominator) for v in values])
 
 
 def dense_row(row, variables) -> tuple:
     """A LinRow over ``variables``, constant last, as coprime ints."""
-    entries = [row.coeffs.get(v, ZERO) for v in variables] + [row.const]
-    return primitive(over_common_denominator(entries)[0])
+    return int_row([row.coeffs.get(v, ZERO) for v in variables] + [row.const])
 
 
 @dataclass
@@ -134,8 +139,7 @@ def canonicalize_row(row: LinRow) -> LinRow:
     coefficient (first nonzero in sorted variable order), or else a positive
     constant.
     """
-    ints = primitive(over_common_denominator(
-        [*row.coeffs.values(), row.const])[0])
+    ints = int_row([*row.coeffs.values(), row.const])
     if row.kind == EQ:
         lead = row.coeffs[min(row.coeffs)] if row.coeffs else row.const
         if lead < 0:

@@ -1,14 +1,12 @@
 """Vertices of H-polytopes, and the measurement-assignment polytope.
 
-:func:`free_vertices` returns the vertices of any bounded
-:class:`.linalg.LinearSystem` exactly, as integer points over the
-coordinates its equalities leave free, by the double description method
-(:mod:`.dd`) on the affine subspace those equalities cut out; the
-projection's hull route reads its image points off the vertices of the
-reduced finite system.  :func:`enumerate_vertices` writes them out over
-every coordinate, for the measurement-assignment polytope built here
-(positivity, per-measurement normalization and one equality per
-measurement operational equivalence).
+:func:`enumerate_vertices` returns the vertices of any bounded
+:class:`.linalg.LinearSystem` exactly: it substitutes the equalities away,
+runs the double description method (:mod:`.dd`) on the free coordinates
+they leave, and reads each eliminated coordinate off its affine
+expression at every vertex.  It serves the measurement-assignment polytope
+built here (positivity, per-measurement normalization and one equality
+per measurement operational equivalence).
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from operator import mul
 
 from .dd import vertices
 from .linalg import (EQ, GEQ, ONE, ZERO, InconsistentSystem, InternalError,
-                     LinearSystem, LinRow, dense_row, over_common_denominator,
+                     LinearSystem, LinRow, dense_row, int_row,
                      row_reduce_equalities)
 from .scenario import Scenario
 
@@ -67,17 +65,8 @@ def build_measurement_h(scn: Scenario) -> LinearSystem:
     return LinearSystem(variables, rows)
 
 
-def free_vertices(h: LinearSystem):
-    """The vertices of a bounded H-polytope over its free coordinates.
-
-    Returns ``(subs, free, raw)``: the equality substitutions of
-    :func:`.linalg.row_reduce_equalities`, the coordinates they leave
-    free, and the vertices as the double description kernel gives them,
-    rational points ``(ys, t)`` over ``free``.  A system with no
-    equalities, such as the projection's reduced system, keeps every
-    coordinate free, so each vertex holds its table coordinates as they
-    are.
-    """
+def enumerate_vertices(h: LinearSystem) -> VertexSet:
+    """All vertices of a bounded H-polytope, exact and canonically ordered."""
     try:
         subs, reduced = row_reduce_equalities(h)
     except InconsistentSystem as exc:
@@ -96,21 +85,17 @@ def free_vertices(h: LinearSystem):
         raise InternalError(f"vertex enumeration: {exc}") from exc
     if not raw:
         raise EmptyPolytope("no point satisfies all rows")
-    return subs, free, raw
-
-
-def enumerate_vertices(h: LinearSystem) -> VertexSet:
-    """All vertices of a bounded H-polytope, exact and canonically ordered."""
-    subs, free, raw = free_vertices(h)
-    # Each eliminated coordinate as ints over the free ones and a constant.
-    exprs = [(v, over_common_denominator([coeffs.get(w, ZERO) for w in free]
-                                         + [const]))
+    # Each eliminated coordinate as ints over the free ones and a constant,
+    # then their common denominator: its value at a point is the dot
+    # product over that denominator times the point's.
+    exprs = [(v, int_row([coeffs.get(w, ZERO) for w in free] + [const, ONE]))
              for v, (coeffs, const) in subs.items()]
     points = []
-    for ys, t in raw:
-        point = {v: Fraction(a, t) for v, a in zip(free, ys)}
-        for v, (ints, den) in exprs:
-            point[v] = Fraction(sum(map(mul, ints, ys)) + ints[-1] * t, den * t)
+    for ray in raw:
+        t = ray[-1]
+        point = {v: Fraction(a, t) for v, a in zip(free, ray)}
+        for v, expr in exprs:
+            point[v] = Fraction(sum(map(mul, expr, ray)), expr[-1] * t)
         points.append(point)
     points.sort(key=lambda p: tuple(p[v] for v in h.variables))
     return VertexSet(h.variables, points)

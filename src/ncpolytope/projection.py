@@ -22,9 +22,10 @@ interior points displaced from it.  Only a row that none of these decides
 costs an exact LP.  Larger systems take the hull route instead, on the
 same reduced system: its coordinates are the free distribution and free
 table coordinates, so the free table coordinates of each of its vertices
-(:func:`.measurement_polytope.free_vertices`) are an image point, and
-the image points, with no filtering, go through a polar double
-description (:mod:`.dd`) that returns the facets of their hull.
+(:func:`.dd.vertices`) are an image point, and the image points, with no
+filtering, go through a polar double description (:mod:`.dd`) that
+returns the facets of their hull.  Both routes take the reduced system as
+dense integer rows, and every point they use is in the form of :mod:`.dd`.
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .dd import hull_facets
-from .linalg import (EQ, GEQ, ONE, ZERO, InternalError, LinRow,
-                     canonicalize_row, dense_row, over_common_denominator,
-                     primitive, reduce_modulo, rref, row_reduce_equalities)
-from .measurement_polytope import free_vertices
+from .dd import hull_facets, vertices
+from .linalg import (EQ, ONE, ZERO, InternalError, LinRow, canonicalize_row,
+                     dense_row, int_row, primitive, reduce_modulo, rref,
+                     row_reduce_equalities)
 from .ncsystem import LINKING, F2System, dot
 from .scenario import p_var
 from .simplex import OPTIMAL, minimize_over_rows
@@ -66,7 +66,8 @@ class NCPolytope:
 # --- Fourier-Motzkin on dense integer rows -------------------------------
 #
 # A dense row is (coeff_0, ..., coeff_{d-1}, const) of ints, meaning
-# coeffs . x + const >= 0.
+# coeffs . x + const >= 0; sum(map(mul, row, point)) has the row's sign at
+# a point (b_0, ..., b_{d-1}, t), meaning b / t (see :mod:`.dd`).
 
 
 def _combine(pos_row, pos_val, neg_row, neg_val, col):
@@ -95,23 +96,12 @@ def fm_step(rows, col):
         for nrow, nval in neg:
             combo = _combine(prow, pval, nrow, nval, col)
             combo = combo[:col] + combo[col + 1:]
-            if any(combo[:-1]) or combo[-1] < 0:
+            if any(combo[:-1]):
                 out.add(combo)
     return out
 
 
-def _lift_row(dense, variables) -> LinRow:
-    coeffs = {v: Fraction(a) for v, a in zip(variables, dense[:-1]) if a}
-    return LinRow(coeffs, Fraction(dense[-1]), GEQ)
-
-
 # --- Irredundancy: certificates and witness points, LPs for the rest ------
-
-
-def _value(point, row):
-    """den * (row at ints / den) for a rational point (ints, den)."""
-    ints, den = point
-    return sum(map(mul, row, ints)) + row[-1] * den
 
 
 def _sign_masks(row):
@@ -195,9 +185,8 @@ def _ray_shot(rows, alive, idx, origin, values):
     the step at which each becomes tight.  When exactly one row is crossed
     first, the point halfway to the second crossing (or twice as far, when
     no other row is approached) violates that row alone.  ``values`` holds
-    ``_value(origin, row)`` for every row.
+    ``row . origin`` for every row.
     """
-    ints, den = origin
     direction = [-a for a in rows[idx][:-1]]
     first = second = None       # (step as value / speed, row index)
     for k, row in enumerate(rows):
@@ -214,10 +203,9 @@ def _ray_shot(rows, alive, idx, origin, values):
     if first is None or (second is not None and second[0] == first[0]):
         return None
     step = (first[0] + second[0]) / 2 if second else 2 * first[0]
-    out = primitive([a * step.denominator + step.numerator * b
-                     for a, b in zip(ints, direction)]
-                    + [den * step.denominator])
-    return out[:-1], out[-1]
+    return primitive([a * step.denominator + step.numerator * b
+                      for a, b in zip(origin, direction)]
+                     + [origin[-1] * step.denominator])
 
 
 def irredundant_rows(rows, witnesses, origins):
@@ -227,11 +215,10 @@ def irredundant_rows(rows, witnesses, origins):
     violates it while satisfying all other survivors; each removed row is
     certified implied by an exact two-row certificate
     (:func:`_two_row_certificate`, verified in integers) or, when a row has
-    neither a certificate nor a witness, by an exact LP.  Witnesses
-    (rational points ``(ints, den)``) come from earlier passes, or from ray
-    shots out of ``origins``, points strictly inside every row, which are
-    tried in turn before the LP; a shot point counts only if it passes the
-    same witness check.  The witness list is extended with the points this
+    neither a certificate nor a witness, by an exact LP.  Witnesses come
+    from earlier passes, or from ray shots out of ``origins``, points
+    strictly inside every row, which are tried in turn before the LP; a
+    shot point counts only if it passes the same witness check.  The witness list is extended with the points this
     pass finds and returned.  Rows with no coefficients hold everywhere
     inside, and duplicates add nothing, so both are dropped first.
     """
@@ -239,8 +226,8 @@ def irredundant_rows(rows, witnesses, origins):
     alive = [True] * len(rows)
 
     def certifies(point, idx):
-        return (_value(point, rows[idx]) < 0
-                and all(_value(point, r) >= 0
+        return (sum(map(mul, rows[idx], point)) < 0
+                and all(sum(map(mul, r, point)) >= 0
                         for k, r in enumerate(rows) if alive[k] and k != idx))
 
     # Rows that a known witness keeps need no certificate search; removing
@@ -255,11 +242,11 @@ def irredundant_rows(rows, witnesses, origins):
         else:
             undecided.append(idx)
 
-    values = [None] * len(origins)   # _value of every row at each origin
+    values = [None] * len(origins)   # row . origin for each row and origin
     for idx in undecided:
         for k, origin in enumerate(origins):
             if values[k] is None:
-                values[k] = [_value(origin, r) for r in rows]
+                values[k] = [sum(map(mul, r, origin)) for r in rows]
             shot = _ray_shot(rows, alive, idx, origin, values[k])
             if shot is not None and certifies(shot, idx):
                 witnesses.append(shot)
@@ -275,7 +262,7 @@ def irredundant_rows(rows, witnesses, origins):
             if res.value + row[-1] >= 0:
                 alive[idx] = False
             else:
-                witnesses.append(over_common_denominator(res.x))
+                witnesses.append(int_row(res.x + [ONE]))
     return [r for k, r in enumerate(rows) if alive[k]], witnesses
 
 
@@ -296,18 +283,18 @@ def project_to_nc_polytope(f2: F2System, progress=None) -> NCPolytope:
     same reduced system, read their free table coordinates, and convert
     the resulting point set back to facets via a polar double description.
     """
-    reduced, equalities = _affine_hull(f2)
-    nu_dim = sum(1 for v in reduced.variables if v[0] == "nu")
+    free, rows, equalities = _affine_hull(f2)
+    nu_dim = sum(1 for v in free if v[0] == "nu")
     if nu_dim <= FM_MAX_NU_DIM:
-        facets = _fm_facets(f2, reduced, progress)
+        facets = _fm_facets(f2, free, rows, progress)
     else:
-        facets = _hull_facets(reduced, progress)
+        facets = _hull_facets(free, rows, progress)
     facets.sort(key=lambda r: r.key(f2.p_vars))
     return NCPolytope(f2.p_vars, equalities, facets)
 
 
 def _affine_hull(f2: F2System):
-    """Equality reduction; pure-p pivot rows are the affine-hull equalities."""
+    """Equality reduction: free coordinates, dense rows, p-pivot equalities."""
     prefer = set(f2.nu_vars)
     subs, reduced = row_reduce_equalities(f2.system(), prefer=prefer)
     # Substitutions whose pivot is a p-coordinate are guaranteed pure-p by
@@ -318,7 +305,9 @@ def _affine_hull(f2: F2System):
             row = dict(coeffs)
             row[var] = row.get(var, ZERO) - ONE
             eq_rows.append(LinRow(row, const, EQ))
-    return reduced, rref(eq_rows, f2.p_vars)
+    free = reduced.variables
+    return (free, [dense_row(r, free) for r in reduced.rows],
+            rref(eq_rows, f2.p_vars))
 
 
 def _interior_point(f2: F2System, free):
@@ -338,7 +327,7 @@ def _interior_point(f2: F2System, free):
     for label, row in zip(f2.eq_labels, f2.eq_matrix):
         if label[0] == LINKING:
             point[p_var(label[1])] = dot(row, nu)
-    return over_common_denominator([point[v] for v in free])
+    return int_row([point[v] for v in free] + [ONE])
 
 
 def _shot_origins(interior, rows):
@@ -351,31 +340,29 @@ def _shot_origins(interior, rows):
     from them break the ties of shots from the interior point, whose
     weights are symmetric under many relabelings.
     """
-    ints, den = interior
-    values = [_value(interior, r) for r in rows]
+    dim, den = len(interior) - 1, interior[-1]
+    values = [sum(map(mul, r, interior)) for r in rows]
     out = [interior]
-    for vec in ([k * k + 1 for k in range(len(ints))],
-                [(-1) ** k * (2 * k + 3) for k in range(len(ints))]):
+    for vec in ([k * k + 1 for k in range(dim)],
+                [(-1) ** k * (2 * k + 3) for k in range(dim)]):
         # the least m with 2**m * value >= 2 * den * |row . vec| on every row
         ratio = max((-(-2 * den * abs(sum(map(mul, r, vec))) // v)
                      for r, v in zip(rows, values)), default=1)
         m = max(ratio - 1, 0).bit_length()
         for sign in (1, -1):
-            point = primitive([(a << m) + sign * den * b
-                               for a, b in zip(ints, vec)] + [den << m])
-            out.append((point[:-1], point[-1]))
+            out.append(primitive([(a << m) + sign * den * b
+                                  for a, b in zip(interior, vec)]
+                                 + [den << m]))
     return out
 
 
-def _fm_facets(f2: F2System, reduced, progress):
-    free = reduced.variables
-    dense = [dense_row(r, free) for r in reduced.rows]
+def _fm_facets(f2: F2System, free, dense, progress):
     interior = _interior_point(f2, free)
-    if any(_value(interior, r) <= 0 for r in dense):
+    if any(sum(map(mul, r, interior)) <= 0 for r in dense):
         raise InternalError("Fourier-Motzkin: the interior point is not "
                             "strictly inside every row")
     origins = _shot_origins(interior, dense)
-    if any(_value(o, r) <= 0 for o in origins for r in dense):
+    if any(sum(map(mul, r, o)) <= 0 for o in origins for r in dense):
         raise InternalError("Fourier-Motzkin: a shot origin is not "
                             "strictly inside every row")
     witnesses = []
@@ -389,43 +376,49 @@ def _fm_facets(f2: F2System, reduced, progress):
         dense = fm_step(dense, col)
         free = free[:col] + free[col + 1:]
         # Projecting a feasible point just drops the eliminated coordinate.
-        witnesses = [(w[:col] + w[col + 1:], den) for w, den in witnesses]
-        origins = [(o[:col] + o[col + 1:], den) for o, den in origins]
+        witnesses = [w[:col] + w[col + 1:] for w in witnesses]
+        origins = [o[:col] + o[col + 1:] for o in origins]
         dense, witnesses = irredundant_rows(dense, witnesses, origins)
         if progress:
             progress(len(free), len(dense))
-    return [canonicalize_row(_lift_row(r, free)) for r in dense]
+    return [canonicalize_row(LinRow(dict(zip(free, r)), r[-1])) for r in dense]
 
 
 # --- Hull engine ----------------------------------------------------------
 #
 # Vertices of the image of a polytope are images of its vertices.  The
 # reduced system's coordinates are the free distribution and free table
-# coordinates, so its vertices, with the distribution coordinates dropped,
-# are the image points, and a polar double description recovers the facets
-# of their hull.  Image points that are not extreme need no filtering; they
-# only add redundant polar rows.
+# coordinates, so the kernel's vertices of its dense rows, with the
+# distribution entries dropped and the last entry t kept, are the image
+# points, and a polar double description recovers the facets of their
+# hull.  Image points that are not extreme need no filtering; they only
+# add redundant polar rows.
 
 
-def _hull_facets(reduced, progress):
-    _, free, raw = free_vertices(reduced)
+def _hull_facets(free, rows, progress):
+    # The reduced system is bounded and holds the interior point.
+    try:
+        raw = vertices(rows, len(free))
+    except ValueError as exc:
+        raise InternalError(f"vertex enumeration: {exc}") from exc
+    if not raw:
+        raise InternalError("vertex enumeration: no vertex")
     if progress:
         progress(len(free), len(raw))
     p_cols = [k for k, v in enumerate(free) if v[0] == "p"]
-    points = set()
-    for ys, t in raw:
-        point = primitive([ys[k] for k in p_cols] + [t])
-        points.add((point[:-1], point[-1]))
+    points = {primitive([ray[k] for k in p_cols] + [ray[-1]]) for ray in raw}
     if progress:
         progress(len(p_cols), len(points))
 
-    if not p_cols or len(points) == 1:
+    # With no free table coordinate every point is (1,).
+    if len(points) == 1:
         return []
     try:
         facets = hull_facets(points)
     except ValueError as exc:   # the equalities are the points' affine hull
         raise InternalError(f"image hull: {exc}") from exc
-    return [canonicalize_row(_lift_row(r, [free[k] for k in p_cols]))
+    p_free = [free[k] for k in p_cols]
+    return [canonicalize_row(LinRow(dict(zip(p_free, r)), r[-1]))
             for r in facets]
 
 

@@ -24,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .linalg import (EQ, ZERO, LinRow, canonicalize_row,
-                     over_common_denominator, primitive, rref,
-                     substitution_map)
+from .linalg import (EQ, ZERO, LinRow, canonicalize_row, int_row, primitive,
+                     rref, substitution_map)
 # Unused here; kept importable because tracing wraps symmetry.reduce_modulo.
 from .linalg import reduce_modulo  # noqa: F401
 from .scenario import (PREP, Scenario, equivalence_rows, flatten_coord, p_var,
@@ -242,8 +241,7 @@ class _Reduction:
         except KeyError as exc:
             raise ValueError(f"row has a term on {exc.args[0]}, "
                              "which is not among the variables") from None
-        ints = primitive(over_common_denominator(
-            [*row.coeffs.values(), row.const])[0])
+        ints = int_row([*row.coeffs.values(), row.const])
         return list(zip(coords, ints)), ints[-1]
 
     def key(self, terms, perm, kind) -> tuple:

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -34,7 +34,7 @@ CROSS = [upper(s, F(1, 2) + F(sum(s), 3))
 
 def kernel_vertices(rows, variables=VARS):
     got = vertices([dense_row(r, variables) for r in rows], len(variables))
-    return sorted(tuple(F(a, den) for a in ints) for ints, den in got)
+    return sorted(tuple(F(a, den) for a in ints) for *ints, den in got)
 
 
 @pytest.mark.parametrize("rows, count",
@@ -46,9 +46,22 @@ def test_vertices_match_brute_force_oracle(rows, count):
     assert len(got) == count
 
 
+@pytest.mark.parametrize("rows", [CUBE, SIMPLEX, CROSS],
+                         ids=["cube", "simplex", "cross-polytope"])
+def test_vertices_are_primitive_points_inside_every_row(rows):
+    # the point form (b, t) that the Fourier-Motzkin sign tests rely on:
+    # primitive, t > 0, and row . point has the row's sign at b / t
+    dense = [dense_row(r, VARS) for r in rows]
+    for p in vertices(dense, len(VARS)):
+        assert gcd(*p) == 1 and p[-1] > 0
+        values = [sum(a * b for a, b in zip(row, p)) for row in dense]
+        assert min(values) >= 0
+        assert values.count(0) >= len(VARS)
+
+
 def point(*coords):
     den = lcm(*(F(c).denominator for c in coords))
-    return tuple(int(F(c) * den) for c in coords), den
+    return tuple(int(F(c) * den) for c in coords) + (den,)
 
 
 def test_hull_ignores_points_that_are_not_extreme():
@@ -86,7 +99,7 @@ def test_hull_facets_match_oracle():
     for pts in [rng.sample(grid, rng.randint(6, 16)) for _ in range(40)]:
         if affine_rank(pts) < 4:
             continue
-        facets = hull_facets([(p, 1) for p in pts])
+        facets = hull_facets([p + (1,) for p in pts])
         for *a, a0 in facets:
             values = [sum(x * y for x, y in zip(a, p)) + a0 for p in pts]
             assert min(values) == 0

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncpolytope.linalg import (EQ, GEQ, InconsistentSystem, LinRow,
-                               LinearSystem, canonicalize_row, rat,
+from ncpolytope.linalg import (EQ, GEQ, ONE, InconsistentSystem, LinRow,
+                               LinearSystem, canonicalize_row, int_row, rat,
                                reduce_modulo, row_reduce_equalities, rref)
 from oracles import satisfies
 
@@ -65,6 +66,24 @@ def test_canonicalize_integer_gcd_one():
     canon = canonicalize_row(row)
     assert canon.coeffs == {"a": 1, "b": 2}
     assert canon.const == 3
+
+
+@given(st.lists(rationals, min_size=1, max_size=6))
+def test_int_row_is_primitive_proportional_and_gives_points(values):
+    ints = int_row(values)
+    assert all(isinstance(a, int) for a in ints)
+    if any(values):
+        assert gcd(*ints) == 1
+        # one positive factor maps the values to the ints
+        k = next(k for k, v in enumerate(values) if v)
+        factor = ints[k] / values[k]
+        assert factor > 0
+        assert all(a == factor * v for a, v in zip(ints, values))
+    else:
+        assert ints == (0,) * len(values)
+    point = int_row(values + [ONE])
+    assert point[-1] == lcm(*(v.denominator for v in values))
+    assert all(Fraction(a, point[-1]) == v for a, v in zip(point, values))
 
 
 @given(st.lists(row_strategy(EQ), max_size=4),

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-import ncpolytope.measurement_polytope as measurement_polytope
 import ncpolytope.projection as projection
 from conftest import (contextual_table_41, four_prep_scenario,
                       six_prep_scenario, uniform_table)
@@ -188,7 +187,7 @@ def test_wrong_shot_point_is_rejected_by_the_witness_check(monkeypatch):
 
     def wrong_shot(rows, alive, idx, origin, values):
         origins.append(origin)
-        return (-1,) * len(origin[0]), 1
+        return (-1,) * (len(origin) - 1) + (1,)
 
     monkeypatch.setattr(projection, "_ray_shot", wrong_shot)
     lps = count_lps(monkeypatch)
@@ -203,7 +202,7 @@ def test_boundary_point_is_not_taken_for_interior(f2_41, monkeypatch):
     # the origin is tight on the positivity row of a free distribution
     # coordinate
     monkeypatch.setattr(projection, "_interior_point",
-                        lambda f2, free: ((0,) * len(free), 1))
+                        lambda f2, free: (0,) * len(free) + (1,))
     with pytest.raises(InternalError, match="interior point"):
         project_to_nc_polytope(f2_41)
 
@@ -212,7 +211,7 @@ def test_boundary_point_is_not_taken_for_a_shot_origin(f2_41, monkeypatch):
     # the same boundary point, offered as one more origin for ray shots
     shot_origins = projection._shot_origins
     monkeypatch.setattr(projection, "_shot_origins", lambda interior, rows: (
-        shot_origins(interior, rows) + [((0,) * len(interior[0]), 1)]))
+        shot_origins(interior, rows) + [(0,) * (len(interior) - 1) + (1,)]))
     with pytest.raises(InternalError, match="shot origin"):
         project_to_nc_polytope(f2_41)
 
@@ -230,7 +229,7 @@ def poly_is_unit_box(poly, scn):
 
 
 @pytest.mark.parametrize("module, kernel", [
-    pytest.param(measurement_polytope, "vertices", id="vertices"),
+    pytest.param(projection, "vertices", id="vertices"),
     pytest.param(projection, "hull_facets", id="hull_facets")])
 def test_hull_dd_failure_is_an_internal_error(f2_41, monkeypatch, module,
                                               kernel):
@@ -242,6 +241,15 @@ def test_hull_dd_failure_is_an_internal_error(f2_41, monkeypatch, module,
     monkeypatch.setattr(module, kernel, fails)
     monkeypatch.setattr(projection, "FM_MAX_NU_DIM", -1)
     with pytest.raises(InternalError, match="do not span"):
+        project_to_nc_polytope(f2_41)
+
+
+def test_hull_route_with_no_vertex_is_an_internal_error(f2_41, monkeypatch):
+    # the reduced system holds the interior point, so an empty vertex list
+    # is a failed invariant, not an empty polytope of the user's input
+    monkeypatch.setattr(projection, "vertices", lambda rows, dim: [])
+    monkeypatch.setattr(projection, "FM_MAX_NU_DIM", -1)
+    with pytest.raises(InternalError, match="no vertex"):
         project_to_nc_polytope(f2_41)
 
 
