@@ -12,19 +12,18 @@ import argparse
 import sys
 
 from . import __version__
-from .documents import (ParseError, generators_from_doc, objective_from_doc,
+from .documents import (generators_from_doc, objective_from_doc,
                         optimum_to_doc, orbits_to_doc, polytope_from_doc,
                         polytope_to_doc, read_document, scenario_from_doc,
                         table_from_doc, verdict_to_doc, vertices_to_doc,
                         write_document)
-from .feasibility import Feasible, MalformedTable, check_table, optimize
-from .linalg import InternalError
-from .measurement_polytope import EmptyPolytope, build_measurement_h, enumerate_vertices
+from .feasibility import Feasible, check_table, optimize
+from .linalg import InputError, InternalError
+from .measurement_polytope import build_measurement_h, enumerate_vertices
 from .ncsystem import build_f2
 from .projection import project_to_nc_polytope
-from .scenario import DimensionMismatch, InvalidScenario, p_vars
-from .symmetry import (GeneratorBreaksOE, GroupTooLarge, RowNotInOrbitClosure,
-                       classify_orbits, generate_group)
+from .scenario import p_vars
+from .symmetry import GroupTooLarge, classify_orbits, generate_group
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -59,7 +58,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("polytope",
                        help="affine hull and facets of the noncontextual polytope")
     p.add_argument("scenario")
-    p.add_argument("-v", "--verbose", action="count", default=0)
+    p.add_argument("-v", "--verbose", action="store_true")
     common(p)
 
     p = sub.add_parser("check",
@@ -155,8 +154,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return COMMANDS[args.subcommand](args)
-    except (ParseError, InvalidScenario, DimensionMismatch, MalformedTable,
-            EmptyPolytope, GeneratorBreaksOE, RowNotInOrbitClosure) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:   # read_document reports read failures as ParseError

@@ -15,14 +15,14 @@ import reprlib
 from fractions import Fraction
 
 from . import __version__
-from .linalg import (EQ, GEQ, InconsistentSystem, LinearSystem, LinRow,
-                     rref, substitution_map)
+from .linalg import (EQ, GEQ, InconsistentSystem, InputError, LinearSystem,
+                     LinRow, row_reduce_equalities, rref)
 from .measurement_polytope import VertexSet, xi_var
 from .projection import NCPolytope
 from .scenario import DataTable, Scenario, p_var, p_vars, scenario
 
 
-class ParseError(Exception):
+class ParseError(InputError):
     """A document is malformed or fails validation."""
 
 
@@ -213,7 +213,7 @@ def polytope_from_doc(doc: dict, scn: Scenario) -> NCPolytope:
         raise ParseError(f"polytope document: {exc}") from exc
     # Facets must already be reduced modulo the equalities: no term on a
     # pivot coordinate, the latest variable of each rref row.
-    pivots = set(substitution_map(equalities, variables))
+    pivots = set(row_reduce_equalities(LinearSystem(variables, equalities))[0])
     for n, facet in enumerate(facets):
         if not pivots.isdisjoint(facet.coeffs):
             _, i, j, m = min(pivots.intersection(facet.coeffs))

@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import GEQ, ONE, ZERO, InternalError, LinRow, canonicalize_row
+from .linalg import (GEQ, ONE, ZERO, InputError, InternalError, LinRow,
+                     canonicalize_row)
 from .measurement_polytope import VertexSet
 from .ncsystem import (LINKING, NORMALIZATION, OE_P, InvalidDistribution,
                        NumericF2, build_f2, bind_table, dot, fixed_rhs,
@@ -39,7 +40,7 @@ class PrimalFeasible(Exception):
     """farkas_certificate was called on a feasible system."""
 
 
-class MalformedTable(Exception):
+class MalformedTable(InputError):
     """The table fails normalization; it is malformed, not contextual."""
 
 
@@ -218,7 +219,8 @@ def optimize(scn: Scenario, vertices: VertexSet, objective: LinRow, sense="max")
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
     f2 = build_f2(scn, vertices)
-    bad = [v for v in objective.coeffs if v not in set(f2.p_vars)]
+    known = set(f2.p_vars)
+    bad = [v for v in objective.coeffs if v not in known]
     if bad:
         raise DimensionMismatch(f"objective mentions unknown coordinates {bad[:3]}")
     rows = dict(zip(f2.eq_labels, f2.eq_matrix))

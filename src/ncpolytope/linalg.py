@@ -39,6 +39,10 @@ class InternalError(Exception):
     """A mathematical invariant of an exact computation failed (a bug)."""
 
 
+class InputError(Exception):
+    """An input document or the request it makes is invalid (exit code 1)."""
+
+
 def rat(value) -> Fraction:
     """Coerce ints, strings like ``"a/b"``, or Fractions to an exact Fraction."""
     if isinstance(value, Fraction):
@@ -147,20 +151,18 @@ def canonicalize_row(row: LinRow) -> LinRow:
     return LinRow(dict(zip(row.coeffs, ints)), ints[-1], row.kind)
 
 
-def row_reduce_equalities(system: LinearSystem, prefer=None):
+def row_reduce_equalities(system: LinearSystem):
     """Eliminate the EQ rows of a system by Gaussian substitution.
 
     Returns ``(substitutions, reduced)`` where ``substitutions`` maps each
     eliminated variable to an affine expression ``(coeffs, const)`` over the
     remaining variables, and ``reduced`` contains only GEQ rows (with the
-    substitutions applied).  When ``prefer`` is given, pivots are chosen from
-    that variable set whenever the row offers one; within the candidate set
-    the greatest variable in registry order is used, so earlier variables
-    stay free.
+    substitutions applied).  Each row pivots on its greatest variable in
+    registry order, so the earliest variables stay free; the registry order
+    is the whole pivot rule.
 
     Raises InconsistentSystem on a contradictory equality.
     """
-    prefer = set(prefer) if prefer is not None else None
     order = {v: k for k, v in enumerate(system.variables)}
     subs: dict = {}
     for row in system.eq_rows():
@@ -169,10 +171,7 @@ def row_reduce_equalities(system: LinearSystem, prefer=None):
             if row.const != 0:
                 raise InconsistentSystem(f"contradictory equality: {row.const} = 0")
             continue
-        candidates = set(row.coeffs)
-        if prefer is not None and candidates & prefer:
-            candidates &= prefer
-        pivot = max(candidates, key=order.__getitem__)
+        pivot = max(row.coeffs, key=order.__getitem__)
         c = row.coeffs[pivot]
         expr_coeffs = {v: -a / c for v, a in row.coeffs.items() if v != pivot}
         expr_const = -row.const / c
@@ -207,29 +206,12 @@ def rref(rows: list, variables: list) -> list:
 
 
 def reduce_modulo(row: LinRow, equalities: list, variables: list) -> LinRow:
-    """Reduce a row modulo rref'd equality rows, then canonicalize.
+    """Reduce a row modulo equality rows, then canonicalize.
 
     Two rows that differ by a combination of the equalities reduce to the
     same canonical form, which is how row identity "modulo the affine hull"
-    is decided everywhere in this package.
+    is decided everywhere in this package.  The equalities may come in any
+    form; the substitutions are those of :func:`row_reduce_equalities`.
     """
-    return canonicalize_row(row.substituted(
-        substitution_map(equalities, variables)))
-
-
-def substitution_map(equalities: list, variables: list) -> dict:
-    """Pivot substitutions of rref'd equality rows, for ``LinRow.substituted``.
-
-    ``canonicalize_row(row.substituted(subs))`` equals ``reduce_modulo``;
-    callers reducing many rows build the map once.
-    """
-    order = {v: k for k, v in enumerate(variables)}
-    subs = {}
-    for eq in equalities:
-        if not eq.coeffs:
-            continue
-        pv = max(eq.coeffs, key=order.__getitem__)
-        c = eq.coeffs[pv]
-        subs[pv] = ({v: -a / c for v, a in eq.coeffs.items() if v != pv},
-                    -eq.const / c)
-    return subs
+    subs, _ = row_reduce_equalities(LinearSystem(variables, equalities))
+    return canonicalize_row(row.substituted(subs))

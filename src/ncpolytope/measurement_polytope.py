@@ -16,13 +16,13 @@ from fractions import Fraction
 from operator import mul
 
 from .dd import vertices
-from .linalg import (EQ, GEQ, ONE, ZERO, InconsistentSystem, InternalError,
-                     LinearSystem, LinRow, dense_row, int_row,
+from .linalg import (EQ, GEQ, ONE, ZERO, InconsistentSystem, InputError,
+                     InternalError, LinearSystem, LinRow, dense_row, int_row,
                      row_reduce_equalities)
 from .scenario import Scenario
 
 
-class EmptyPolytope(Exception):
+class EmptyPolytope(InputError):
     """No point satisfies every row of the H-system."""
 
 

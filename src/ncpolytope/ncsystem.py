@@ -59,9 +59,12 @@ class F2System:
     eq_matrix: list
 
     def system(self) -> LinearSystem:
-        """The rows over nu_vars + p_vars, for the projection: positivity
+        """The rows over p_vars + nu_vars, for the projection: positivity
         first, then each equality as row . nu - b = 0, except that a
-        linking row reads p - sum_k xi_k nu_j(k) = 0."""
+        linking row reads p - sum_k xi_k nu_j(k) = 0.  Registering the
+        distribution unknowns last makes each equality pivot on one of
+        them when it has one (:func:`.linalg.row_reduce_equalities`), so
+        the table coordinates stay free wherever possible."""
         rows = [LinRow({v: ONE}, ZERO, GEQ) for v in self.nu_vars]
         for label, dense in zip(self.eq_labels, self.eq_matrix):
             if label[0] == LINKING:
@@ -71,7 +74,7 @@ class F2System:
             else:
                 rows.append(LinRow(dict(zip(self.nu_vars, dense)),
                                    -fixed_rhs(label), EQ))
-        return LinearSystem(self.nu_vars + self.p_vars, rows)
+        return LinearSystem(self.p_vars + self.nu_vars, rows)
 
 
 @dataclass

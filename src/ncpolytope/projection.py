@@ -6,12 +6,13 @@ noncontextual model satisfies its affine-hull equalities exactly and all of
 its facet inequalities, and conversely.
 
 The pipeline substitutes the equality rows of
-:meth:`.ncsystem.F2System.system` away first (preferring to eliminate
-distribution variables, so data-table coordinates stay free wherever
-possible).  Small systems then remove the remaining distribution
-variables one at a time by Fourier-Motzkin elimination, running an exact
-irredundancy pass after every elimination step to keep the intermediate row
-count at the true facet count.  The pass removes most redundant rows by an
+:meth:`.ncsystem.F2System.system` away first (its registry order puts the
+distribution variables last, so they are the ones eliminated and
+data-table coordinates stay free wherever possible).  Small systems then
+remove the remaining distribution variables one at a time by
+Fourier-Motzkin elimination, running an exact irredundancy pass after every
+elimination step to keep the intermediate row count at the true facet
+count.  The pass removes most redundant rows by an
 exact two-row certificate, integer multipliers that show the row to be a
 nonnegative combination of two other rows plus a nonnegative constant.  It
 certifies each kept row by a witness point that violates it alone, most of
@@ -218,8 +219,8 @@ def irredundant_rows(rows, witnesses, origins):
     neither a certificate nor a witness, by an exact LP.  Witnesses come
     from earlier passes, or from ray shots out of ``origins``, points
     strictly inside every row, which are tried in turn before the LP; a
-    shot point counts only if it passes the same witness check.  The witness list is extended with the points this
-    pass finds and returned.  Rows with no coefficients hold everywhere
+    shot point counts only if it passes the same witness check.  The
+    witness list is extended with the points this pass finds and returned.  Rows with no coefficients hold everywhere
     inside, and duplicates add nothing, so both are dropped first.
     """
     rows = sorted({r for r in rows if any(r[:-1])})
@@ -295,17 +296,19 @@ def project_to_nc_polytope(f2: F2System, progress=None) -> NCPolytope:
 
 def _affine_hull(f2: F2System):
     """Equality reduction: free coordinates, dense rows, p-pivot equalities."""
-    prefer = set(f2.nu_vars)
-    subs, reduced = row_reduce_equalities(f2.system(), prefer=prefer)
-    # Substitutions whose pivot is a p-coordinate are guaranteed pure-p by
-    # the nu-first pivot preference.
+    subs, reduced = row_reduce_equalities(f2.system())
+    # A p-coordinate pivots only a row with no nu term left, since every nu
+    # variable is registered after every p-coordinate; so its substitution
+    # is pure-p.
     eq_rows = []
     for var, (coeffs, const) in subs.items():
         if var[0] == "p":
             row = dict(coeffs)
             row[var] = row.get(var, ZERO) - ONE
             eq_rows.append(LinRow(row, const, EQ))
-    free = reduced.variables
+    # Distribution columns first: the Fourier-Motzkin column choice breaks
+    # its ties by column, and its shot origins depend on the column order.
+    free = [v for v in f2.nu_vars + f2.p_vars if v not in subs]
     return (free, [dense_row(r, free) for r in reduced.rows],
             rref(eq_rows, f2.p_vars))
 
@@ -372,7 +375,7 @@ def _fm_facets(f2: F2System, free, dense, progress):
         # redundant ones.
         dense, _ = irredundant_rows(dense, witnesses, origins)
     while nu_cols := [k for k, v in enumerate(free) if v[0] == "nu"]:
-        col = _pick_column(dense, nu_cols, free, f2.nu_vars)
+        col = _pick_column(dense, nu_cols)
         dense = fm_step(dense, col)
         free = free[:col] + free[col + 1:]
         # Projecting a feasible point just drops the eliminated coordinate.
@@ -422,15 +425,11 @@ def _hull_facets(free, rows, progress):
             for r in facets]
 
 
-def _pick_column(dense, nu_cols, free, nu_order):
-    """Greedy heuristic: minimize pos*neg - pos - neg, ties by registry order."""
-    rank = {v: k for k, v in enumerate(nu_order)}
-    best = None
-    for col in nu_cols:
+def _pick_column(dense, nu_cols):
+    """Greedy heuristic: minimize pos*neg - pos - neg, ties by column
+    (the distribution columns keep their registry order)."""
+    def score(col):
         pos = sum(1 for r in dense if r[col] > 0)
         neg = sum(1 for r in dense if r[col] < 0)
-        score = pos * neg - pos - neg
-        key = (score, rank[free[col]])
-        if best is None or key < best[0]:
-            best = (key, col)
-    return best[1]
+        return pos * neg - pos - neg
+    return min(nu_cols, key=score)

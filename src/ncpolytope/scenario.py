@@ -11,19 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import ZERO, rat
+from .linalg import ZERO, InputError, rat
 
 PREP = "prep"
 MEAS = "meas"
 
 
-class InvalidScenario(Exception):
+class InvalidScenario(InputError):
     def __init__(self, errors):
         self.errors = list(errors)
         super().__init__("; ".join(f"{code}: {msg}" for code, msg in self.errors))
 
 
-class DimensionMismatch(Exception):
+class DimensionMismatch(InputError):
     pass
 
 

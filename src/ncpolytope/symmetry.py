@@ -24,17 +24,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .linalg import (EQ, ZERO, LinRow, canonicalize_row, int_row, primitive,
-                     rref, substitution_map)
-# Unused here; kept importable because tracing wraps symmetry.reduce_modulo.
-from .linalg import reduce_modulo  # noqa: F401
+from .linalg import (EQ, ZERO, InputError, LinearSystem, LinRow,
+                     canonicalize_row, int_row, primitive,
+                     row_reduce_equalities)
+# Unused here; kept importable because tracing wraps symmetry.reduce_modulo
+# and symmetry.rref.
+from .linalg import reduce_modulo, rref  # noqa: F401
 from .scenario import (PREP, Scenario, equivalence_rows, flatten_coord, p_var,
                        p_vars, unflatten_coord)
 
 GROUP_CAP = 10 ** 6
 
 
-class GeneratorBreaksOE(Exception):
+class GeneratorBreaksOE(InputError):
     """A proposed relabeling does not preserve the operational equivalences."""
 
 
@@ -42,7 +44,7 @@ class GroupTooLarge(Exception):
     """Closure exceeded the hard cap; the generators are likely malformed."""
 
 
-class RowNotInOrbitClosure(Exception):
+class RowNotInOrbitClosure(InputError):
     """The group action maps an input row outside the input set."""
 
 
@@ -197,7 +199,7 @@ class OrbitClass:
 
 
 class _Reduction:
-    """Rows reduced modulo rref'd equalities, as int tuples.
+    """Rows reduced modulo equalities, as int tuples.
 
     Built once per call.  ``images[q]`` is the reduced row of the
     coordinate at flat position q: sparse ``(index, int)`` pairs over the
@@ -210,9 +212,9 @@ class _Reduction:
     """
 
     def __init__(self, scn, equalities, variables):
-        eqs = rref(list(equalities), variables) if equalities else []
-        subs = substitution_map(eqs, variables)
-        self.free = [v for v in variables if v not in subs]
+        subs, reduced = row_reduce_equalities(
+            LinearSystem(variables, equalities))
+        self.free = reduced.variables
         column = {v: f for f, v in enumerate(self.free)}
         n = len(self.free)
         self.den = den = lcm(1, *(c.denominator for coeffs, c0 in subs.values()

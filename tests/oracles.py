@@ -16,8 +16,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from ncpolytope.linalg import (EQ, GEQ, ZERO, InconsistentSystem, LinRow,
-                               LinearSystem, canonicalize_row, rref,
-                               row_reduce_equalities, substitution_map)
+                               LinearSystem, canonicalize_row,
+                               row_reduce_equalities)
 from ncpolytope.ncsystem import build_f2
 from ncpolytope.simplex import OPTIMAL, UNBOUNDED, solve_standard
 from ncpolytope.symmetry import OrbitClass, RowNotInOrbitClosure, act_on_row
@@ -154,7 +154,7 @@ def y_dot_rhs(y, numeric):
 def _orbit_keys(row, group, subs, variables):
     """Map each reduced-canonical orbit member key to one moved row.
 
-    ``subs`` is the equalities' :func:`substitution_map`.
+    ``subs`` maps each pivot of the equalities to its substitution.
     """
     out = {}
     for g in group.elements:
@@ -165,8 +165,8 @@ def _orbit_keys(row, group, subs, variables):
 
 
 def _substitutions(equalities, variables):
-    eqs = rref(list(equalities), variables) if equalities else []
-    return substitution_map(eqs, variables)
+    subs, _ = row_reduce_equalities(LinearSystem(variables, list(equalities)))
+    return subs
 
 
 def classify_orbits_oracle(rows, group, equalities, variables):

@@ -1,6 +1,8 @@
 import errno
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +15,11 @@ from conftest import SCENARIO_DIR
 from ncpolytope import feasibility, measurement_polytope
 from ncpolytope.cli import (EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_LIMIT,
                             EXIT_OK, EXIT_PARSE, main)
+from ncpolytope.feasibility import PrimalFeasible
+from ncpolytope.linalg import InconsistentSystem, InputError, InternalError
+from ncpolytope.ncsystem import InvalidDistribution
 from ncpolytope.simplex import UNBOUNDED, LPResult, solve_standard
+from ncpolytope.symmetry import GroupTooLarge
 
 F = Fraction
 
@@ -280,6 +286,22 @@ def test_verbose_progress_on_stderr(capsys, name, lines):
     assert code == EXIT_OK
     assert err.splitlines() == [f"# {dim} coordinates left, {rows} rows"
                                 for dim, rows in lines]
+
+
+def test_every_error_class_has_an_exit_code():
+    """main catches InputError (exit 1), GroupTooLarge (2) and
+    InternalError (4); the package converts the other three classes
+    before main sees them.  So a new error class that derives from none
+    of these fails here instead of reaching the user as a traceback."""
+    handled = (InputError, GroupTooLarge, InternalError,
+               InconsistentSystem, PrimalFeasible, InvalidDistribution)
+    modules = [importlib.import_module(f"ncpolytope.{info.name}")
+               for info in pkgutil.iter_modules(ncpolytope.__path__)]
+    defined = [obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, Exception)
+               and obj.__module__ == module.__name__]
+    assert set(handled) <= set(defined)
+    assert [cls for cls in defined if not issubclass(cls, handled)] == []
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

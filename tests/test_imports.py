@@ -9,7 +9,8 @@ import ncpolytope
 # Bound only so that the benchmark's tracer, which wraps functions at the
 # names their callers import, can still find them there.
 KEPT_FOR_TRACING = {("projection", "solve_standard"),
-                    ("symmetry", "reduce_modulo")}
+                    ("symmetry", "reduce_modulo"),
+                    ("symmetry", "rref")}
 
 # Defined but never named by the package, the benchmark or the scripts.
 KEPT_UNREFERENCED = {

@@ -104,12 +104,13 @@ def test_row_reduce_preserves_solutions(eq_rows, point_vals):
                                  const)
 
 
-def test_row_reduce_prefers_pivot_set():
+def test_row_reduce_pivots_on_the_later_registered_variable():
+    # the registry order, not the sort order of the ids, picks the pivot
     rows = [LinRow({"a": 1, "c": -1}, 0, EQ)]
-    subs, reduced = row_reduce_equalities(LinearSystem(VARS, rows),
-                                          prefer={"c"})
-    assert set(subs) == {"c"}
-    assert reduced.variables == ["a", "b", "d"]
+    subs, reduced = row_reduce_equalities(
+        LinearSystem(["d", "c", "b", "a"], rows))
+    assert set(subs) == {"a"}
+    assert reduced.variables == ["d", "c", "b"]
 
 
 def test_row_reduce_inconsistent():
@@ -148,6 +149,14 @@ def test_reduce_modulo_identifies_complements():
     r1 = LinRow({"a": 1}, Fraction(-1), GEQ)       # a - 1 >= 0
     r2 = LinRow({"b": -1}, 0, GEQ)                 # -b >= 0
     assert reduce_modulo(r1, eqs, VARS) == reduce_modulo(r2, eqs, VARS)
+
+
+def test_reduce_modulo_takes_equalities_out_of_rref():
+    # not in rref: the first row's substitution c = b names b, which the
+    # second row pivots on
+    eqs = [LinRow({"c": 1, "b": -1}, 0, EQ), LinRow({"b": 1, "a": -1}, 0, EQ)]
+    reduced = reduce_modulo(LinRow({"c": 1}, 0, GEQ), eqs, ["a", "b", "c"])
+    assert reduced == LinRow({"a": 1}, 0, GEQ)
 
 
 def test_linear_system_rejects_unknown_variables():
