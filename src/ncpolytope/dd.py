@@ -17,6 +17,10 @@ t)`` with ``t > 0`` meaning ``b / t``; ``row . point`` is ``t`` times the
 row's value at ``b / t``, so it has that value's sign.  Callers make rows
 and points with :func:`.linalg.int_row`, and the kernel keeps its rows and
 rays primitive with :func:`.linalg.primitive`.
+
+Every caller guarantees that its rows span the space and that its region
+is bounded, so the kernel raises :class:`.linalg.InternalError` when
+either fails.
 """
 
 from __future__ import annotations
@@ -25,15 +29,15 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .linalg import ONE, ZERO, int_row, primitive
+from .linalg import ONE, ZERO, InternalError, int_row, primitive
 
 
 def extreme_rays(rows, D) -> list:
     """Extreme rays of the cone {x in Q^D : r . x >= 0 for each row r}.
 
     Rays are primitive int tuples.  The rows must span Q^D (so that the
-    cone is pointed); ValueError otherwise.  An empty list means the cone
-    is {0}.
+    cone is pointed); InternalError otherwise.  An empty list means the
+    cone is {0}.
     """
     rows = [tuple(r) for r in rows]
     init, rays = _simplicial_start(rows, D)
@@ -103,7 +107,8 @@ def _simplicial_start(rows, D):
         if len(init) == D:
             break
     else:
-        raise ValueError("inequality rows do not span the space")
+        raise InternalError(
+            "double description: inequality rows do not span the space")
     inverse = [p[D:] for _, p in sorted(pivots)]   # pivot columns differ
     rays = [int_row([r[j] for r in inverse]) for j in range(D)]
     return init, rays
@@ -113,11 +118,11 @@ def vertices(ineqs, dim) -> list:
     """Vertices of the bounded region {y in Q^dim : a . y + a0 >= 0}.
 
     ``ineqs`` are dense rows; vertices are points.  An empty region has
-    none.  ValueError if the region is unbounded.
+    none.  InternalError if the region is unbounded.
     """
     rays = extreme_rays([(0,) * dim + (1,)] + list(ineqs), dim + 1)
     if any(ray[-1] == 0 for ray in rays):
-        raise ValueError("region is unbounded")
+        raise InternalError("double description: region is unbounded")
     return rays
 
 

@@ -44,6 +44,12 @@ def _quote(value) -> str:
 def _fraction(text) -> Fraction:
     if not isinstance(text, str):
         raise ParseError(f"expected a rational string, got {_quote(text)}")
+    # Fraction computes 10**exponent however large the exponent is; cap it
+    # at 4300, the digit limit of an int literal.
+    exponent = text.lower().partition("e")[2].strip().lstrip("+-")
+    digits = exponent.replace("_", "").lstrip("0")
+    if len(digits) > 4 or digits.isdecimal() and int(digits) > 4300:
+        raise ParseError(f"bad rational {_quote(text)}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -118,8 +124,6 @@ def scenario_from_doc(doc: dict) -> Scenario:
                         l=_index(doc["measurements"], "measurement count"),
                         d=_index(doc["outcomes"], "outcome count"),
                         oe_p=oe_p, oe_m=oe_m)
-    except ParseError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed scenario document: {exc}") from exc
 
@@ -134,8 +138,6 @@ def table_from_doc(doc: dict) -> DataTable:
         entries = _unique((((_index(i, "measurement"), _index(j, "preparation"),
                              _index(m, "outcome")), _fraction(v))
                            for i, j, m, v in doc["probabilities"]), "table")
-    except ParseError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed table document: {exc}") from exc
     return DataTable.make(entries)
@@ -157,8 +159,6 @@ def row_from_doc(doc: dict, kind=GEQ) -> LinRow:
                                   _index(m, "outcome"))), _fraction(c))
                           for i, j, m, c in doc["terms"]), "row")
         return LinRow(coeffs, _fraction(doc["constant"]), kind)
-    except ParseError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed row document: {exc}") from exc
 
@@ -244,8 +244,6 @@ def generators_from_doc(doc: dict, scn: Scenario):
                 out.append(flip_outcomes(scn, args))
             else:
                 raise ParseError(f"unknown generator type {_quote(kind)}")
-        except ParseError:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed generator entry {_quote(entry)}: "
                              f"{_clip(str(exc))}") from exc

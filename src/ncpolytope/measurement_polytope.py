@@ -6,7 +6,8 @@ runs the double description method (:mod:`.dd`) on the free coordinates
 they leave, and reads each eliminated coordinate off its affine
 expression at every vertex.  It serves the measurement-assignment polytope
 built here (positivity, per-measurement normalization and one equality
-per measurement operational equivalence).
+per measurement operational equivalence).  An empty system is
+:class:`EmptyPolytope`; an unbounded one is the kernel's InternalError.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from operator import mul
 
 from .dd import vertices
 from .linalg import (EQ, GEQ, ONE, ZERO, InconsistentSystem, InputError,
-                     InternalError, LinearSystem, LinRow, dense_row, int_row,
+                     LinearSystem, LinRow, dense_row, int_row,
                      row_reduce_equalities)
 from .scenario import Scenario
 
@@ -79,10 +80,7 @@ def enumerate_vertices(h: LinearSystem) -> VertexSet:
             ineqs.append(q)
         elif q[-1] < 0:
             raise EmptyPolytope("constant row violated")
-    try:
-        raw = vertices(ineqs, len(free))
-    except ValueError as exc:   # callers' systems are bounded
-        raise InternalError(f"vertex enumeration: {exc}") from exc
+    raw = vertices(ineqs, len(free))   # callers' systems are bounded
     if not raw:
         raise EmptyPolytope("no point satisfies all rows")
     # Each eliminated coordinate as ints over the free ones and a constant,

@@ -37,12 +37,14 @@ from operator import mul
 
 from .dd import hull_facets, vertices
 from .linalg import (EQ, ONE, ZERO, InternalError, LinRow, canonicalize_row,
-                     dense_row, int_row, primitive, reduce_modulo, rref,
+                     dense_row, int_row, primitive, rref,
                      row_reduce_equalities)
 from .ncsystem import LINKING, F2System, dot
 from .scenario import p_var
-from .simplex import OPTIMAL, minimize_over_rows
-# Unused here; kept importable because tracing wraps projection.solve_standard.
+from .simplex import minimize_over_rows
+# Unused here; kept importable because tracing wraps projection.solve_standard
+# and projection.reduce_modulo.
+from .linalg import reduce_modulo  # noqa: F401
 from .simplex import solve_standard  # noqa: F401
 
 
@@ -59,9 +61,6 @@ class NCPolytope:
     variables: list    # all p-coordinates, canonical order
     equalities: list
     facets: list
-
-    def reduce(self, row: LinRow) -> LinRow:
-        return reduce_modulo(row, self.equalities, self.variables)
 
 
 # --- Fourier-Motzkin on dense integer rows -------------------------------
@@ -220,8 +219,9 @@ def irredundant_rows(rows, witnesses, origins):
     from earlier passes, or from ray shots out of ``origins``, points
     strictly inside every row, which are tried in turn before the LP; a
     shot point counts only if it passes the same witness check.  The
-    witness list is extended with the points this pass finds and returned.  Rows with no coefficients hold everywhere
-    inside, and duplicates add nothing, so both are dropped first.
+    witness list is extended in place with the points this pass finds.
+    Rows with no coefficients hold everywhere inside, and duplicates add
+    nothing, so both are dropped first.
     """
     rows = sorted({r for r in rows if any(r[:-1])})
     alive = [True] * len(rows)
@@ -258,13 +258,11 @@ def irredundant_rows(rows, witnesses, origins):
             bound = row[:-1] + (row[-1] + 1,)  # keeps the LP bounded below
             res = minimize_over_rows(others + [bound],
                                      [Fraction(a) for a in row[:-1]])
-            if res.status != OPTIMAL:
-                raise InternalError("redundancy LP of a nonempty region is not optimal")
             if res.value + row[-1] >= 0:
                 alive[idx] = False
             else:
                 witnesses.append(int_row(res.x + [ONE]))
-    return [r for k, r in enumerate(rows) if alive[k]], witnesses
+    return [r for k, r in enumerate(rows) if alive[k]]
 
 
 # --- Full projection -----------------------------------------------------
@@ -287,9 +285,12 @@ def project_to_nc_polytope(f2: F2System, progress=None) -> NCPolytope:
     free, rows, equalities = _affine_hull(f2)
     nu_dim = sum(1 for v in free if v[0] == "nu")
     if nu_dim <= FM_MAX_NU_DIM:
-        facets = _fm_facets(f2, free, rows, progress)
+        dense = _fm_facets(f2, free, rows, nu_dim, progress)
     else:
-        facets = _hull_facets(free, rows, progress)
+        dense = _hull_facets(rows, len(free), nu_dim, progress)
+    # Both routes return dense rows over the free table coordinates.
+    facets = [canonicalize_row(LinRow(dict(zip(free[nu_dim:], r)), r[-1]))
+              for r in dense]
     facets.sort(key=lambda r: r.key(f2.p_vars))
     return NCPolytope(f2.p_vars, equalities, facets)
 
@@ -306,8 +307,9 @@ def _affine_hull(f2: F2System):
             row = dict(coeffs)
             row[var] = row.get(var, ZERO) - ONE
             eq_rows.append(LinRow(row, const, EQ))
-    # Distribution columns first: the Fourier-Motzkin column choice breaks
-    # its ties by column, and its shot origins depend on the column order.
+    # Distribution columns first, so the first nu_dim columns are the ones
+    # both routes eliminate: the Fourier-Motzkin column choice breaks its
+    # ties by column, and its shot origins depend on the column order.
     free = [v for v in f2.nu_vars + f2.p_vars if v not in subs]
     return (free, [dense_row(r, free) for r in reduced.rows],
             rref(eq_rows, f2.p_vars))
@@ -359,7 +361,7 @@ def _shot_origins(interior, rows):
     return out
 
 
-def _fm_facets(f2: F2System, free, dense, progress):
+def _fm_facets(f2: F2System, free, dense, nu_dim, progress):
     interior = _interior_point(f2, free)
     if any(sum(map(mul, r, interior)) <= 0 for r in dense):
         raise InternalError("Fourier-Motzkin: the interior point is not "
@@ -369,67 +371,57 @@ def _fm_facets(f2: F2System, free, dense, progress):
         raise InternalError("Fourier-Motzkin: a shot origin is not "
                             "strictly inside every row")
     witnesses = []
-    if all(v[0] != "nu" for v in free):
+    if not nu_dim:
         # The equality reduction alone eliminated every distribution
         # variable; one pass still deduplicates the rows and removes the
         # redundant ones.
-        dense, _ = irredundant_rows(dense, witnesses, origins)
-    while nu_cols := [k for k, v in enumerate(free) if v[0] == "nu"]:
-        col = _pick_column(dense, nu_cols)
+        dense = irredundant_rows(dense, witnesses, origins)
+    dim = len(free)
+    while nu_dim:
+        col = _pick_column(dense, nu_dim)
         dense = fm_step(dense, col)
-        free = free[:col] + free[col + 1:]
+        nu_dim, dim = nu_dim - 1, dim - 1
         # Projecting a feasible point just drops the eliminated coordinate.
-        witnesses = [w[:col] + w[col + 1:] for w in witnesses]
+        witnesses[:] = [w[:col] + w[col + 1:] for w in witnesses]
         origins = [o[:col] + o[col + 1:] for o in origins]
-        dense, witnesses = irredundant_rows(dense, witnesses, origins)
+        dense = irredundant_rows(dense, witnesses, origins)
         if progress:
-            progress(len(free), len(dense))
-    return [canonicalize_row(LinRow(dict(zip(free, r)), r[-1])) for r in dense]
+            progress(dim, len(dense))
+    return dense
 
 
 # --- Hull engine ----------------------------------------------------------
 #
 # Vertices of the image of a polytope are images of its vertices.  The
-# reduced system's coordinates are the free distribution and free table
-# coordinates, so the kernel's vertices of its dense rows, with the
-# distribution entries dropped and the last entry t kept, are the image
-# points, and a polar double description recovers the facets of their
-# hull.  Image points that are not extreme need no filtering; they only
-# add redundant polar rows.
+# reduced system's coordinates are the free distribution coordinates, then
+# the free table coordinates, so the kernel's vertices of its dense rows,
+# with the first nu_dim entries dropped and the last entry t kept, are the
+# image points, and a polar double description recovers the facets of
+# their hull.  Image points that are not extreme need no filtering; they
+# only add redundant polar rows.  The reduced system is bounded and holds
+# the interior point, and the equalities are the image points' affine
+# hull, so a failure of either kernel call is the kernel's InternalError.
 
 
-def _hull_facets(free, rows, progress):
-    # The reduced system is bounded and holds the interior point.
-    try:
-        raw = vertices(rows, len(free))
-    except ValueError as exc:
-        raise InternalError(f"vertex enumeration: {exc}") from exc
+def _hull_facets(rows, dim, nu_dim, progress):
+    raw = vertices(rows, dim)
     if not raw:
         raise InternalError("vertex enumeration: no vertex")
     if progress:
-        progress(len(free), len(raw))
-    p_cols = [k for k, v in enumerate(free) if v[0] == "p"]
-    points = {primitive([ray[k] for k in p_cols] + [ray[-1]]) for ray in raw}
+        progress(dim, len(raw))
+    points = {primitive(ray[nu_dim:]) for ray in raw}
     if progress:
-        progress(len(p_cols), len(points))
-
+        progress(dim - nu_dim, len(points))
     # With no free table coordinate every point is (1,).
-    if len(points) == 1:
-        return []
-    try:
-        facets = hull_facets(points)
-    except ValueError as exc:   # the equalities are the points' affine hull
-        raise InternalError(f"image hull: {exc}") from exc
-    p_free = [free[k] for k in p_cols]
-    return [canonicalize_row(LinRow(dict(zip(p_free, r)), r[-1]))
-            for r in facets]
+    return hull_facets(points) if len(points) > 1 else []
 
 
-def _pick_column(dense, nu_cols):
-    """Greedy heuristic: minimize pos*neg - pos - neg, ties by column
-    (the distribution columns keep their registry order)."""
+def _pick_column(dense, nu_dim):
+    """Greedy heuristic: minimize pos*neg - pos - neg over the first
+    ``nu_dim`` columns, ties to the lowest (the distribution columns keep
+    their registry order)."""
     def score(col):
         pos = sum(1 for r in dense if r[col] > 0)
         neg = sum(1 for r in dense if r[col] < 0)
         return pos * neg - pos - neg
-    return min(nu_cols, key=score)
+    return min(range(nu_dim), key=score)

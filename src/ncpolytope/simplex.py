@@ -12,7 +12,9 @@ Two entry points:
 * :func:`minimize_over_rows` -- min c.x over a system of dense inequality
   rows ``a.x + a0 >= 0`` with free x.  Solved through the LP dual, so it
   stays cheap when there are many rows but few variables (the shape of
-  every redundancy query in the projection module).
+  every redundancy query in the projection module).  Its caller bounds
+  the LP and holds a strictly interior point, so any optimum not reached
+  is an InternalError raised here.
 """
 
 from __future__ import annotations
@@ -147,10 +149,9 @@ def minimize_over_rows(rows, c) -> LPResult:
     ``rows`` are dense tuples with the constant last.  Solved via the dual
     ``max sum(-a0_i) y_i  s.t.  sum_i y_i a_i = c, y >= 0`` so the tableau
     has one row per dimension rather than one per inequality.  The caller
-    must guarantee primal feasibility; UNBOUNDED then means some row of the
-    region can be pushed arbitrarily negative.
-
-    On OPTIMAL, ``x`` is the primal minimizer (the dual's multipliers).
+    must guarantee that the region is nonempty and c.x bounded below on
+    it; InternalError otherwise.  ``x`` is the primal minimizer (the
+    dual's multipliers).
     """
     dim = len(c)
     nrows = len(rows)
@@ -158,11 +159,7 @@ def minimize_over_rows(rows, c) -> LPResult:
     b = [Fraction(v) for v in c]
     cost = [Fraction(rows[i][dim]) for i in range(nrows)]
     res = solve_standard(A, b, cost)
-    if res.status == INFEASIBLE:
-        return LPResult(UNBOUNDED)
-    if res.status == UNBOUNDED:
-        # Dual objective unbounded above is impossible when the primal is
-        # feasible; treat as a hard error.
-        raise InternalError("dual LP unbounded; primal region empty?")
+    if res.status != OPTIMAL:   # the region is empty or c.x unbounded
+        raise InternalError(f"redundancy LP: the dual is {res.status}")
     # The multipliers pi of the dual satisfy N.pi <= a0, so x* = -pi.
     return LPResult(OPTIMAL, x=[-y for y in res.duals], value=-res.value)

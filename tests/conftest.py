@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from ncpolytope.linalg import LinearSystem
 from ncpolytope.measurement_polytope import build_measurement_h, enumerate_vertices
 from ncpolytope.ncsystem import build_f2
 from ncpolytope.scenario import scenario
@@ -31,6 +32,13 @@ def six_prep_scenario():
               ({3: HALF, 4: HALF}, {5: HALF, 6: HALF})],
         oe_m=[({(1, 0): THIRD, (2, 0): THIRD, (3, 0): THIRD},
                {(1, 1): THIRD, (2, 1): THIRD, (3, 1): THIRD})])
+
+
+def unnormalized_measurement_h(scn):
+    """The measurement system without its normalization rows, the only
+    rows with a constant: only xi >= 0 bounds it, so it is unbounded."""
+    h = build_measurement_h(scn)
+    return LinearSystem(h.variables, [r for r in h.rows if not r.const])
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,8 @@ from conftest import (TIMINGS, contextual_table_41, four_prep_scenario,
                       quantum_table_63, six_prep_scenario)
 from ncpolytope.documents import polytope_to_doc, write_document
 from ncpolytope.feasibility import Feasible, Infeasible, check_table, optimize
-from ncpolytope.linalg import EQ, GEQ, LinRow, LinearSystem, canonicalize_row, rref
+from ncpolytope.linalg import (EQ, GEQ, LinRow, LinearSystem, canonicalize_row,
+                               reduce_modulo, rref)
 from ncpolytope.measurement_polytope import (build_measurement_h,
                                              enumerate_vertices, xi_var)
 from ncpolytope.ncsystem import bind_table, build_f2, reconstruct_table
@@ -83,7 +84,7 @@ def test_criterion_02_four_prep_polytope():
         poly = project_to_nc_polytope(f2)
         elapsed = time.perf_counter() - start
         for row in REFERENCE_EQUALITIES_41:
-            residue = poly.reduce(row)
+            residue = reduce_modulo(row, poly.equalities, poly.variables)
             assert not residue.coeffs and residue.const == 0
         keys = facet_keys(poly)
         covered = set()
@@ -95,7 +96,8 @@ def test_criterion_02_four_prep_polytope():
         for c in scn.coords():
             for row in (LinRow({p_var(c): 1}, 0, GEQ),
                         LinRow({p_var(c): -1}, F(1), GEQ)):
-                reduced = canonicalize_row(poly.reduce(row))
+                reduced = canonicalize_row(
+                    reduce_modulo(row, poly.equalities, poly.variables))
                 if reduced.coeffs:
                     covered.add(reduced.key(poly.variables))
         assert covered == keys
@@ -116,8 +118,10 @@ def test_criterion_03_contextual_certificate(poly41):
         assert isinstance(verdict, Infeasible)
         expected = LinRow({p(1, 3): -1, p(2, 4): -1, p(1, 2): 1, p(2, 2): 1},
                           F(1), GEQ)
-        assert canonicalize_row(poly41.reduce(verdict.inequality)) \
-            == canonicalize_row(poly41.reduce(expected))
+        assert canonicalize_row(reduce_modulo(
+            verdict.inequality, poly41.equalities, poly41.variables)) \
+            == canonicalize_row(reduce_modulo(expected, poly41.equalities,
+                                              poly41.variables))
         assert verdict.violation == 1
         assert elapsed < 1.0
 
@@ -199,7 +203,7 @@ def test_criterion_06_six_prep_polytope(scn63, poly63, group63):
         assert len(poly63.facets) == 1596
         # the three reference equalities hold ...
         for row in REFERENCE_EQUALITIES_63:
-            residue = poly63.reduce(row)
+            residue = reduce_modulo(row, poly63.equalities, poly63.variables)
             assert not residue.coeffs and residue.const == 0
         # ... lie in three distinct orbits, and their orbits span the
         # whole equality space

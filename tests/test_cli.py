@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import ncpolytope
-from conftest import SCENARIO_DIR
-from ncpolytope import feasibility, measurement_polytope
+from conftest import SCENARIO_DIR, unnormalized_measurement_h
+from ncpolytope import cli, feasibility
 from ncpolytope.cli import (EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_LIMIT,
                             EXIT_OK, EXIT_PARSE, main)
 from ncpolytope.feasibility import PrimalFeasible
@@ -315,15 +315,13 @@ def test_internal_error_exit_code(capsys, monkeypatch):
 
 
 def test_dd_failure_exit_code(capsys, monkeypatch):
-    def unbounded(ineqs, dim):
-        raise ValueError("region is unbounded")
-
-    monkeypatch.setattr(measurement_polytope, "vertices", unbounded)
+    # an unbounded measurement system makes the kernel itself fail
+    monkeypatch.setattr(cli, "build_measurement_h", unnormalized_measurement_h)
     code, out, err = run(capsys, "vertices", SIMPLEST)
     assert code == EXIT_INTERNAL
     assert out == ""
-    assert err.startswith("internal error:")
-    assert "Traceback" not in err
+    assert err.startswith("internal error:") and err.count("\n") == 1
+    assert "region is unbounded" in err and "Traceback" not in err
 
 
 def run_optimized(*argv):

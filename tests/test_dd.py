@@ -5,8 +5,9 @@ from math import gcd, lcm
 
 import pytest
 
-from ncpolytope.dd import hull_facets, vertices
-from ncpolytope.linalg import GEQ, LinRow, LinearSystem, dense_row
+from ncpolytope.dd import extreme_rays, hull_facets, vertices
+from ncpolytope.linalg import (GEQ, InternalError, LinRow, LinearSystem,
+                               dense_row)
 from ncpolytope.measurement_polytope import EmptyPolytope, enumerate_vertices
 from oracles import brute_force_vertices, in_convex_hull
 
@@ -114,8 +115,18 @@ def test_hull_facets_match_oracle():
 def test_unbounded_region_raises():
     quadrant = [lower((1, 0, 0), 0), lower((0, 1, 0), 0),
                 lower((0, 0, 1), 0), upper((0, 0, 1), 1)]
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalError, match="region is unbounded"):
         vertices([dense_row(r, VARS) for r in quadrant], len(VARS))
+
+
+def test_rows_or_points_that_do_not_span_raise():
+    # x >= 0 and x + y >= 0 leave z free: the cone has a line
+    with pytest.raises(InternalError, match="do not span"):
+        extreme_rays([(1, 0, 0), (1, 1, 0)], 3)
+    # every point has z = 0, so the polar rows leave the z axis free
+    square = [(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1), (1, 1, 0, 1)]
+    with pytest.raises(InternalError, match="do not span"):
+        hull_facets(square)
 
 
 def test_empty_region_raises_empty_polytope():

@@ -14,7 +14,7 @@ from ncpolytope.documents import (ParseError, generators_from_doc,
                                   polytope_to_doc, read_document, row_from_doc,
                                   row_to_doc, scenario_from_doc, table_from_doc,
                                   verdict_to_doc, write_document)
-from ncpolytope.linalg import EQ, GEQ, LinRow, rref
+from ncpolytope.linalg import EQ, GEQ, LinRow, reduce_modulo, rref
 from ncpolytope.scenario import InvalidScenario, p_var
 from test_acceptance import SIX_PREP_DOCUMENT
 from test_feasibility import multiplexing_objective
@@ -127,7 +127,8 @@ def test_polytope_equalities_are_stored_in_rref(poly41):
     assert poly2.equalities == rref(poly41.equalities, poly41.variables)
     for v in poly41.variables:
         row = LinRow({v: 1}, 0, GEQ)
-        assert poly2.reduce(row) == poly41.reduce(row)
+        assert reduce_modulo(row, poly2.equalities, poly2.variables) \
+            == reduce_modulo(row, poly41.equalities, poly41.variables)
 
 
 def test_polytope_facets_must_be_reduced(poly41):
@@ -192,8 +193,18 @@ def test_fraction_strings_rejected_when_malformed():
         table_from_doc({"probabilities": [[1, 1, 0, 0.5]]})
     with pytest.raises(ParseError):
         table_from_doc({"probabilities": [[1, 1, 0, "1/0"]]})
-    with pytest.raises(ParseError):
+    # a nested ParseError keeps its own message
+    with pytest.raises(ParseError, match="bad preparation index"):
         table_from_doc({"probabilities": [[1, -1, 0, "1/2"]]})
+    # Fraction would compute 10**exponent for any exponent; past the int
+    # literal digit limit of 4300 the string is rejected first
+    for text in ("1e4301", "1e-4301"):
+        with pytest.raises(ParseError, match="bad rational"):
+            table_from_doc({"probabilities": [[1, 1, 0, text]]})
+    for text, value in (("1e4300", F(10) ** 4300), ("0.25", F(1, 4)),
+                        ("1/2", F(1, 2))):
+        table = table_from_doc({"probabilities": [[1, 1, 0, text]]})
+        assert table.as_dict() == {(1, 1, 0): value}
 
 
 def test_read_document_errors(tmp_path):

@@ -15,7 +15,7 @@ from ncpolytope.feasibility import (Certificate, Feasible, Infeasible,
                                     MalformedTable, PrimalFeasible,
                                     check_table, farkas_certificate, optimize)
 from ncpolytope.linalg import (GEQ, ZERO, InternalError, LinRow,
-                               canonicalize_row)
+                               canonicalize_row, reduce_modulo)
 from ncpolytope.measurement_polytope import build_measurement_h, enumerate_vertices
 from ncpolytope.ncsystem import (OE_P, bind_table, build_f2, dot,
                                  reconstruct_table)
@@ -49,8 +49,10 @@ def test_extremal_contextual_table_certificate(scn41, verts41, poly41):
     # p13 + p24 - p12 - p22 <= 1, and the table violates it by exactly 1
     expected = LinRow(
         {p(1, 3): -1, p(2, 4): -1, p(1, 2): 1, p(2, 2): 1}, F(1), GEQ)
-    assert canonicalize_row(poly41.reduce(verdict.inequality)) \
-        == canonicalize_row(poly41.reduce(expected))
+    assert canonicalize_row(reduce_modulo(
+        verdict.inequality, poly41.equalities, poly41.variables)) \
+        == canonicalize_row(reduce_modulo(expected, poly41.equalities,
+                                          poly41.variables))
     assert verdict.violation == 1
 
 

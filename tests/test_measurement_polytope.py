@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ncpolytope.measurement_polytope as measurement_polytope
-from conftest import four_prep_scenario, six_prep_scenario
+from conftest import (four_prep_scenario, six_prep_scenario,
+                      unnormalized_measurement_h)
 from ncpolytope.linalg import InternalError
 from ncpolytope.measurement_polytope import (EmptyPolytope,
                                              build_measurement_h,
@@ -163,12 +163,8 @@ def test_vertices_are_deterministic_without_equivalences():
         assert all(x in (0, 1) for t in vs.as_tuples() for x in t)
 
 
-def test_dd_failure_is_an_internal_error(monkeypatch):
-    # the bounds 0 <= xi <= 1 make the region bounded and spanning, so a
-    # ValueError from the kernel is a failed invariant, not bad input
-    def unbounded(ineqs, dim):
-        raise ValueError("region is unbounded")
-
-    monkeypatch.setattr(measurement_polytope, "vertices", unbounded)
+def test_dd_failure_is_an_internal_error():
+    # the bounds 0 <= xi <= 1 make a measurement system bounded, so the
+    # kernel's error on an unbounded one is a failed invariant, not bad input
     with pytest.raises(InternalError, match="region is unbounded"):
-        enumerate_vertices(build_measurement_h(four_prep_scenario()))
+        enumerate_vertices(unnormalized_measurement_h(four_prep_scenario()))

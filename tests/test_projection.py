@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,10 @@ import pytest
 import ncpolytope.projection as projection
 from conftest import (contextual_table_41, four_prep_scenario,
                       six_prep_scenario, uniform_table)
-from ncpolytope.linalg import EQ, GEQ, InternalError, LinRow, canonicalize_row
+from ncpolytope.linalg import (EQ, GEQ, InternalError, LinRow,
+                               canonicalize_row, reduce_modulo)
 from ncpolytope.measurement_polytope import build_measurement_h, enumerate_vertices
-from ncpolytope.ncsystem import build_f2
+from ncpolytope.ncsystem import NORMALIZATION, build_f2
 from ncpolytope.projection import project_to_nc_polytope
 from ncpolytope.scenario import p_var, scenario
 from ncpolytope.simplex import OPTIMAL, minimize_over_rows
@@ -51,12 +53,13 @@ def facet_keys(poly):
 
 
 def reduced_key(poly, row):
-    return canonicalize_row(poly.reduce(row)).key(poly.variables)
+    reduced = reduce_modulo(row, poly.equalities, poly.variables)
+    return canonicalize_row(reduced).key(poly.variables)
 
 
 def test_reference_equalities_hold(poly41):
     for row in REFERENCE_EQUALITIES_41:
-        residue = poly41.reduce(row)
+        residue = reduce_modulo(row, poly41.equalities, poly41.variables)
         assert not residue.coeffs and residue.const == 0
 
 
@@ -73,7 +76,8 @@ def test_facets_match_reference_modulo_equalities(poly41):
     for c in scn.coords():
         for row in (LinRow({p_var(c): 1}, 0, GEQ),
                     LinRow({p_var(c): -1}, F(1), GEQ)):
-            reduced = canonicalize_row(poly41.reduce(row))
+            reduced = canonicalize_row(
+                reduce_modulo(row, poly41.equalities, poly41.variables))
             if reduced.coeffs:
                 covered.add(reduced.key(poly41.variables))
     assert covered == keys
@@ -222,26 +226,41 @@ def poly_is_unit_box(poly, scn):
     for c in scn.coords():
         for row in (LinRow({p_var(c): 1}, 0, GEQ),
                     LinRow({p_var(c): -1}, F(1), GEQ)):
-            reduced = canonicalize_row(poly.reduce(row))
+            reduced = canonicalize_row(
+                reduce_modulo(row, poly.equalities, poly.variables))
             if reduced.coeffs:
                 expected.add(reduced.key(poly.variables))
     return keys == expected
 
 
-@pytest.mark.parametrize("module, kernel", [
-    pytest.param(projection, "vertices", id="vertices"),
-    pytest.param(projection, "hull_facets", id="hull_facets")])
-def test_hull_dd_failure_is_an_internal_error(f2_41, monkeypatch, module,
-                                              kernel):
-    # the distribution polytope is bounded and the image points span the
-    # free coordinates, so a ValueError from the kernel is a failed invariant
-    def fails(*args):
-        raise ValueError("inequality rows do not span the space")
+def unnormalized(f2, monkeypatch):
+    """F2 without its normalization rows: only nu >= 0 bounds it."""
+    keep = [k for k, label in enumerate(f2.eq_labels)
+            if label[0] != NORMALIZATION]
+    return replace(f2, eq_labels=[f2.eq_labels[k] for k in keep],
+                   eq_matrix=[f2.eq_matrix[k] for k in keep])
 
-    monkeypatch.setattr(module, kernel, fails)
+
+def in_a_hyperplane(f2, monkeypatch):
+    """F2 whose hull route keeps only the vertices at which the last free
+    table coordinate is 0, so that the image points lie in a hyperplane."""
+    real = projection.vertices
+    monkeypatch.setattr(projection, "vertices", lambda rows, dim: [
+        ray for ray in real(rows, dim) if ray[-2] == 0])
+    return f2
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(unnormalized, "region is unbounded", id="vertices"),
+    pytest.param(in_a_hyperplane, "do not span", id="hull_facets")])
+def test_hull_dd_failure_is_an_internal_error(f2_41, monkeypatch, make,
+                                              message):
+    # the distribution polytope is bounded and the image points span the
+    # free coordinates, so each kernel call of the hull route raises its
+    # own InternalError when driven outside that
     monkeypatch.setattr(projection, "FM_MAX_NU_DIM", -1)
-    with pytest.raises(InternalError, match="do not span"):
-        project_to_nc_polytope(f2_41)
+    with pytest.raises(InternalError, match=message):
+        project_to_nc_polytope(make(f2_41, monkeypatch))
 
 
 def test_hull_route_with_no_vertex_is_an_internal_error(f2_41, monkeypatch):

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncpolytope.linalg import GEQ, LinRow
+from ncpolytope.linalg import GEQ, InternalError, LinRow
 from ncpolytope.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED,
                                 minimize_over_rows, solve_standard)
 
@@ -93,8 +94,12 @@ def test_minimize_over_rows_square():
 
 
 def test_minimize_over_rows_unbounded():
-    rows = [(F(1), F(0))]
-    assert minimize_over_rows(rows, [F(-1)]).status == UNBOUNDED
+    # the caller bounds every LP and holds an interior point, so neither an
+    # unbounded objective nor an empty region is an answer
+    with pytest.raises(InternalError, match="infeasible"):
+        minimize_over_rows([(F(1), F(0))], [F(-1)])
+    with pytest.raises(InternalError, match="unbounded"):
+        minimize_over_rows([(F(1), F(0)), (F(-1), F(-1))], [F(1)])
 
 
 nonneg = st.fractions(min_value=0, max_value=4, max_denominator=6)
