@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import __version__
 from .linalg import (EQ, GEQ, InconsistentSystem, InputError, LinearSystem,
-                     LinRow, row_reduce_equalities, rref)
+                     LinRow, rref)
 from .measurement_polytope import VertexSet, xi_var
 from .projection import NCPolytope
 from .scenario import DataTable, Scenario, p_var, p_vars, scenario
@@ -24,6 +24,19 @@ from .scenario import DataTable, Scenario, p_var, p_vars, scenario
 
 class ParseError(InputError):
     """A document is malformed or fails validation."""
+
+
+class ResultTooLong(InputError):
+    """A result rational is too long for Python to write as text."""
+
+
+def _text(q) -> str:
+    """A rational as text, for every rational a result document holds."""
+    try:
+        return str(q)
+    except ValueError:   # str() of an int past the digit limit
+        raise ResultTooLong("a result rational is longer than Python's "
+                            "4300-digit limit for writing an int") from None
 
 
 CLIP_CHARS = 40
@@ -148,8 +161,8 @@ def table_from_doc(doc: dict) -> DataTable:
 
 def row_to_doc(row: LinRow) -> dict:
     terms = sorted((v[1], v[2], v[3], c) for v, c in row.coeffs.items())
-    return {"constant": str(row.const),
-            "terms": [[i, j, m, str(c)] for i, j, m, c in terms]}
+    return {"constant": _text(row.const),
+            "terms": [[i, j, m, _text(c)] for i, j, m, c in terms]}
 
 
 def row_from_doc(doc: dict, kind=GEQ) -> LinRow:
@@ -184,7 +197,7 @@ def objective_from_doc(doc: dict):
 def vertices_to_doc(vs: VertexSet) -> dict:
     out = []
     for vertex in vs.vertices:
-        out.append([[i, m, str(vertex[xi_var(i, m)])]
+        out.append([[i, m, _text(vertex[xi_var(i, m)])]
                     for (_, i, m) in vs.variables])
     return _stamp({"vertices": out})
 
@@ -213,7 +226,7 @@ def polytope_from_doc(doc: dict, scn: Scenario) -> NCPolytope:
         raise ParseError(f"polytope document: {exc}") from exc
     # Facets must already be reduced modulo the equalities: no term on a
     # pivot coordinate, the latest variable of each rref row.
-    pivots = set(row_reduce_equalities(LinearSystem(variables, equalities))[0])
+    pivots = {max(r.coeffs, key=variables.index) for r in equalities}
     for n, facet in enumerate(facets):
         if not pivots.isdisjoint(facet.coeffs):
             _, i, j, m = min(pivots.intersection(facet.coeffs))
@@ -258,18 +271,18 @@ def verdict_to_doc(verdict) -> dict:
     if isinstance(verdict, Feasible):
         return _stamp({
             "status": "feasible",
-            "model": [[j, k, str(v)]
+            "model": [[j, k, _text(v)]
                       for (_, j, k), v in sorted(verdict.nu.items())],
         })
     cert = verdict.certificate
     doc = {
         "status": "infeasible",
         "certificate": {
-            "y": [[list(label), str(v)]
+            "y": [[list(label), _text(v)]
                   for label, v in zip(cert.row_labels, cert.y)],
         },
         "inequality": row_to_doc(verdict.inequality),
-        "violation": str(verdict.violation),
+        "violation": _text(verdict.violation),
     }
     if verdict.broken_equivalence is not None:
         doc["broken_equivalence"] = list(verdict.broken_equivalence)
@@ -278,8 +291,8 @@ def verdict_to_doc(verdict) -> dict:
 
 def optimum_to_doc(value, witness: DataTable) -> dict:
     return _stamp({
-        "value": str(value),
-        "witness_table": [[i, j, m, str(v)]
+        "value": _text(value),
+        "witness_table": [[i, j, m, _text(v)]
                           for (i, j, m), v in witness.entries],
     })
 

@@ -1,18 +1,19 @@
 """Exact rational rows, linear systems, and row reduction.
 
-Scalars are ``fractions.Fraction`` throughout; nothing in this package ever
-touches floating point.  A row is a sparse map from variable ids to
-coefficients together with a constant, and reads either as
+Scalars are Fractions or ints; nothing in this package ever touches
+floating point.  A LinRow, the row of the documents and the API, maps
+variable ids to coefficients and has a constant, and reads either as
 ``sum(c*x) + const >= 0`` or ``sum(c*x) + const == 0``.  Variable ids are
 arbitrary sortable values (we use tuples like ``("p", i, j, m)``).
 
-One Gaussian elimination, :func:`row_reduce_equalities`, decides every
-equality system; :func:`rref` is its canonical form.  The integer-row
-helpers (:func:`primitive`, :func:`int_row` and :func:`dense_row`) turn
-rational rows and points into the coprime int tuples that the double
-description kernel (:mod:`.dd`), the projection and row canonicalization
-share; a rational point ``values`` is ``int_row(values + [ONE])``, whose
-last entry is its least common denominator (see :mod:`.dd`).
+The integer-row helpers (:func:`primitive`, :func:`int_row` and
+:func:`dense_row`) turn rational rows and points into the coprime int
+tuples that the double description kernel (:mod:`.dd`), the projection
+and row canonicalization share; a rational point ``values`` is
+``int_row(values + [ONE])``, whose last entry is its least common
+denominator (see :mod:`.dd`).  One fraction-free elimination on such rows
+(Bareiss, 1968), :func:`row_reduce_equalities`, decides every equality
+system; :func:`rref` and :func:`reduce_modulo` are its LinRow forms.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Hashable, Iterable, Mapping
-
-Var = Hashable
+from typing import Iterable
 
 GEQ = "geq"
 EQ = "eq"
@@ -69,8 +68,13 @@ def int_row(values) -> tuple:
 
 
 def dense_row(row, variables) -> tuple:
-    """A LinRow over ``variables``, constant last, as coprime ints."""
-    return int_row([row.coeffs.get(v, ZERO) for v in variables] + [row.const])
+    """A LinRow over ``variables``, constant last, as coprime ints; a term
+    on a variable outside ``variables`` is a ValueError."""
+    dense = [row.coeffs.get(v, ZERO) for v in variables]
+    if sum(map(bool, dense)) < len(row.coeffs):
+        v = next(v for v in row.coeffs if v not in variables)
+        raise ValueError(f"row has a term on {v}, not among the variables")
+    return int_row(dense + [row.const])
 
 
 @dataclass
@@ -86,21 +90,6 @@ class LinRow:
         self.const = rat(self.const)
         if self.kind not in (GEQ, EQ):
             raise ValueError(f"unknown row kind {self.kind!r}")
-
-    def substituted(self, subs: Mapping) -> "LinRow":
-        """Replace each substituted variable by its affine expression."""
-        coeffs: dict = {}
-        const = self.const
-        for v, c in self.coeffs.items():
-            expr = subs.get(v)
-            if expr is None:
-                coeffs[v] = coeffs.get(v, ZERO) + c
-            else:
-                ecoeffs, econst = expr
-                const += c * econst
-                for w, e in ecoeffs.items():
-                    coeffs[w] = coeffs.get(w, ZERO) + c * e
-        return LinRow(coeffs, const, self.kind)
 
     def key(self, variables: Iterable) -> tuple:
         """Deterministic sort key: dense coefficient vector plus constant."""
@@ -151,58 +140,58 @@ def canonicalize_row(row: LinRow) -> LinRow:
     return LinRow(dict(zip(row.coeffs, ints)), ints[-1], row.kind)
 
 
-def row_reduce_equalities(system: LinearSystem):
-    """Eliminate the EQ rows of a system by Gaussian substitution.
+def reduce_row(row, pivots) -> tuple:
+    """A positive multiple of a dense int row with the pivot columns of
+    :func:`row_reduce_equalities` cleared, so an inequality keeps its
+    direction: each step is ``primitive(p[col] * row - row[col] * p)``."""
+    for col, p in pivots.items():
+        if row[col]:
+            row = primitive([p[col] * a - row[col] * b for a, b in zip(row, p)])
+    return row
 
-    Returns ``(substitutions, reduced)`` where ``substitutions`` maps each
-    eliminated variable to an affine expression ``(coeffs, const)`` over the
-    remaining variables, and ``reduced`` contains only GEQ rows (with the
-    substitutions applied).  Each row pivots on its greatest variable in
-    registry order, so the earliest variables stay free; the registry order
-    is the whole pivot rule.
+
+def row_reduce_equalities(eqs) -> dict:
+    """Eliminate equalities, coprime dense int rows as :func:`dense_row`
+    gives them, by fraction-free Gaussian elimination.
+
+    Returns ``{pivot column: row}``: coprime rows, positive in their own
+    pivot column and zero in every other one, so each solves for its pivot
+    over the free columns.  Each row, reduced by the pivots found so far,
+    pivots on its last nonzero column, so the earliest columns stay free;
+    the column order is the whole pivot rule.
 
     Raises InconsistentSystem on a contradictory equality.
     """
-    order = {v: k for k, v in enumerate(system.variables)}
-    subs: dict = {}
-    for row in system.eq_rows():
-        row = row.substituted(subs)
-        if not row.coeffs:
-            if row.const != 0:
-                raise InconsistentSystem(f"contradictory equality: {row.const} = 0")
+    pivots: dict = {}
+    for row in eqs:
+        row = reduce_row(row, pivots)
+        col = next((k for k in range(len(row) - 2, -1, -1) if row[k]), None)
+        if col is None:
+            if row[-1]:
+                raise InconsistentSystem(
+                    f"contradictory equality: {row[-1]} = 0")
             continue
-        pivot = max(row.coeffs, key=order.__getitem__)
-        c = row.coeffs[pivot]
-        expr_coeffs = {v: -a / c for v, a in row.coeffs.items() if v != pivot}
-        expr_const = -row.const / c
-        # Back-substitute into previously recorded expressions so every
-        # substitution stays in terms of free variables only.
-        for var, (ecoeffs, econst) in subs.items():
-            if pivot in ecoeffs:
-                factor = ecoeffs.pop(pivot)
-                econst += factor * expr_const
-                for w, e in expr_coeffs.items():
-                    ecoeffs[w] = ecoeffs.get(w, ZERO) + factor * e
-                subs[var] = ({w: e for w, e in ecoeffs.items() if e != 0}, econst)
-        subs[pivot] = (expr_coeffs, expr_const)
-    free = [v for v in system.variables if v not in subs]
-    reduced_rows = [r.substituted(subs) for r in system.geq_rows()]
-    return subs, LinearSystem(free, reduced_rows)
+        if row[col] < 0:
+            row = tuple(-a for a in row)
+        # Back-substitute so that every pivot row names free columns only.
+        for k, p in pivots.items():
+            if p[col]:
+                pivots[k] = primitive([row[col] * a - p[col] * b
+                                       for a, b in zip(p, row)])
+        pivots[col] = row
+    return pivots
 
 
 def rref(rows: list, variables: list) -> list:
     """Reduced row echelon form of EQ rows over a fixed variable order.
 
-    The substitutions of :func:`row_reduce_equalities`, which pivots on the
-    greatest variable of each row so the earliest variables remain free,
-    written back as rows; this is the canonical form used for affine hulls.
-    Returns canonicalized EQ LinRows sorted by pivot.
+    The pivot rows of :func:`row_reduce_equalities`, which pivots on the
+    latest variable of each row so the earliest variables remain free, as
+    canonicalized EQ LinRows sorted by pivot: the canonical affine hull.
     """
-    subs, _ = row_reduce_equalities(LinearSystem(variables, rows))
-    order = {v: k for k, v in enumerate(variables)}
-    return [canonicalize_row(LinRow({**coeffs, pv: -ONE}, const, EQ))
-            for pv, (coeffs, const) in sorted(subs.items(),
-                                              key=lambda kv: order[kv[0]])]
+    pivots = row_reduce_equalities([dense_row(r, variables) for r in rows])
+    return [canonicalize_row(LinRow(dict(zip(variables, p)), p[-1], EQ))
+            for _, p in sorted(pivots.items())]
 
 
 def reduce_modulo(row: LinRow, equalities: list, variables: list) -> LinRow:
@@ -211,7 +200,10 @@ def reduce_modulo(row: LinRow, equalities: list, variables: list) -> LinRow:
     Two rows that differ by a combination of the equalities reduce to the
     same canonical form, which is how row identity "modulo the affine hull"
     is decided everywhere in this package.  The equalities may come in any
-    form; the substitutions are those of :func:`row_reduce_equalities`.
+    form; :func:`reduce_row` clears the row on their pivot rows.
     """
-    subs, _ = row_reduce_equalities(LinearSystem(variables, equalities))
-    return canonicalize_row(row.substituted(subs))
+    pivots = row_reduce_equalities([dense_row(r, variables)
+                                    for r in equalities])
+    reduced = reduce_row(dense_row(row, variables), pivots)
+    return canonicalize_row(LinRow(dict(zip(variables, reduced)),
+                                   reduced[-1], row.kind))

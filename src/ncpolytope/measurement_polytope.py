@@ -1,12 +1,12 @@
 """Vertices of H-polytopes, and the measurement-assignment polytope.
 
 :func:`enumerate_vertices` returns the vertices of any bounded
-:class:`.linalg.LinearSystem` exactly: it substitutes the equalities away,
-runs the double description method (:mod:`.dd`) on the free coordinates
-they leave, and reads each eliminated coordinate off its affine
-expression at every vertex.  It serves the measurement-assignment polytope
-built here (positivity, per-measurement normalization and one equality
-per measurement operational equivalence).  An empty system is
+:class:`.linalg.LinearSystem` exactly: it reduces the equalities away on
+dense integer rows, runs the double description method (:mod:`.dd`) on
+the free coordinates they leave, and reads each eliminated coordinate off
+its pivot row at every vertex.  It serves the measurement-assignment
+polytope built here (positivity, per-measurement normalization and one
+equality per measurement operational equivalence).  An empty system is
 :class:`EmptyPolytope`; an unbounded one is the kernel's InternalError.
 """
 
@@ -18,7 +18,7 @@ from operator import mul
 
 from .dd import vertices
 from .linalg import (EQ, GEQ, ONE, ZERO, InconsistentSystem, InputError,
-                     LinearSystem, LinRow, dense_row, int_row,
+                     LinearSystem, LinRow, dense_row, primitive, reduce_row,
                      row_reduce_equalities)
 from .scenario import Scenario
 
@@ -68,14 +68,18 @@ def build_measurement_h(scn: Scenario) -> LinearSystem:
 
 def enumerate_vertices(h: LinearSystem) -> VertexSet:
     """All vertices of a bounded H-polytope, exact and canonically ordered."""
+    n = len(h.variables)
     try:
-        subs, reduced = row_reduce_equalities(h)
+        pivots = row_reduce_equalities([dense_row(r, h.variables)
+                                        for r in h.eq_rows()])
     except InconsistentSystem as exc:
         raise EmptyPolytope(str(exc)) from exc
-    free = reduced.variables
+    free = [k for k in range(n) if k not in pivots]
     # Dense integer inequalities a.y + a0 >= 0 over the free coordinates.
     ineqs = []
-    for q in (dense_row(row, free) for row in reduced.rows):
+    for row in h.geq_rows():
+        row = reduce_row(dense_row(row, h.variables), pivots)
+        q = primitive([row[k] for k in free] + [row[-1]])
         if any(q[:-1]):
             ineqs.append(q)
         elif q[-1] < 0:
@@ -83,17 +87,16 @@ def enumerate_vertices(h: LinearSystem) -> VertexSet:
     raw = vertices(ineqs, len(free))   # callers' systems are bounded
     if not raw:
         raise EmptyPolytope("no point satisfies all rows")
-    # Each eliminated coordinate as ints over the free ones and a constant,
-    # then their common denominator: its value at a point is the dot
-    # product over that denominator times the point's.
-    exprs = [(v, int_row([coeffs.get(w, ZERO) for w in free] + [const, ONE]))
-             for v, (coeffs, const) in subs.items()]
     points = []
     for ray in raw:
-        t = ray[-1]
-        point = {v: Fraction(a, t) for v, a in zip(free, ray)}
-        for v, expr in exprs:
-            point[v] = Fraction(sum(map(mul, expr, ray)), expr[-1] * t)
-        points.append(point)
-    points.sort(key=lambda p: tuple(p[v] for v in h.variables))
-    return VertexSet(h.variables, points)
+        # a pivot coordinate is -p . (b, t) / (p[col] * t), with b set to 0
+        # on the pivot columns
+        t, full = ray[-1], [0] * n + [ray[-1]]
+        for k, b in zip(free, ray):
+            full[k] = b
+        x = [Fraction(b, t) for b in full[:-1]]
+        for col, p in pivots.items():
+            x[col] = Fraction(-sum(map(mul, p, full)), p[col] * t)
+        points.append(x)
+    points.sort()
+    return VertexSet(h.variables, [dict(zip(h.variables, x)) for x in points])

@@ -6,21 +6,20 @@ is a choice of one probability distribution over them per preparation:
 the data table.  :func:`build_f2` builds the equalities once, as dense
 Fraction rows over the distribution unknowns with a label each; the
 linking rows, p(m|M_i,P_j) = sum_k xi_k(m|M_i) nu_j(k), are the one map
-from distributions to tables.  Every reader uses these rows:
-:func:`bind_table` computes ``b*`` and the table's equivalence residuals,
-optimization and table reconstruction take the linking rows by coordinate,
-and only the projection derives symbolic rows, through
-:meth:`F2System.system`.
+from distributions to tables.  Every reader uses these rows, and none makes
+symbolic ones: :func:`bind_table` computes ``b*`` and the table's
+equivalence residuals, optimization and table reconstruction take the
+linking rows by coordinate, and the projection reduces them as integer rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import EQ, GEQ, ONE, ZERO, LinearSystem, LinRow
+from .linalg import ONE, ZERO
 from .measurement_polytope import VertexSet
 from .scenario import (DataTable, DimensionMismatch, Scenario,
-                       equivalence_rows, p_var, p_vars)
+                       equivalence_rows, p_vars)
 
 NORMALIZATION = "normalization"
 OE_P = "oe_p"
@@ -57,24 +56,6 @@ class F2System:
     # (which holds xi_k(m|M_i) in the nu_j(k) column) and fixed_rhs else.
     eq_labels: list
     eq_matrix: list
-
-    def system(self) -> LinearSystem:
-        """The rows over p_vars + nu_vars, for the projection: positivity
-        first, then each equality as row . nu - b = 0, except that a
-        linking row reads p - sum_k xi_k nu_j(k) = 0.  Registering the
-        distribution unknowns last makes each equality pivot on one of
-        them when it has one (:func:`.linalg.row_reduce_equalities`), so
-        the table coordinates stay free wherever possible."""
-        rows = [LinRow({v: ONE}, ZERO, GEQ) for v in self.nu_vars]
-        for label, dense in zip(self.eq_labels, self.eq_matrix):
-            if label[0] == LINKING:
-                coeffs = {p_var(label[1]): ONE}
-                coeffs.update((v, -a) for v, a in zip(self.nu_vars, dense) if a)
-                rows.append(LinRow(coeffs, ZERO, EQ))
-            else:
-                rows.append(LinRow(dict(zip(self.nu_vars, dense)),
-                                   -fixed_rhs(label), EQ))
-        return LinearSystem(self.p_vars + self.nu_vars, rows)
 
 
 @dataclass

@@ -5,11 +5,11 @@ generalized-noncontextual polytope: every data table admitting a
 noncontextual model satisfies its affine-hull equalities exactly and all of
 its facet inequalities, and conversely.
 
-The pipeline substitutes the equality rows of
-:meth:`.ncsystem.F2System.system` away first (its registry order puts the
-distribution variables last, so they are the ones eliminated and
-data-table coordinates stay free wherever possible).  Small systems then
-remove the remaining distribution variables one at a time by
+The pipeline first reduces the equalities of :mod:`.ncsystem` away once,
+fraction-free on dense integer rows whose distribution columns come last,
+so they are the ones eliminated and data-table coordinates stay free
+wherever possible (:func:`.linalg.row_reduce_equalities`).  Small systems
+then remove the remaining distribution variables one at a time by
 Fourier-Motzkin elimination, running an exact irredundancy pass after every
 elimination step to keep the intermediate row count at the true facet
 count.  The pass removes most redundant rows by an
@@ -37,14 +37,13 @@ from operator import mul
 
 from .dd import hull_facets, vertices
 from .linalg import (EQ, ONE, ZERO, InternalError, LinRow, canonicalize_row,
-                     dense_row, int_row, primitive, rref,
-                     row_reduce_equalities)
-from .ncsystem import LINKING, F2System, dot
-from .scenario import p_var
+                     int_row, primitive, reduce_row, row_reduce_equalities)
+from .ncsystem import LINKING, F2System, dot, fixed_rhs
+from .scenario import flatten_coord, p_var
 from .simplex import minimize_over_rows
-# Unused here; kept importable because tracing wraps projection.solve_standard
-# and projection.reduce_modulo.
-from .linalg import reduce_modulo  # noqa: F401
+# Unused here; kept importable because tracing wraps projection.solve_standard,
+# projection.reduce_modulo and projection.rref.
+from .linalg import reduce_modulo, rref  # noqa: F401
 from .simplex import solve_standard  # noqa: F401
 
 
@@ -296,23 +295,33 @@ def project_to_nc_polytope(f2: F2System, progress=None) -> NCPolytope:
 
 
 def _affine_hull(f2: F2System):
-    """Equality reduction: free coordinates, dense rows, p-pivot equalities."""
-    subs, reduced = row_reduce_equalities(f2.system())
-    # A p-coordinate pivots only a row with no nu term left, since every nu
-    # variable is registered after every p-coordinate; so its substitution
-    # is pure-p.
-    eq_rows = []
-    for var, (coeffs, const) in subs.items():
-        if var[0] == "p":
-            row = dict(coeffs)
-            row[var] = row.get(var, ZERO) - ONE
-            eq_rows.append(LinRow(row, const, EQ))
+    """Equality reduction: free coordinates, dense rows, p-pivot equalities.
+
+    Columns are table, then distribution coordinates, then the constant.
+    An equality reads b - row . nu = 0, where a linking row's b is its p,
+    so each pivots on a distribution column when it has one and the pivot
+    rows on table columns are the table equalities in rref.
+    """
+    n_p, n = len(f2.p_vars), len(f2.p_vars) + len(f2.nu_vars)
+    eqs = []
+    for label, dense in zip(f2.eq_labels, f2.eq_matrix):
+        row = [ZERO] * n_p + [-a for a in dense] + [fixed_rhs(label)]
+        if label[0] == LINKING:     # b is the table coordinate p
+            row[flatten_coord(f2.scenario, label[1]) - 1] = ONE
+        eqs.append(int_row(row))
+    pivots = row_reduce_equalities(eqs)
     # Distribution columns first, so the first nu_dim columns are the ones
     # both routes eliminate: the Fourier-Motzkin column choice breaks its
     # ties by column, and its shot origins depend on the column order.
-    free = [v for v in f2.nu_vars + f2.p_vars if v not in subs]
-    return (free, [dense_row(r, free) for r in reduced.rows],
-            rref(eq_rows, f2.p_vars))
+    cols = [c for c in range(n_p, n) if c not in pivots]
+    cols += [c for c in range(n_p) if c not in pivots]
+    rows = [reduce_row([int(k == c) for k in range(n + 1)], pivots)
+            for c in range(n_p, n)]     # nu >= 0
+    equalities = [canonicalize_row(LinRow(dict(zip(f2.p_vars, p)), p[-1], EQ))
+                  for col, p in sorted(pivots.items()) if col < n_p]
+    variables = f2.p_vars + f2.nu_vars
+    return ([variables[c] for c in cols],
+            [primitive([r[k] for k in cols + [-1]]) for r in rows], equalities)
 
 
 def _interior_point(f2: F2System, free):

@@ -24,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .linalg import (EQ, ZERO, InputError, LinearSystem, LinRow,
-                     canonicalize_row, int_row, primitive,
-                     row_reduce_equalities)
+from .linalg import (EQ, ZERO, InputError, LinRow, canonicalize_row,
+                     dense_row, int_row, primitive, row_reduce_equalities)
 # Unused here; kept importable because tracing wraps symmetry.reduce_modulo
 # and symmetry.rref.
 from .linalg import reduce_modulo, rref  # noqa: F401
@@ -212,25 +211,21 @@ class _Reduction:
     """
 
     def __init__(self, scn, equalities, variables):
-        subs, reduced = row_reduce_equalities(
-            LinearSystem(variables, equalities))
-        self.free = reduced.variables
-        column = {v: f for f, v in enumerate(self.free)}
-        n = len(self.free)
-        self.den = den = lcm(1, *(c.denominator for coeffs, c0 in subs.values()
-                                  for c in (c0, *coeffs.values())))
+        pivots = row_reduce_equalities([dense_row(r, variables)
+                                        for r in equalities])
+        cols = [k for k in range(len(variables)) if k not in pivots]
+        self.free = [variables[k] for k in cols]
+        self.den = den = lcm(1, *(p[col] for col, p in pivots.items()))
         self.flat = {v: flatten_coord(scn, v[1:]) - 1 for v in variables}
         self.images = [()] * (scn.l * scn.g * scn.d)
-        for v, q in self.flat.items():
-            if v not in subs:
-                self.images[q] = [(column[v], den)]
-                continue
-            coeffs, c0 = subs[v]
-            self.images[q] = [(column[w], int(c * den))
-                              for w, c in coeffs.items()]
-            if c0:
-                self.images[q].append((n, int(c0 * den)))
-        self.lead = sorted(range(n), key=self.free.__getitem__)
+        for f, k in enumerate(cols):
+            self.images[self.flat[variables[k]]] = [(f, den)]
+        # a pivot is -p over p[k] on the free columns and the constant (-1)
+        for k, p in pivots.items():
+            self.images[self.flat[variables[k]]] = [
+                (f, -p[c] * (den // p[k]))
+                for f, c in enumerate(cols + [-1]) if p[c]]
+        self.lead = sorted(range(len(cols)), key=self.free.__getitem__)
 
     def terms(self, row):
         """A row's coprime ints as (flat position, int) pairs, and its constant.

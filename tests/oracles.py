@@ -9,16 +9,17 @@ package solves its LP dual, and the product oracles form y.M and y.b*
 densely, where the package skips the zero entries of y.  The orbit
 oracles classify rows with Fraction arithmetic, one ``act_on_row`` and
 one substitution per group element, where the package works on integer
-rows.
+rows.  Those substitutions, and the vertex oracle's, come from a Gaussian
+elimination on Fraction dicts (:func:`eliminate`), where the package
+eliminates fraction-free on dense integer rows.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from ncpolytope.linalg import (EQ, GEQ, ZERO, InconsistentSystem, LinRow,
-                               LinearSystem, canonicalize_row,
-                               row_reduce_equalities)
-from ncpolytope.ncsystem import build_f2
+                               LinearSystem, canonicalize_row)
+from ncpolytope.ncsystem import NORMALIZATION, OE_P, build_f2, fixed_rhs
 from ncpolytope.simplex import OPTIMAL, UNBOUNDED, solve_standard
 from ncpolytope.symmetry import OrbitClass, RowNotInOrbitClosure, act_on_row
 
@@ -34,6 +35,59 @@ def satisfies(row, point) -> bool:
     """Does a point satisfy one row, read as ``== 0`` or as ``>= 0``?"""
     value = evaluate(row, point)
     return value == 0 if row.kind == EQ else value >= 0
+
+
+def substitute(row, subs) -> LinRow:
+    """The row with each variable of ``subs`` replaced by its affine
+    expression ``(coeffs, const)``."""
+    coeffs: dict = {}
+    const = row.const
+    for v, c in row.coeffs.items():
+        expr = subs.get(v)
+        if expr is None:
+            coeffs[v] = coeffs.get(v, ZERO) + c
+        else:
+            ecoeffs, econst = expr
+            const += c * econst
+            for w, e in ecoeffs.items():
+                coeffs[w] = coeffs.get(w, ZERO) + c * e
+    return LinRow(coeffs, const, row.kind)
+
+
+def eliminate(system: LinearSystem):
+    """Eliminate the EQ rows of a system by Gaussian substitution on
+    Fraction dicts.
+
+    Returns ``(substitutions, reduced)``: ``substitutions`` maps each
+    eliminated variable to an affine expression ``(coeffs, const)`` over
+    the remaining variables, and ``reduced`` holds the GEQ rows with the
+    substitutions applied.  Each row pivots on its greatest variable in
+    registry order.  Raises InconsistentSystem on a contradictory equality.
+    """
+    order = {v: k for k, v in enumerate(system.variables)}
+    subs: dict = {}
+    for row in system.eq_rows():
+        row = substitute(row, subs)
+        if not row.coeffs:
+            if row.const != 0:
+                raise InconsistentSystem(f"contradictory equality: {row.const} = 0")
+            continue
+        pivot = max(row.coeffs, key=order.__getitem__)
+        c = row.coeffs[pivot]
+        expr_coeffs = {v: -a / c for v, a in row.coeffs.items() if v != pivot}
+        expr_const = -row.const / c
+        # Back-substitute so every substitution names free variables only.
+        for var, (ecoeffs, econst) in subs.items():
+            if pivot in ecoeffs:
+                factor = ecoeffs.pop(pivot)
+                econst += factor * expr_const
+                for w, e in expr_coeffs.items():
+                    ecoeffs[w] = ecoeffs.get(w, ZERO) + factor * e
+                subs[var] = ({w: e for w, e in ecoeffs.items() if e != 0}, econst)
+        subs[pivot] = (expr_coeffs, expr_const)
+    free = [v for v in system.variables if v not in subs]
+    return subs, LinearSystem(free, [substitute(r, subs)
+                                     for r in system.geq_rows()])
 
 
 def violated_row(system: LinearSystem, point):
@@ -63,8 +117,7 @@ def brute_force_vertices(system: LinearSystem):
         for subset in combinations(ineqs, size):
             tight = eqs + [LinRow(r.coeffs, r.const, EQ) for r in subset]
             try:
-                subs, reduced = row_reduce_equalities(
-                    LinearSystem(variables, tight))
+                subs, reduced = eliminate(LinearSystem(variables, tight))
             except InconsistentSystem:
                 continue
             if reduced.variables:
@@ -81,8 +134,10 @@ def brute_force_f2_points(scn, meas_vertices, free_p):
     Vertices come from the brute-force oracle, not double description.
     """
     f2 = build_f2(scn, meas_vertices)
-    nu_rows = [r for r in f2.system().rows
-               if all(v[0] == "nu" for v in r.coeffs)]
+    nu_rows = [LinRow({v: ONE}, ZERO, GEQ) for v in f2.nu_vars]
+    nu_rows += [LinRow(dict(zip(f2.nu_vars, row)), -fixed_rhs(label), EQ)
+                for label, row in zip(f2.eq_labels, f2.eq_matrix)
+                if label[0] in (NORMALIZATION, OE_P)]
     nu_system = LinearSystem(list(f2.nu_vars), nu_rows)
     nv = len(meas_vertices)
     points = set()
@@ -159,13 +214,13 @@ def _orbit_keys(row, group, subs, variables):
     out = {}
     for g in group.elements:
         moved = act_on_row(g, row)
-        reduced = canonicalize_row(moved.substituted(subs))
+        reduced = canonicalize_row(substitute(moved, subs))
         out.setdefault(reduced.key(variables), (reduced, moved))
     return out
 
 
 def _substitutions(equalities, variables):
-    subs, _ = row_reduce_equalities(LinearSystem(variables, list(equalities)))
+    subs, _ = eliminate(LinearSystem(variables, list(equalities)))
     return subs
 
 
@@ -174,7 +229,7 @@ def classify_orbits_oracle(rows, group, equalities, variables):
     subs = _substitutions(equalities, variables)
 
     def key(row):
-        return canonicalize_row(row.substituted(subs)).key(variables)
+        return canonicalize_row(substitute(row, subs)).key(variables)
 
     index = {}
     for row in rows:

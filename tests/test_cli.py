@@ -209,6 +209,19 @@ def test_overlong_number_is_a_parse_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_overlong_result_rational_is_an_error_line(capsys, tmp_path):
+    # the optimum has a 4300-digit numerator, which str() refuses to write
+    doc = json.loads(Path(OBJECTIVE).read_text())
+    doc["terms"][0][3] = "1e4300"
+    objective = tmp_path / "objective.json"
+    objective.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "optimize", SIMPLEST, str(objective))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "4300-digit" in err and "Traceback" not in err
+
+
 def test_boolean_generator_index_is_a_parse_error(capsys, tmp_path):
     # true is not measurement 1, though bool is a subclass of int
     scn, poly, gens = orbits_inputs(tmp_path)

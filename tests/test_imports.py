@@ -9,6 +9,7 @@ import ncpolytope
 # Bound only so that the benchmark's tracer, which wraps functions at the
 # names their callers import, can still find them there.
 KEPT_FOR_TRACING = {("projection", "reduce_modulo"),
+                    ("projection", "rref"),
                     ("projection", "solve_standard"),
                     ("symmetry", "reduce_modulo"),
                     ("symmetry", "rref")}

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncpolytope.linalg import (EQ, GEQ, ONE, InconsistentSystem, LinRow,
-                               LinearSystem, canonicalize_row, int_row, rat,
-                               reduce_modulo, row_reduce_equalities, rref)
-from oracles import satisfies
+                               LinearSystem, canonicalize_row, dense_row,
+                               int_row, rat, reduce_modulo, reduce_row,
+                               row_reduce_equalities, rref)
+from oracles import eliminate, satisfies
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 VARS = ["a", "b", "c", "d"]
@@ -90,33 +91,56 @@ def test_int_row_is_primitive_proportional_and_gives_points(values):
        st.lists(rationals, min_size=len(VARS), max_size=len(VARS)))
 @settings(max_examples=60)
 def test_row_reduce_preserves_solutions(eq_rows, point_vals):
-    """A point satisfying the equalities maps onto a reduced-space point."""
-    system = LinearSystem(VARS, eq_rows)
+    """A point satisfying the equalities satisfies every pivot row."""
     try:
-        subs, reduced = row_reduce_equalities(system)
+        pivots = row_reduce_equalities([dense_row(r, VARS) for r in eq_rows])
     except InconsistentSystem:
         return
     point = dict(zip(VARS, point_vals))
     if not all(satisfies(r, point) for r in eq_rows):
         return
-    for var, (coeffs, const) in subs.items():
-        assert point[var] == sum((c * point[w] for w, c in coeffs.items()),
-                                 const)
+    for col, row in pivots.items():
+        assert row[col] > 0
+        assert sum(a * x for a, x in zip(row, point_vals)) + row[-1] == 0
+
+
+@given(st.lists(st.tuples(row_strategy(EQ), st.booleans()), max_size=6))
+@settings(max_examples=100)
+def test_row_reduce_matches_fraction_oracle(rows):
+    """The same pivots as a Gaussian elimination on Fraction dicts, and
+    every pivot row and reduced inequality a positive multiple of the
+    oracle's."""
+    rows = [r if eq else LinRow(r.coeffs, r.const, GEQ) for r, eq in rows]
+    try:
+        subs, reduced = eliminate(LinearSystem(VARS, rows))
+    except InconsistentSystem:
+        with pytest.raises(InconsistentSystem):
+            row_reduce_equalities([dense_row(r, VARS) for r in rows
+                                   if r.kind == EQ])
+        return
+    pivots = row_reduce_equalities([dense_row(r, VARS) for r in rows
+                                    if r.kind == EQ])
+    assert {VARS[col] for col in pivots} == set(subs)
+    for col, row in pivots.items():
+        coeffs, const = subs[VARS[col]]
+        want = LinRow({VARS[col]: -1, **coeffs}, const, EQ)
+        assert row == tuple(-a for a in dense_row(want, VARS))
+    geq = [reduce_row(dense_row(r, VARS), pivots) for r in rows
+           if r.kind == GEQ]
+    assert geq == [dense_row(r, VARS) for r in reduced.rows]
 
 
 def test_row_reduce_pivots_on_the_later_registered_variable():
-    # the registry order, not the sort order of the ids, picks the pivot
-    rows = [LinRow({"a": 1, "c": -1}, 0, EQ)]
-    subs, reduced = row_reduce_equalities(
-        LinearSystem(["d", "c", "b", "a"], rows))
-    assert set(subs) == {"a"}
-    assert reduced.variables == ["d", "c", "b"]
+    # the column order, not the sign of the entry, picks the pivot: the
+    # last nonzero column, where the pivot row is signed positive
+    for row in [(0, -1, 0, 1, 0), (0, 1, 0, -1, 0)]:
+        assert row_reduce_equalities([row]) == {3: (0, -1, 0, 1, 0)}
 
 
 def test_row_reduce_inconsistent():
-    rows = [LinRow({"a": 1}, 0, EQ), LinRow({"a": 1}, -1, EQ)]
+    rows = [(1, 0, 0, 0, 0), (1, 0, 0, 0, -1)]
     with pytest.raises(InconsistentSystem):
-        row_reduce_equalities(LinearSystem(VARS, rows))
+        row_reduce_equalities(rows)
 
 
 @given(st.lists(row_strategy(EQ), max_size=4))

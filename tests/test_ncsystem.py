@@ -6,8 +6,8 @@ from conftest import four_prep_scenario, six_prep_scenario, uniform_table
 from ncpolytope.measurement_polytope import build_measurement_h, enumerate_vertices
 from ncpolytope.ncsystem import (LINKING, NORMALIZATION, OE_P,
                                  InvalidDistribution, bind_table, build_f2,
-                                 nu_var, reconstruct_table)
-from ncpolytope.scenario import DataTable, DimensionMismatch, p_var
+                                 fixed_rhs, nu_var, reconstruct_table)
+from ncpolytope.scenario import DataTable, DimensionMismatch
 
 F = Fraction
 
@@ -22,46 +22,54 @@ def test_row_counts(f2):
     scn = f2.scenario
     nverts = len(f2.vertices)
     assert len(f2.nu_vars) == scn.g * nverts
-    assert len(f2.system().geq_rows()) == scn.g * nverts
+    assert f2.nu_vars == [nu_var(j, k) for j in scn.preparations()
+                          for k in range(1, nverts + 1)]
     labels = [lab[0] for lab in f2.eq_labels]
     assert labels.count(NORMALIZATION) == scn.g
     assert labels.count(OE_P) == nverts * len(scn.oe_p)
     assert labels.count(LINKING) == scn.l * scn.g * scn.d
     assert len(f2.eq_matrix) == len(f2.eq_labels)
     assert all(len(row) == len(f2.nu_vars) for row in f2.eq_matrix)
-    assert len(f2.system().eq_rows()) == len(f2.eq_labels)
+    assert [lab[1] for lab in f2.eq_labels if lab[0] == LINKING] == \
+        list(scn.coords())
 
 
 def test_linking_rows_carry_vertex_components(f2):
-    """A dense linking row holds xi_k(m|M_i) in the nu_j(k) column; the
-    symbolic row that the projection reads is p - sum_k xi_k nu_j(k) = 0."""
+    """A dense linking row holds xi_k(m|M_i) in the nu_j(k) column and is
+    zero in every other preparation's columns."""
     scn = f2.scenario
     nverts = len(f2.vertices)
     column = {v: k for k, v in enumerate(f2.nu_vars)}
     dense = {lab[1]: row for row, lab in zip(f2.eq_matrix, f2.eq_labels)
              if lab[0] == LINKING}
-    symbolic = {lab[1]: row for row, lab in
-                zip(f2.system().eq_rows(), f2.eq_labels) if lab[0] == LINKING}
     for (i, j, m) in scn.coords():
-        row = symbolic[i, j, m]
-        assert row.coeffs[p_var((i, j, m))] == 1 and row.const == 0
+        row = dense[i, j, m]
         for k in range(1, nverts + 1):
-            xi = f2.vertices.component(k, i, m)
-            assert row.coeffs.get(nu_var(j, k), 0) == -xi
-            assert dense[i, j, m][column[nu_var(j, k)]] == xi
-        assert sum(1 for a in dense[i, j, m] if a) == \
-            sum(1 for v in row.coeffs if v[0] == "nu")
+            assert row[column[nu_var(j, k)]] == \
+                f2.vertices.component(k, i, m)
+        assert all(not a for v, a in zip(f2.nu_vars, row) if v[1] != j)
 
 
 def test_system_matches_dense_rows(f2):
-    """Each symbolic equality is its dense row minus b: normalization rows
-    read sum nu - 1 = 0 and OE_P rows diff . nu = 0."""
-    for row, dense, lab in zip(f2.system().eq_rows(), f2.eq_matrix,
-                               f2.eq_labels):
-        if lab[0] == LINKING:
+    """Each row that no table changes reads row . nu = b: a normalization
+    row holds 1 in its preparation's columns with b = 1, and an OE_P row
+    holds the equivalence's weights in the kappa columns with b = 0."""
+    scn = f2.scenario
+    column = {v: k for k, v in enumerate(f2.nu_vars)}
+    for dense, lab in zip(f2.eq_matrix, f2.eq_labels):
+        want = [F(0)] * len(f2.nu_vars)
+        if lab[0] == NORMALIZATION:
+            assert fixed_rhs(lab) == 1
+            for k in range(1, len(f2.vertices) + 1):
+                want[column[nu_var(lab[1], k)]] = F(1)
+        elif lab[0] == OE_P:
+            assert fixed_rhs(lab) == 0
+            _, s, k = lab
+            for j, w in scn.oe_p[s].difference().items():
+                want[column[nu_var(j, k)]] = w
+        else:
             continue
-        assert row.coeffs == {v: a for v, a in zip(f2.nu_vars, dense) if a}
-        assert row.const == (-1 if lab[0] == NORMALIZATION else 0)
+        assert dense == want
 
 
 def test_bind_table_produces_matching_system(f2):

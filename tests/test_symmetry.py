@@ -105,7 +105,8 @@ def test_orbit_closure_violation_detected(group41, poly41):
 
 def test_term_outside_variables_rejected(group41, poly41):
     """A coefficient on a coordinate outside the scenario (the term
-    [9, 9, 9, "1"] in a polytope document) raises instead of being dropped."""
+    [9, 9, 9, "1"] in a polytope document), in a row or in an equality,
+    raises instead of being dropped."""
     first = poly41.facets[0]
     row = LinRow({**first.coeffs, ("p", 9, 9, 9): F(1)}, first.const,
                  first.kind)
@@ -114,6 +115,14 @@ def test_term_outside_variables_rejected(group41, poly41):
                         poly41.equalities, poly41.variables)
     with pytest.raises(ValueError, match="9, 9, 9"):
         expand_orbit(row, group41, poly41.equalities, poly41.variables)
+    # and the same term in an equality
+    eq = poly41.equalities[0]
+    equalities = [LinRow({**eq.coeffs, ("p", 9, 9, 9): F(1)}, eq.const,
+                         eq.kind)] + poly41.equalities[1:]
+    with pytest.raises(ValueError, match="9, 9, 9"):
+        classify_orbits(poly41.facets, group41, equalities, poly41.variables)
+    with pytest.raises(ValueError, match="9, 9, 9"):
+        expand_orbit(first, group41, equalities, poly41.variables)
 
 
 def assert_same_classes(rows, group, equalities, variables):
