@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage, parse, validation or write failure, 2
-internal limit exceeded, 3 contextual table (a result, not a failure;
-distinguished so shell scripts can branch on it), 4 internal error (a
-failed invariant).
+internal limit exceeded (group closure or F2 system size), 3 contextual
+table (a result, not a failure; distinguished so shell scripts can branch
+on it), 4 internal error (a failed invariant).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .documents import (generators_from_doc, objective_from_doc,
 from .feasibility import Feasible, check_table, optimize
 from .linalg import InputError, InternalError
 from .measurement_polytope import build_measurement_h, enumerate_vertices
-from .ncsystem import build_f2
+from .ncsystem import SystemTooLarge, build_f2
 from .projection import project_to_nc_polytope
 from .scenario import p_vars
 from .symmetry import GroupTooLarge, classify_orbits, generate_group
@@ -161,7 +161,7 @@ def main(argv=None) -> int:
         target = exc.filename or "<stdout>"   # stdout errors name no file
         print(f"error: cannot write {target}: {exc.strerror}", file=sys.stderr)
         return EXIT_PARSE
-    except GroupTooLarge as exc:
+    except (GroupTooLarge, SystemTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except InternalError as exc:

@@ -57,14 +57,19 @@ def _quote(value) -> str:
 def _fraction(text) -> Fraction:
     if not isinstance(text, str):
         raise ParseError(f"expected a rational string, got {_quote(text)}")
-    # Fraction computes 10**exponent however large the exponent is; cap it
-    # at 4300, the digit limit of an int literal.
-    exponent = text.lower().partition("e")[2].strip().lstrip("+-")
-    digits = exponent.replace("_", "").lstrip("0")
-    if len(digits) > 4 or digits.isdecimal() and int(digits) > 4300:
-        raise ParseError(f"bad rational {_quote(text)}")
+    # Most rationals are ASCII integers, which int parses without the
+    # regular expression of Fraction.
+    integer = text.removeprefix("-")
+    integer = integer.isascii() and integer.isdigit()
+    if not integer:
+        # Fraction computes 10**exponent however large the exponent is;
+        # cap it at 4300, the digit limit of an int literal.
+        exponent = text.lower().partition("e")[2].strip().lstrip("+-")
+        digits = exponent.replace("_", "").lstrip("0")
+        if len(digits) > 4 or digits.isdecimal() and int(digits) > 4300:
+            raise ParseError(f"bad rational {_quote(text)}")
     try:
-        return Fraction(text)
+        return Fraction(int(text)) if integer else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         # the exception's own message repeats the whole string
         raise ParseError(f"bad rational {_quote(text)}") from exc

@@ -25,9 +25,18 @@ NORMALIZATION = "normalization"
 OE_P = "oe_p"
 LINKING = "linking"
 
+# Cap on the entries of the dense F2 matrix (rows times columns), checked
+# before it is allocated.  The six-preparation scenario has 1944; a
+# document asking for 100000 preparations would need about 6 * 10**10.
+F2_CAP = 10 ** 7
+
 
 class InvalidDistribution(Exception):
     pass
+
+
+class SystemTooLarge(Exception):
+    """The F2 matrix of a scenario would exceed the hard cap on its entries."""
 
 
 def nu_var(j, kappa) -> tuple:
@@ -84,6 +93,11 @@ class NumericF2:
 
 def build_f2(scn: Scenario, vertices: VertexSet) -> F2System:
     n = len(vertices)
+    rows = scn.g + len(scn.oe_p) * n + scn.l * scn.g * scn.d
+    columns = scn.g * n
+    if rows * columns > F2_CAP:
+        raise SystemTooLarge(f"F2 system: {rows} rows of {columns} columns "
+                             f"exceed {F2_CAP} entries")
     nus = [nu_var(j, k) for j in scn.preparations() for k in range(1, n + 1)]
     labels, matrix = [], []
 

@@ -17,16 +17,18 @@ exact two-row certificate, integer multipliers that show the row to be a
 nonnegative combination of two other rows plus a nonnegative constant.  It
 certifies each kept row by a witness point that violates it alone, most of
 them found by shooting rays from one point strictly inside the system
-(Clarkson, "More output-sensitive geometric algorithms", FOCS 1994) or,
-when that shot ties or crosses another row first, from four strictly
-interior points displaced from it.  Only a row that none of these decides
-costs an exact LP.  Larger systems take the hull route instead, on the
-same reduced system: its coordinates are the free distribution and free
-table coordinates, so the free table coordinates of each of its vertices
-(:func:`.dd.vertices`) are an image point, and the image points, with no
-filtering, go through a polar double description (:mod:`.dd`) that
-returns the facets of their hull.  Both routes take the reduced system as
-dense integer rows, and every point they use is in the form of :mod:`.dd`.
+(Clarkson, "More output-sensitive geometric algorithms", FOCS 1994) or
+from four strictly interior points displaced from it.  A shot that
+crosses another row first is aimed again from the same point, along the
+part of its direction orthogonal to every row that blocked it.  Only a
+row that none of these decides costs an exact LP.  Larger systems take
+the hull route instead, on the same reduced system: its coordinates are
+the free distribution and free table coordinates, so the free table
+coordinates of each of its vertices (:func:`.dd.vertices`) are an image
+point, and the image points, with no filtering, go through a polar double
+description (:mod:`.dd`) that returns the facets of their hull.  Both
+routes take the reduced system as dense integer rows, and every point
+they use is in the form of :mod:`.dd`.
 """
 
 from __future__ import annotations
@@ -176,35 +178,81 @@ def _two_row_certificate(rows, alive, idx, masks):
     return None
 
 
-def _ray_shot(rows, alive, idx, origin, values):
-    """A point that violates one alive row and satisfies the others, or None.
+def _ray_shot(rows, alive, origin, values, direction):
+    """The alive row that a ray crosses first, and a point violating it alone.
 
-    The ray from the strictly interior point ``origin`` along minus row
-    ``idx``'s coefficients crosses the alive rows it approaches in order of
-    the step at which each becomes tight.  When exactly one row is crossed
-    first, the point halfway to the second crossing (or twice as far, when
-    no other row is approached) violates that row alone.  ``values`` holds
-    ``row . origin`` for every row.
+    The ray from the strictly interior point ``origin`` along ``direction``
+    (ints, one per coordinate) crosses each alive row it approaches, at
+    speed ``-row . direction > 0``, after the step ``value / speed``, where
+    ``values`` holds the positive ``row . origin`` of every row.  Values
+    and speeds are ints, so steps are ordered by cross-multiplying.  When
+    exactly one row is crossed first, returns that row's index and the
+    point halfway to the second crossing (or twice as far, when no other
+    row is approached), which violates that row alone; ``(None, None)``
+    when rows tie for first or none is approached.
     """
-    direction = [-a for a in rows[idx][:-1]]
-    first = second = None       # (step as value / speed, row index)
+    first = second = None       # (value, speed, row index)
     for k, row in enumerate(rows):
         if not alive[k]:
             continue
         speed = -sum(map(mul, row, direction))
         if speed <= 0:
             continue
-        step = Fraction(values[k], speed)
-        if first is None or step < first[0]:
-            first, second = (step, k), first
-        elif second is None or step < second[0]:
-            second = (step, k)
-    if first is None or (second is not None and second[0] == first[0]):
-        return None
-    step = (first[0] + second[0]) / 2 if second else 2 * first[0]
-    return primitive([a * step.denominator + step.numerator * b
-                      for a, b in zip(origin, direction)]
-                     + [origin[-1] * step.denominator])
+        value = values[k]
+        if first is None or value * first[1] < first[0] * speed:
+            first, second = (value, speed, k), first
+        elif second is None or value * second[1] < second[0] * speed:
+            second = (value, speed, k)
+    if first is None or (second is not None
+                         and first[0] * second[1] == second[0] * first[1]):
+        return None, None
+    v1, s1, k = first
+    if second is None:
+        scale, step = s1, 2 * v1
+    else:
+        v2, s2, _ = second
+        scale, step = 2 * s1 * s2, v1 * s2 + v2 * s1
+    return k, primitive([a * scale + step * b
+                         for a, b in zip(origin, direction)]
+                        + [origin[-1] * scale])
+
+
+def _aimed_shot(rows, alive, idx, origin, values):
+    """A point that violates alive row ``idx`` alone, or None, by ray shots.
+
+    The first shot goes from ``origin`` along minus the row's coefficients.
+    While a single other row is crossed first, the next shot goes from the
+    same origin along the component of the direction orthogonal to every
+    row crossed so far: those rows stay at their values along it, and the
+    row itself is still approached, since minus its coefficients dot the
+    direction is the squared length of their orthogonal component.  It
+    stops at a tie, at a zero direction or after one shot per coordinate.
+    The blocking rows' coefficients are kept as mutually orthogonal int
+    vectors ``u`` with their squares ``u . u``, and each projection is
+    ``primitive(uu * v - (v . u) * u)``.
+    """
+    direction = [-a for a in rows[idx][:-1]]
+    blockers = []
+    for _ in direction:
+        first, point = _ray_shot(rows, alive, origin, values, direction)
+        if first is None or first == idx:
+            return point
+        u = rows[first][:-1]
+        for w, ww in blockers:
+            u = _orthogonal(u, w, ww)
+        uu = sum(map(mul, u, u))
+        blockers.append((u, uu))
+        direction = _orthogonal(direction, u, uu)
+        if not any(direction):
+            break
+    return None
+
+
+def _orthogonal(v, u, uu):
+    """The component of v orthogonal to u, scaled by ``uu = u . u > 0`` and
+    made primitive."""
+    vu = sum(map(mul, v, u))
+    return primitive([uu * a - vu * b for a, b in zip(v, u)])
 
 
 def irredundant_rows(rows, witnesses, origins):
@@ -215,12 +263,12 @@ def irredundant_rows(rows, witnesses, origins):
     certified implied by an exact two-row certificate
     (:func:`_two_row_certificate`, verified in integers) or, when a row has
     neither a certificate nor a witness, by an exact LP.  Witnesses come
-    from earlier passes, or from ray shots out of ``origins``, points
-    strictly inside every row, which are tried in turn before the LP; a
-    shot point counts only if it passes the same witness check.  The
-    witness list is extended in place with the points this pass finds.
-    Rows with no coefficients hold everywhere inside, and duplicates add
-    nothing, so both are dropped first.
+    from earlier passes, or from aimed ray shots (:func:`_aimed_shot`) out
+    of ``origins``, points strictly inside every row, which are tried in
+    turn before the LP; a shot point counts only if it passes the same
+    witness check.  The witness list is extended in place with the points
+    this pass finds.  Rows with no coefficients hold everywhere inside, and
+    duplicates add nothing, so both are dropped first.
     """
     rows = sorted({r for r in rows if any(r[:-1])})
     alive = [True] * len(rows)
@@ -230,12 +278,16 @@ def irredundant_rows(rows, witnesses, origins):
                 and all(sum(map(mul, r, point)) >= 0
                         for k, r in enumerate(rows) if alive[k] and k != idx))
 
-    # Rows that a known witness keeps need no certificate search; removing
-    # rows only makes a witness of the rest stronger.
+    # A known witness keeps a row when, of the alive rows, it violates that
+    # row alone; removing rows only makes a witness keep more, so the rows
+    # each one violates are listed once.  Kept rows need no certificate.
+    violated = [[k for k, r in enumerate(rows) if sum(map(mul, r, w)) < 0]
+                for w in witnesses]
     masks = [_sign_masks(row) for row in rows]
     undecided = []
     for idx in range(len(rows)):
-        if any(certifies(w, idx) for w in witnesses):
+        if any(idx in ks and all(k == idx or not alive[k] for k in ks)
+               for ks in violated):
             continue
         if _two_row_certificate(rows, alive, idx, masks):
             alive[idx] = False
@@ -247,7 +299,7 @@ def irredundant_rows(rows, witnesses, origins):
         for k, origin in enumerate(origins):
             if values[k] is None:
                 values[k] = [sum(map(mul, r, origin)) for r in rows]
-            shot = _ray_shot(rows, alive, idx, origin, values[k])
+            shot = _aimed_shot(rows, alive, idx, origin, values[k])
             if shot is not None and certifies(shot, idx):
                 witnesses.append(shot)
                 break

@@ -11,7 +11,9 @@ oracles classify rows with Fraction arithmetic, one ``act_on_row`` and
 one substitution per group element, where the package works on integer
 rows.  Those substitutions, and the vertex oracle's, come from a Gaussian
 elimination on Fraction dicts (:func:`eliminate`), where the package
-eliminates fraction-free on dense integer rows.
+eliminates fraction-free on dense integer rows.  The irredundancy oracle
+decides every row by its own LP, where the package removes and keeps most
+rows by certificates and ray shots.
 """
 
 from fractions import Fraction
@@ -99,6 +101,29 @@ def polytope_contains(poly, probs) -> bool:
     """Exact membership of a table, ``{(i, j, m): p}``, in an NCPolytope."""
     point = {("p",) + c: p for c, p in probs.items()}
     return all(satisfies(r, point) for r in poly.equalities + poly.facets)
+
+
+def irredundant_rows_oracle(rows):
+    """The sorted distinct dense rows that the other rows do not imply.
+
+    Rows are coprime ints ``(a..., c)`` meaning ``a . x + c >= 0``, and the
+    system must hold a point strictly inside every row.  By the affine
+    Farkas lemma, the other rows imply a row exactly when some ``y >= 0``
+    has ``sum(y_i a_i) == a`` and ``sum(y_i c_i) <= c``, so one LP,
+    ``min sum(y_i c_i)`` over those ``y``, decides each row.  Rows with no
+    coefficients hold everywhere and are dropped; in a full-dimensional
+    system the rows left are its unique irredundant subset.
+    """
+    rows = sorted({r for r in rows if any(r[:-1])})
+    kept = []
+    for idx, row in enumerate(rows):
+        others = [r for k, r in enumerate(rows) if k != idx]
+        A = [[Fraction(r[k]) for r in others] for k in range(len(row) - 1)]
+        res = solve_standard(A, [Fraction(a) for a in row[:-1]],
+                             [Fraction(r[-1]) for r in others])
+        if res.status != OPTIMAL or res.value > row[-1]:
+            kept.append(row)
+    return kept
 
 
 def brute_force_vertices(system: LinearSystem):

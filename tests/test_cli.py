@@ -17,7 +17,7 @@ from ncpolytope.cli import (EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_LIMIT,
                             EXIT_OK, EXIT_PARSE, main)
 from ncpolytope.feasibility import PrimalFeasible
 from ncpolytope.linalg import InconsistentSystem, InputError, InternalError
-from ncpolytope.ncsystem import InvalidDistribution
+from ncpolytope.ncsystem import InvalidDistribution, SystemTooLarge
 from ncpolytope.simplex import UNBOUNDED, LPResult, solve_standard
 from ncpolytope.symmetry import GroupTooLarge
 
@@ -285,6 +285,23 @@ def test_group_cap_exit_code(capsys, tmp_path, monkeypatch):
     assert code == EXIT_LIMIT
 
 
+@pytest.mark.parametrize("argv", [
+    ("polytope", SIMPLEST), ("check", SIMPLEST, CONTEXTUAL),
+    ("optimize", SIMPLEST, OBJECTIVE)], ids=lambda argv: argv[0])
+def test_f2_size_cap_exit_code(capsys, monkeypatch, argv):
+    # the simplest F2 system has 4 + 4 + 16 rows of 4 * 4 columns: at the
+    # cap it is built, one entry below it the stage stops with exit 2
+    import ncpolytope.ncsystem as ncsystem
+    monkeypatch.setattr(ncsystem, "F2_CAP", 24 * 16)
+    assert run(capsys, *argv)[0] in (EXIT_OK, EXIT_INFEASIBLE)
+    monkeypatch.setattr(ncsystem, "F2_CAP", 24 * 16 - 1)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_LIMIT
+    assert out == ""
+    assert err == ("error: F2 system: 24 rows of 16 columns exceed 383 "
+                   "entries\n")
+
+
 @pytest.mark.parametrize("name, lines", [
     # Fourier-Motzkin: one line per eliminated distribution coordinate,
     # with the coordinates and rows left after it
@@ -302,11 +319,11 @@ def test_verbose_progress_on_stderr(capsys, name, lines):
 
 
 def test_every_error_class_has_an_exit_code():
-    """main catches InputError (exit 1), GroupTooLarge (2) and
-    InternalError (4); the package converts the other three classes
-    before main sees them.  So a new error class that derives from none
-    of these fails here instead of reaching the user as a traceback."""
-    handled = (InputError, GroupTooLarge, InternalError,
+    """main catches InputError (exit 1), GroupTooLarge and SystemTooLarge
+    (2) and InternalError (4); the package converts the other three
+    classes before main sees them.  So a new error class that derives from
+    none of these fails here instead of reaching the user as a traceback."""
+    handled = (InputError, GroupTooLarge, SystemTooLarge, InternalError,
                InconsistentSystem, PrimalFeasible, InvalidDistribution)
     modules = [importlib.import_module(f"ncpolytope.{info.name}")
                for info in pkgutil.iter_modules(ncpolytope.__path__)]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (SCENARIO_DIR, contextual_table_41, four_prep_scenario,
                       six_prep_scenario, uniform_table)
-from ncpolytope import __version__
+from ncpolytope import __version__, documents
 from ncpolytope.documents import (ParseError, generators_from_doc,
                                   objective_from_doc, polytope_from_doc,
                                   polytope_to_doc, read_document, row_from_doc,
@@ -205,6 +205,22 @@ def test_fraction_strings_rejected_when_malformed():
                         ("1/2", F(1, 2))):
         table = table_from_doc({"probabilities": [[1, 1, 0, text]]})
         assert table.as_dict() == {(1, 1, 0): value}
+
+
+@pytest.mark.parametrize("text", [
+    "007", "-0", "+1", " 1", "1_000", "--1", "-", "", "\u0661\u0662",
+    "9" * 5000, "-" + "9" * 5000])
+def test_integer_strings_parse_as_fraction_parses_them(text):
+    # ASCII integers skip the regular expression of Fraction; every string
+    # still reads as Fraction(text), or as the ParseError its ValueError is
+    try:
+        expected = F(text)
+    except ValueError:
+        with pytest.raises(ParseError) as exc:
+            documents._fraction(text)
+        assert str(exc.value) == f"bad rational {documents._quote(text)}"
+    else:
+        assert documents._fraction(text) == expected
 
 
 def test_read_document_errors(tmp_path):

@@ -1,20 +1,23 @@
 import time
 from dataclasses import replace
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncpolytope.projection as projection
 from conftest import (contextual_table_41, four_prep_scenario,
                       six_prep_scenario, uniform_table)
 from ncpolytope.linalg import (EQ, GEQ, InternalError, LinRow,
-                               canonicalize_row, reduce_modulo)
+                               canonicalize_row, primitive, reduce_modulo)
 from ncpolytope.measurement_polytope import build_measurement_h, enumerate_vertices
 from ncpolytope.ncsystem import NORMALIZATION, build_f2
 from ncpolytope.projection import project_to_nc_polytope
 from ncpolytope.scenario import p_var, scenario
 from ncpolytope.simplex import OPTIMAL, minimize_over_rows
-from oracles import polytope_contains
+from oracles import irredundant_rows_oracle, polytope_contains
 
 F = Fraction
 HALF = F(1, 2)
@@ -174,11 +177,11 @@ def test_facets_are_certified_without_lps(monkeypatch, g, facets):
 
 def test_lp_count_on_the_four_preparation_scenario(f2_41, poly41, monkeypatch):
     # 8 of these LPs prove a row redundant that no two rows imply; the
-    # others keep a row whose shots from every origin tie or cross another
-    # row first
+    # other 4 keep a row whose aimed shots from every origin end in a tie
+    # or in a zero direction
     lps = count_lps(monkeypatch)
     assert project_to_nc_polytope(f2_41).facets == poly41.facets
-    assert len(lps) == 19
+    assert len(lps) == 12
 
 
 def test_wrong_shot_point_is_rejected_by_the_witness_check(monkeypatch):
@@ -188,18 +191,22 @@ def test_wrong_shot_point_is_rejected_by_the_witness_check(monkeypatch):
     scn, f2 = f2_without_equivalences(5)
     expected = project_to_nc_polytope(f2)
     origins = []
+    shot = projection._ray_shot
 
-    def wrong_shot(rows, alive, idx, origin, values):
+    def wrong_shot(rows, alive, origin, values, direction):
+        # the row that the real shot crosses first, with a wrong point
         origins.append(origin)
-        return (-1,) * (len(origin) - 1) + (1,)
+        first, point = shot(rows, alive, origin, values, direction)
+        return first, point and (-1,) * (len(origin) - 1) + (1,)
 
     monkeypatch.setattr(projection, "_ray_shot", wrong_shot)
     lps = count_lps(monkeypatch)
     assert project_to_nc_polytope(f2).facets == expected.facets
     assert lps
-    assert len(origins) == 5 * len(lps)
-    assert all(len(set(origins[k:k + 5])) == 5
-               for k in range(0, len(origins), 5))
+    # the aimed shots after a blocked one repeat its origin
+    runs = [o for k, o in enumerate(origins) if not k or o != origins[k - 1]]
+    assert len(runs) == 5 * len(lps)
+    assert all(len(set(runs[k:k + 5])) == 5 for k in range(0, len(runs), 5))
 
 
 def test_boundary_point_is_not_taken_for_interior(f2_41, monkeypatch):
@@ -370,3 +377,63 @@ def test_every_certified_removal_is_confirmed_by_the_lp(name, monkeypatch):
                         lambda *args: None)
     assert facets == project_to_nc_polytope(f2).facets
     assert len(removed) == count
+
+
+def unaimed_shot(rows, alive, idx, origin, values):
+    """Only the first shot of :func:`projection._aimed_shot`, along minus
+    the row's coefficients."""
+    direction = [-a for a in rows[idx][:-1]]
+    first, point = projection._ray_shot(rows, alive, origin, values, direction)
+    return point if first == idx else None
+
+
+@pytest.mark.parametrize("name", AUDITED)
+def test_every_row_kept_by_an_aimed_shot_is_confirmed_by_the_lp(name,
+                                                                monkeypatch):
+    # each row that a shot keeps is irredundant, by the LP over the rows
+    # alive at that moment; some of them only an aimed shot keeps, and
+    # shots along minus each row's coefficients alone give the same facets
+    make, _ = AUDITED[name]
+    scn = make()
+    f2 = build_f2(scn, enumerate_vertices(build_measurement_h(scn)))
+    shot = projection._aimed_shot
+    aimed = []
+
+    def audited(rows, alive, idx, origin, values):
+        point = shot(rows, alive, idx, origin, values)
+        if point is not None:
+            row = rows[idx]
+            others = [r for k, r in enumerate(rows) if alive[k] and k != idx]
+            res = minimize_over_rows(others + [row[:-1] + (row[-1] + 1,)],
+                                     [F(a) for a in row[:-1]])
+            assert res.status == OPTIMAL and res.value + row[-1] < 0
+            if unaimed_shot(rows, alive, idx, origin, values) is None:
+                aimed.append(row)
+        return point
+
+    monkeypatch.setattr(projection, "_aimed_shot", audited)
+    facets = project_to_nc_polytope(f2).facets
+    monkeypatch.setattr(projection, "_aimed_shot", unaimed_shot)
+    assert facets == project_to_nc_polytope(f2).facets
+    assert aimed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_irredundant_rows_equal_the_lp_oracle(data):
+    # a box around a known interior point plus random rows, each strictly
+    # positive there; a second pass over the same rows, with the witnesses
+    # of the first and no shot origin, keeps the same rows
+    dim = data.draw(st.integers(1, 4), label="dim")
+    ints = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    center = data.draw(ints, label="center")
+    coeffs = [[s * (k == j) for j in range(dim)]
+              for k in range(dim) for s in (1, -1)]
+    coeffs += data.draw(st.lists(ints, max_size=10), label="rows")
+    rows = [primitive(a + [data.draw(st.integers(1, 4), label="slack")
+                           - sum(map(mul, a, center))]) for a in coeffs]
+    origins = projection._shot_origins(tuple(center) + (1,), rows)
+    witnesses = []
+    kept = projection.irredundant_rows(rows, witnesses, origins)
+    assert kept == irredundant_rows_oracle(rows)
+    assert projection.irredundant_rows(rows, witnesses, []) == kept
