@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage, parse, validation or write failure, 2
-internal limit exceeded (group closure or F2 system size), 3 contextual
+internal limit exceeded (group closure, F2 system size or double
+description rays), 3 contextual
 table (a result, not a failure; distinguished so shell scripts can branch
 on it), 4 internal error (a failed invariant).
 """
@@ -12,6 +13,7 @@ import argparse
 import sys
 
 from . import __version__
+from .dd import TooManyRays
 from .documents import (generators_from_doc, objective_from_doc,
                         optimum_to_doc, orbits_to_doc, polytope_from_doc,
                         polytope_to_doc, read_document, scenario_from_doc,
@@ -161,7 +163,7 @@ def main(argv=None) -> int:
         target = exc.filename or "<stdout>"   # stdout errors name no file
         print(f"error: cannot write {target}: {exc.strerror}", file=sys.stderr)
         return EXIT_PARSE
-    except (GroupTooLarge, SystemTooLarge) as exc:
+    except (GroupTooLarge, SystemTooLarge, TooManyRays) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except InternalError as exc:

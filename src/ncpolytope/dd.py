@@ -20,7 +20,8 @@ rays primitive with :func:`.linalg.primitive`.
 
 Every caller guarantees that its rows span the space and that its region
 is bounded, so the kernel raises :class:`.linalg.InternalError` when
-either fails.
+either fails.  A ray list that grows past :data:`RAY_CAP` raises
+:class:`TooManyRays`, a size limit and not a bug.
 """
 
 from __future__ import annotations
@@ -30,6 +31,19 @@ from math import lcm
 from operator import mul
 
 from .linalg import ONE, ZERO, InternalError, int_row, primitive
+
+# Cap on the rays kept while a row is inserted.  The largest lists met in
+# use are 2920 (the distribution vertices of eight preparations with four
+# parity equivalences) and 2768 (the six-preparation polar DD).  The
+# measurement vertices of l two-outcome measurements are the 2**l corners
+# of a cube: l = 13 (8192 rays) finishes in a few seconds, and each
+# further measurement doubles both the rays and the time, so the cap
+# stops l >= 14 within seconds.
+RAY_CAP = 10 ** 4
+
+
+class TooManyRays(Exception):
+    """The double description's ray list grew past RAY_CAP."""
 
 
 def extreme_rays(rows, D) -> list:
@@ -74,6 +88,10 @@ def extreme_rays(rows, D) -> list:
                                             for a, b in zip(ri, rj)]))
                 # A positive combination is tight exactly where both are.
                 kept_tights.append(common | bit)
+            if len(kept_rays) > RAY_CAP:
+                raise TooManyRays(
+                    f"double description in dimension {D}: more than "
+                    f"{RAY_CAP} rays at row {position + 1} of {len(rows)}")
         rays, tights = kept_rays, kept_tights
         if not rays:
             break

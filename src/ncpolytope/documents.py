@@ -6,6 +6,12 @@ orbit classes.  Every rational is stored as a string ("3/4", "1", "-1/2"),
 so a polytope document is a bit-exact interchange format: parsing an
 emitted polytope reproduces the value that produced it.  Every emitted
 document carries the package version under the "version" key.
+
+:func:`write_document` writes exactly the bytes of
+``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` for any document
+whose keys are strings, with tuples written as lists.  It builds them
+directly, escaping strings with the C string encoder of :mod:`json`,
+because ``indent`` sends ``json.dumps`` to its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import json
 import reprlib
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 
 from . import __version__
 from .linalg import (EQ, GEQ, InconsistentSystem, InputError, LinearSystem,
@@ -57,11 +64,14 @@ def _quote(value) -> str:
 def _fraction(text) -> Fraction:
     if not isinstance(text, str):
         raise ParseError(f"expected a rational string, got {_quote(text)}")
-    # Most rationals are ASCII integers, which int parses without the
-    # regular expression of Fraction.
-    integer = text.removeprefix("-")
-    integer = integer.isascii() and integer.isdigit()
-    if not integer:
+    # Most rationals are ASCII integers or ASCII "a/b", which int parses
+    # without the regular expression of Fraction; a slash at either end
+    # fails in int as it fails in Fraction.
+    unsigned = text.removeprefix("-")
+    integer = unsigned.isascii() and unsigned.isdigit()
+    ratio = (not integer and unsigned.isascii()
+             and unsigned.replace("/", "", 1).isdigit())
+    if not (integer or ratio):
         # Fraction computes 10**exponent however large the exponent is;
         # cap it at 4300, the digit limit of an int literal.
         exponent = text.lower().partition("e")[2].strip().lstrip("+-")
@@ -69,7 +79,12 @@ def _fraction(text) -> Fraction:
         if len(digits) > 4 or digits.isdecimal() and int(digits) > 4300:
             raise ParseError(f"bad rational {_quote(text)}")
     try:
-        return Fraction(int(text)) if integer else Fraction(text)
+        if integer:
+            return Fraction(int(text))
+        if ratio:
+            num, den = text.split("/")
+            return Fraction(int(num), int(den))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         # the exception's own message repeats the whole string
         raise ParseError(f"bad rational {_quote(text)}") from exc
@@ -110,7 +125,31 @@ def read_document(path) -> dict:
 
 
 def write_document(doc: dict, stream) -> None:
-    stream.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    stream.write(_json(doc, "") + "\n")
+
+
+def _json(value, indent: str) -> str:
+    """``value`` as ``json.dumps(..., indent=2, sort_keys=True)`` writes it
+    at the nesting whose lines start with ``indent``."""
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_string(v) if type(v) is str else
+                 str(v) if type(v) is int else _json(v, inner) for v in value]
+        return ("[\n" + inner + (",\n" + inner).join(items)
+                + "\n" + indent + "]")
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_string(k) + ": "
+                 + (_string(v) if type(v) is str else _json(v, inner))
+                 for k, v in sorted(value.items())]
+        return ("{\n" + inner + (",\n" + inner).join(items)
+                + "\n" + indent + "}")
+    if type(value) is str:
+        return _string(value)
+    return json.dumps(value)
 
 
 def _stamp(doc: dict) -> dict:

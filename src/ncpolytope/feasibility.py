@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .linalg import (GEQ, ONE, ZERO, InputError, InternalError, LinRow,
-                     canonicalize_row)
+                     int_row)
 from .measurement_polytope import VertexSet
 from .ncsystem import (LINKING, NORMALIZATION, OE_P, InvalidDistribution,
                        NumericF2, build_f2, bind_table, dot, fixed_rhs,
@@ -54,10 +55,6 @@ class Certificate:
     # (PREP, s) or (MEAS, r) when y is the equality of an operational
     # equivalence the table breaks (then y.M = 0); None for an LP certificate
     broken_equivalence: tuple | None = None
-
-    def entries(self, block) -> dict:
-        return {label[1]: v for label, v in zip(self.row_labels, self.y)
-                if label[0] == block}
 
 
 @dataclass
@@ -168,20 +165,26 @@ def _verify(y, numeric: NumericF2):
 
     The caller has already checked y.b* < 0 on the same value it returns.
     """
-    for k, ym in enumerate(_y_dot_matrix(y, numeric)):
-        if not (0 <= ym <= 1):
-            raise InternalError(f"certificate violates box constraint: (y.M)_{k} = {ym}")
+    ym, den = _y_dot_matrix(y, numeric)
+    for k, a in enumerate(ym):
+        if not (0 <= a <= den):
+            raise InternalError("certificate violates box constraint: "
+                                f"(y.M)_{k} = {Fraction(a, den)}")
 
 
-def _y_dot_matrix(y, numeric: NumericF2) -> list:
-    """y.M, accumulated row by row over the nonzero y_i only."""
-    ym = [ZERO] * len(numeric.nu_vars)
-    for v, row in zip(y, numeric.matrix):
-        if v:
-            for k, a in enumerate(row):
-                if a:
-                    ym[k] += v * a
-    return ym
+def _y_dot_matrix(y, numeric: NumericF2):
+    """y.M as ints over one positive denominator, ``(ym, den)`` with
+    y.M = ym / den, accumulated row by row over the nonzero y_i only."""
+    support = [(v, row) for v, row in zip(y, numeric.matrix) if v]
+    den_y = lcm(*[v.denominator for v, _ in support])
+    den_m = lcm(*[a.denominator for _, row in support for a in row if a])
+    ym = [0] * len(numeric.nu_vars)
+    for v, row in support:
+        scaled = v.numerator * (den_y // v.denominator)
+        for k, a in enumerate(row):
+            if a:
+                ym[k] += scaled * a.numerator * (den_m // a.denominator)
+    return ym, den_y * den_m
 
 
 def certificate_to_inequality(cert: Certificate):
@@ -191,21 +194,20 @@ def certificate_to_inequality(cert: Certificate):
     table; the violation reported is the (positive) amount by which the
     canonicalized inequality fails on the submitted table.
     """
-    coeffs = {p_var(coord): v for coord, v in cert.entries(LINKING).items() if v}
-    gamma0 = sum(cert.entries(NORMALIZATION).values(), ZERO)
-    raw = LinRow(coeffs, gamma0, GEQ)
-    inequality = canonicalize_row(raw)
-    # The canonical row is a positive rescaling of y.b >= 0, so the exact
-    # violation is minus its value on the table encoded in the certificate.
-    scale = _scale_factor(raw, inequality)
-    violation = -cert.value * scale
+    terms = [(p_var(label[1]), v) for label, v in zip(cert.row_labels, cert.y)
+             if v and label[0] == LINKING]
+    gamma0 = sum([v for label, v in zip(cert.row_labels, cert.y)
+                  if v and label[0] == NORMALIZATION], ZERO)
+    values = [v for _, v in terms] + [gamma0]
+    # The canonical row: the coprime ints proportional to (gamma, gamma0).
+    ints = int_row(values)
+    inequality = LinRow(dict(zip([var for var, _ in terms], ints)), ints[-1],
+                        GEQ)
+    # It is a positive rescaling of y.b >= 0, so the exact violation is
+    # minus its value on the table encoded in the certificate.
+    k = next(k for k, v in enumerate(values) if v)
+    violation = -cert.value * ints[k] / values[k]
     return inequality, violation
-
-
-def _scale_factor(raw: LinRow, canonical: LinRow) -> Fraction:
-    for v, c in raw.coeffs.items():
-        return canonical.coeffs[v] / c
-    return canonical.const / raw.const
 
 
 def optimize(scn: Scenario, vertices: VertexSet, objective: LinRow, sense="max"):

@@ -15,6 +15,8 @@ linking rows by coordinate, and the projection reduces them as integer rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .linalg import ONE, ZERO
 from .measurement_polytope import VertexSet
@@ -123,16 +125,26 @@ def build_f2(scn: Scenario, vertices: VertexSet) -> F2System:
 
 def bind_table(f2: F2System, table: DataTable) -> NumericF2:
     """b* for a numeric table, and the one scan of its equivalence residuals."""
+    scn = f2.scenario
     probs = table.as_dict()
-    if set(probs) != set(f2.scenario.coords()):
+    if set(probs) != set(scn.coords()):
         raise DimensionMismatch("table shape does not match the scenario")
     rhs = [probs[label[1]] if label[0] == LINKING else fixed_rhs(label)
            for label in f2.eq_labels]
-    worst, broken = ZERO, None
-    for oe, slot, weights in equivalence_rows(f2.scenario):
-        r = sum((w * probs[c] for c, w in weights.items()), ZERO)
+    # The residuals on integers: with the table over its common denominator
+    # den_p and the weights over theirs, den_w, every residual r is an int
+    # over den_p * den_w, so the ints compare as the residuals do.
+    den_p = lcm(*[p.denominator for p in probs.values()])
+    ints = {c: p.numerator * (den_p // p.denominator) for c, p in probs.items()}
+    den_w = lcm(*[w.denominator for eq in scn.oe_p + scn.oe_m
+                  for side in (eq.lhs, eq.rhs) for _, w in side])
+    worst, broken = 0, None
+    for oe, slot, weights in equivalence_rows(scn):
+        r = sum([w.numerator * (den_w // w.denominator) * ints[c]
+                 for c, w in weights.items()])
         if abs(r) > worst:
-            worst, broken = abs(r), (oe, slot, weights, r)
+            worst, broken = abs(r), (oe, slot, weights,
+                                     Fraction(r, den_p * den_w))
     return NumericF2(f2, rhs, broken)
 
 

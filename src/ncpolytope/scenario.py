@@ -10,6 +10,7 @@ M_1..M_l notation; outcomes run 0..d-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .linalg import ZERO, InputError, rat
 
@@ -150,13 +151,21 @@ def validate_table(scn: Scenario, table: DataTable) -> bool:
     feasibility check reports them infeasible.
     """
     probs = table.as_dict()
-    expected = set(scn.coords())
-    if set(probs) != expected:
+    coords = list(scn.coords())
+    if set(probs) != set(coords):
         raise DimensionMismatch(
-            f"table has {len(probs)} entries, scenario needs {len(expected)}")
-    return (all(0 <= p <= 1 for p in probs.values())
-            and all(sum(probs[i, j, m] for m in scn.outcomes()) == 1
-                    for i in scn.measurements() for j in scn.preparations()))
+            f"table has {len(probs)} entries, scenario needs {len(coords)}")
+    # On integers: a/b lies in [0, 1] iff 0 <= a <= b (b > 0), and a row
+    # sums to 1 iff its numerators over a common denominator sum to it.
+    values = [probs[c] for c in coords]
+    if not all(0 <= p.numerator <= p.denominator for p in values):
+        return False
+    for k in range(0, len(values), scn.d):   # the d outcomes of (M_i, P_j)
+        row = values[k:k + scn.d]
+        den = lcm(*[p.denominator for p in row])
+        if sum([p.numerator * (den // p.denominator) for p in row]) != den:
+            return False
+    return True
 
 
 def equivalence_rows(scn: Scenario):

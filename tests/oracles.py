@@ -13,15 +13,21 @@ rows.  Those substitutions, and the vertex oracle's, come from a Gaussian
 elimination on Fraction dicts (:func:`eliminate`), where the package
 eliminates fraction-free on dense integer rows.  The irredundancy oracle
 decides every row by its own LP, where the package removes and keeps most
-rows by certificates and ray shots.
+rows by certificates and ray shots.  The table oracles validate a table
+and scan its equivalence residuals in Fraction arithmetic, where the
+package works on integers over common denominators, and the document
+oracle is the standard library's JSON encoder, which the package's
+writer reproduces byte for byte.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations
 
 from ncpolytope.linalg import (EQ, GEQ, ZERO, InconsistentSystem, LinRow,
                                LinearSystem, canonicalize_row)
 from ncpolytope.ncsystem import NORMALIZATION, OE_P, build_f2, fixed_rhs
+from ncpolytope.scenario import equivalence_rows
 from ncpolytope.simplex import OPTIMAL, UNBOUNDED, solve_standard
 from ncpolytope.symmetry import OrbitClass, RowNotInOrbitClosure, act_on_row
 
@@ -217,6 +223,33 @@ def box_dual_optimum(numeric):
         return None
     assert res.status == OPTIMAL, "y = 0 is feasible"
     return res.value
+
+
+def document_text(doc) -> str:
+    """The text of a result document: indented JSON with sorted keys."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def table_is_valid(scn, table) -> bool:
+    """Every entry a probability and every (M_i, P_j) row summing to 1,
+    in Fraction arithmetic."""
+    probs = table.as_dict()
+    return (all(0 <= p <= 1 for p in probs.values())
+            and all(sum(probs[i, j, m] for m in scn.outcomes()) == 1
+                    for i in scn.measurements() for j in scn.preparations()))
+
+
+def worst_equivalence_row(scn, table):
+    """The equivalence row with the largest |residual| on the table, the
+    first in scenario order on ties, as ``(id, slot, weights, residual)``;
+    None when every residual is zero."""
+    probs = table.as_dict()
+    worst, broken = ZERO, None
+    for oe, slot, weights in equivalence_rows(scn):
+        r = sum((w * probs[c] for c, w in weights.items()), ZERO)
+        if abs(r) > worst:
+            worst, broken = abs(r), (oe, slot, weights, r)
+    return broken
 
 
 def y_dot_columns(y, numeric):

@@ -12,7 +12,7 @@ import pytest
 
 import ncpolytope
 from conftest import SCENARIO_DIR, unnormalized_measurement_h
-from ncpolytope import cli, feasibility
+from ncpolytope import cli, dd, feasibility
 from ncpolytope.cli import (EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_LIMIT,
                             EXIT_OK, EXIT_PARSE, main)
 from ncpolytope.feasibility import PrimalFeasible
@@ -302,6 +302,22 @@ def test_f2_size_cap_exit_code(capsys, monkeypatch, argv):
                    "entries\n")
 
 
+@pytest.mark.parametrize("command, name, cap, dim", [
+    # the simplest scenario's four measurement vertices need four rays
+    ("vertices", "simplest", 3, 3),
+    # its measurement vertices fit in 8 rays, so the hull route's later
+    # double description of the distribution vertices is the one stopped
+    ("polytope", "state_discrimination", 8, 22)])
+def test_ray_cap_exit_code(capsys, monkeypatch, command, name, cap, dim):
+    monkeypatch.setattr(dd, "RAY_CAP", cap)
+    code, out, err = run(capsys, command, str(SCENARIO_DIR / f"{name}.json"))
+    assert code == EXIT_LIMIT
+    assert out == ""
+    assert err.startswith(f"error: double description in dimension {dim}: "
+                          f"more than {cap} rays at row ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name, lines", [
     # Fourier-Motzkin: one line per eliminated distribution coordinate,
     # with the coordinates and rows left after it
@@ -319,12 +335,14 @@ def test_verbose_progress_on_stderr(capsys, name, lines):
 
 
 def test_every_error_class_has_an_exit_code():
-    """main catches InputError (exit 1), GroupTooLarge and SystemTooLarge
-    (2) and InternalError (4); the package converts the other three
-    classes before main sees them.  So a new error class that derives from
-    none of these fails here instead of reaching the user as a traceback."""
-    handled = (InputError, GroupTooLarge, SystemTooLarge, InternalError,
-               InconsistentSystem, PrimalFeasible, InvalidDistribution)
+    """main catches InputError (exit 1), GroupTooLarge, SystemTooLarge and
+    TooManyRays (2) and InternalError (4); the package converts the other
+    three classes before main sees them.  So a new error class that
+    derives from none of these fails here instead of reaching the user as
+    a traceback."""
+    handled = (InputError, GroupTooLarge, SystemTooLarge, dd.TooManyRays,
+               InternalError, InconsistentSystem, PrimalFeasible,
+               InvalidDistribution)
     modules = [importlib.import_module(f"ncpolytope.{info.name}")
                for info in pkgutil.iter_modules(ncpolytope.__path__)]
     defined = [obj for module in modules for obj in vars(module).values()

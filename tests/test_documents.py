@@ -3,11 +3,12 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (SCENARIO_DIR, contextual_table_41, four_prep_scenario,
                       six_prep_scenario, uniform_table)
+from oracles import document_text
 from ncpolytope import __version__, documents
 from ncpolytope.documents import (ParseError, generators_from_doc,
                                   objective_from_doc, polytope_from_doc,
@@ -209,13 +210,17 @@ def test_fraction_strings_rejected_when_malformed():
 
 @pytest.mark.parametrize("text", [
     "007", "-0", "+1", " 1", "1_000", "--1", "-", "", "\u0661\u0662",
-    "9" * 5000, "-" + "9" * 5000])
+    "9" * 5000, "-" + "9" * 5000,
+    "3/7", "-3/7", "+3/7", "3/-7", "3/0", "-0/5", "6/4", "007/014", " 3/7",
+    "3/7 ", "3 / 7", "1_0/3", "/7", "3/", "1/2/3", "-/7", "3/+7",
+    "\u0663/\u0667", "3/\u0667", "1" * 5000 + "/7", "7/" + "9" * 5000])
 def test_integer_strings_parse_as_fraction_parses_them(text):
-    # ASCII integers skip the regular expression of Fraction; every string
-    # still reads as Fraction(text), or as the ParseError its ValueError is
+    # ASCII integers and ASCII "a/b" skip the regular expression of
+    # Fraction; every string still reads as Fraction(text), or as the
+    # ParseError its ValueError or ZeroDivisionError is
     try:
         expected = F(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         with pytest.raises(ParseError) as exc:
             documents._fraction(text)
         assert str(exc.value) == f"bad rational {documents._quote(text)}"
@@ -234,6 +239,28 @@ def test_read_document_errors(tmp_path):
     arr.write_text("[1, 2]")
     with pytest.raises(ParseError):
         read_document(arr)
+
+
+scalars = st.one_of(
+    st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028",
+                                "\U0001f600", "\ud800"]),
+    st.integers(), st.integers(-10 ** 40, 10 ** 40), st.booleans(), st.none(),
+    st.floats())
+trees = st.recursive(
+    scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), trees, max_size=5))
+@example({})
+@example({"a": [], "b": {}, "c": (), "d": [[], {}, ()], "e": {"f": []}})
+def test_write_document_writes_the_standard_encoders_bytes(doc):
+    out = io.StringIO()
+    write_document(doc, out)
+    assert out.getvalue() == document_text(doc)
 
 
 def test_write_document_is_deterministic(poly41):

@@ -481,5 +481,7 @@ def test_sparse_products_match_dense_oracle(data):
     rows = st.integers(0, len(y) - 1)
     for i in data.draw(st.sets(rows, max_size=10)):
         y[i] = data.draw(st.fractions(-3, 3, max_denominator=12))
-    assert feasibility._y_dot_matrix(y, numeric) == y_dot_columns(y, numeric)
+    ym, den = feasibility._y_dot_matrix(y, numeric)
+    assert den > 0
+    assert [F(a, den) for a in ym] == y_dot_columns(y, numeric)
     assert dot(y, numeric.rhs) == y_dot_rhs(y, numeric)

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import four_prep_scenario, uniform_table
+from oracles import table_is_valid, worst_equivalence_row
 from ncpolytope.measurement_polytope import build_measurement_h, enumerate_vertices
 from ncpolytope.ncsystem import bind_table, build_f2
 from ncpolytope.scenario import (MEAS, PREP, DataTable, DimensionMismatch,
@@ -142,6 +144,48 @@ def test_validate_table_unnormalized():
         {(1, 1, 0): HALF, (1, 1, 1): Fraction(3, 4)})) is False
     assert validate_table(scn, DataTable.make(
         {(1, 1, 0): Fraction(3, 2), (1, 1, 1): -HALF})) is False
+
+
+ENTRIES = [-THIRD, Fraction(0), Fraction(1, 6), THIRD, HALF, Fraction(2, 3),
+           Fraction(1), Fraction(4, 3)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_integer_validation_matches_fraction_validation(d):
+    # every row of d entries from ENTRIES, among them rows that sum to 1
+    # through a negative entry, such as (4/3, -1/3), and rows over
+    # denominators whose lcm is none of them, such as (1/2, 1/3, 1/6)
+    scn = scenario(g=1, l=1, d=d)
+    verdicts = set()
+    for row in product(ENTRIES, repeat=d):
+        table = DataTable.make({(1, 1, m): p for m, p in enumerate(row)})
+        verdict = validate_table(scn, table)
+        assert verdict is table_is_valid(scn, table), row
+        verdicts.add((verdict, sum(row) == 1))
+    # valid rows, rows with a sum of 1 but a negative entry, and the rest
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_integer_residuals_match_fraction_scan(data):
+    # weights with denominators 2, 3 and 5 on three equivalences, so the
+    # residuals of different equivalences are compared across scales
+    scn = scenario(
+        g=3, l=2, d=2,
+        oe_p=[({1: HALF, 2: HALF}, {3: Fraction(1)}),
+              ({1: Fraction(2, 5), 2: Fraction(3, 5)}, {3: Fraction(1)})],
+        oe_m=[({(1, 0): THIRD, (2, 0): 2 * THIRD},
+               {(1, 1): THIRD, (2, 1): 2 * THIRD})])
+    probability = st.fractions(0, 1, max_denominator=7)
+    entries = {}
+    for i, j in product(scn.measurements(), scn.preparations()):
+        p = data.draw(probability)
+        entries[i, j, 0], entries[i, j, 1] = p, 1 - p
+    table = DataTable.make(entries)
+    vs = enumerate_vertices(build_measurement_h(scn))
+    assert (bind_table(build_f2(scn, vs), table).broken
+            == worst_equivalence_row(scn, table))
 
 
 def test_table_round_trip_and_lookup():
