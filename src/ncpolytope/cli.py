@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 usage, parse, validation or write failure, 2
 internal limit exceeded (group closure, F2 system size or double
-description rays), 3 contextual
-table (a result, not a failure; distinguished so shell scripts can branch
-on it), 4 internal error (a failed invariant).
+description rays; the message names the stage), 3 contextual table (a
+result, not a failure; distinguished so shell scripts can branch on it),
+4 internal error (a failed invariant).
 """
 
 from __future__ import annotations
@@ -13,19 +13,18 @@ import argparse
 import sys
 
 from . import __version__
-from .dd import TooManyRays
 from .documents import (generators_from_doc, objective_from_doc,
                         optimum_to_doc, orbits_to_doc, polytope_from_doc,
                         polytope_to_doc, read_document, scenario_from_doc,
                         table_from_doc, verdict_to_doc, vertices_to_doc,
                         write_document)
 from .feasibility import Feasible, check_table, optimize
-from .linalg import InputError, InternalError
+from .linalg import InputError, InternalError, LimitExceeded
 from .measurement_polytope import build_measurement_h, enumerate_vertices
-from .ncsystem import SystemTooLarge, build_f2
+from .ncsystem import build_f2
 from .projection import project_to_nc_polytope
 from .scenario import p_vars
-from .symmetry import GroupTooLarge, classify_orbits, generate_group
+from .symmetry import classify_orbits, generate_group
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -163,7 +162,7 @@ def main(argv=None) -> int:
         target = exc.filename or "<stdout>"   # stdout errors name no file
         print(f"error: cannot write {target}: {exc.strerror}", file=sys.stderr)
         return EXIT_PARSE
-    except (GroupTooLarge, SystemTooLarge, TooManyRays) as exc:
+    except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except InternalError as exc:

@@ -3,12 +3,14 @@
 The kernel is the incremental method of Motzkin et al. (1953) in the form
 of Fukuda & Prodon, "Double description method revisited" (1996).  It
 starts from the simplicial cone of the first linearly independent rows,
-inserts the remaining rows one at a time, and combines every ray on the
-positive side of the new row with every adjacent ray on its negative
-side.  Adjacency is decided combinatorially: two extreme rays of a pointed
-cone are adjacent iff no third extreme ray is tight on every row that both
-are tight on.  Tight sets are int bitsets over the rows inserted so far,
-and every number in the kernel is a Python int.
+whose rays it reads off the package's one fraction-free elimination
+(:func:`.linalg.add_pivot`), inserts the remaining rows one at a time,
+and combines every ray on the positive side of the new row with every
+adjacent ray on its negative side.  Adjacency is decided combinatorially:
+two extreme rays of a pointed cone are adjacent iff no third extreme ray
+is tight on every row that both are tight on.  Tight sets are int bitsets
+over the rows inserted so far, and every number in the kernel is a
+Python int.
 
 A dense row is a tuple of ints ``(a_0, ..., a_{n-1}, a_n)`` meaning
 ``a_0 y_0 + ... + a_{n-1} y_{n-1} + a_n >= 0``.  A rational point is a
@@ -21,16 +23,17 @@ rays primitive with :func:`.linalg.primitive`.
 Every caller guarantees that its rows span the space and that its region
 is bounded, so the kernel raises :class:`.linalg.InternalError` when
 either fails.  A ray list that grows past :data:`RAY_CAP` raises
-:class:`TooManyRays`, a size limit and not a bug.
+:class:`.linalg.LimitExceeded`, naming the caller's stage: a size limit,
+not a bug.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .linalg import ONE, ZERO, InternalError, int_row, primitive
+from .linalg import (InternalError, LimitExceeded, add_pivot, primitive,
+                     reduce_row)
 
 # Cap on the rays kept while a row is inserted.  The largest lists met in
 # use are 2920 (the distribution vertices of eight preparations with four
@@ -42,16 +45,13 @@ from .linalg import ONE, ZERO, InternalError, int_row, primitive
 RAY_CAP = 10 ** 4
 
 
-class TooManyRays(Exception):
-    """The double description's ray list grew past RAY_CAP."""
-
-
-def extreme_rays(rows, D) -> list:
+def extreme_rays(rows, D, stage) -> list:
     """Extreme rays of the cone {x in Q^D : r . x >= 0 for each row r}.
 
     Rays are primitive int tuples.  The rows must span Q^D (so that the
     cone is pointed); InternalError otherwise.  An empty list means the
-    cone is {0}.
+    cone is {0}.  ``stage`` names what the rays are, for the message of
+    the cap.
     """
     rows = [tuple(r) for r in rows]
     init, rays = _simplicial_start(rows, D)
@@ -89,9 +89,10 @@ def extreme_rays(rows, D) -> list:
                 # A positive combination is tight exactly where both are.
                 kept_tights.append(common | bit)
             if len(kept_rays) > RAY_CAP:
-                raise TooManyRays(
-                    f"double description in dimension {D}: more than "
-                    f"{RAY_CAP} rays at row {position + 1} of {len(rows)}")
+                raise LimitExceeded(
+                    f"{stage}: double description in dimension {D}: more "
+                    f"than {RAY_CAP} rays at row {position + 1} of "
+                    f"{len(rows)}")
         rays, tights = kept_rays, kept_tights
         if not rays:
             break
@@ -101,44 +102,40 @@ def extreme_rays(rows, D) -> list:
 def _simplicial_start(rows, D):
     """The first D independent rows and the rays of the cone they bound.
 
-    Those rays are the columns of the inverse of the rows' matrix.  One
-    Gauss-Jordan pass over the rows, each augmented by the unit vector of
-    its place among the chosen rows, skips the dependent ones and leaves
-    the rows of that inverse in the augmented halves.
+    Those rays are the columns of the inverse of the rows' matrix B.  Each
+    row is eliminated as ``(u, row)``, with u the unit vector of its place
+    among the chosen rows, and a row whose second half reduces to zero is
+    dependent and skipped.  Each pivot row left is ``(u, p * e_c)`` with
+    ``u . B = p * e_c``, so ``u / p`` is row c of the inverse.
     """
-    init, pivots = [], []      # pivots: (column, reduced augmented row)
+    init, pivots = [], {}
     for k, row in enumerate(rows):
-        v = ([Fraction(a) for a in row]
-             + [ONE if j == len(init) else ZERO for j in range(D)])
-        for col, p in pivots:
-            if v[col]:
-                f = v[col]
-                v = [a - f * b for a, b in zip(v, p)]
-        col = next((c for c in range(D) if v[c]), None)
+        unit = tuple(int(j == len(init)) for j in range(D))
+        v = reduce_row(unit + row, pivots)
+        col = next((c for c in range(2 * D - 1, D - 1, -1) if v[c]), None)
         if col is None:
             continue
-        v = [a / v[col] for a in v]
-        pivots = [(c, [a - p[col] * b for a, b in zip(p, v)] if p[col] else p)
-                  for c, p in pivots]
-        pivots.append((col, v))
+        add_pivot(pivots, col, v)
         init.append(k)
         if len(init) == D:
             break
     else:
         raise InternalError(
             "double description: inequality rows do not span the space")
-    inverse = [p[D:] for _, p in sorted(pivots)]   # pivot columns differ
-    rays = [int_row([r[j] for r in inverse]) for j in range(D)]
+    den = lcm(*(p[c] for c, p in pivots.items()))
+    inverse = [[a * (den // p[c]) for a in p[:D]]
+               for c, p in sorted(pivots.items())]
+    rays = [primitive([r[j] for r in inverse]) for j in range(D)]
     return init, rays
 
 
-def vertices(ineqs, dim) -> list:
+def vertices(ineqs, dim, stage) -> list:
     """Vertices of the bounded region {y in Q^dim : a . y + a0 >= 0}.
 
     ``ineqs`` are dense rows; vertices are points.  An empty region has
     none.  InternalError if the region is unbounded.
     """
-    rays = extreme_rays([(0,) * dim + (1,)] + list(ineqs), dim + 1)
+    rays = extreme_rays([(0,) * dim + (1,)] + list(ineqs), dim + 1, stage)
     if any(ray[-1] == 0 for ray in rays):
         raise InternalError("double description: region is unbounded")
     return rays
@@ -162,13 +159,14 @@ def hull_facets(points) -> list:
     def offset(p):   # (p - c) * t * den_c, as ints
         return [a * den_c - c * p[-1] for a, c in zip(p, centre)]
 
-    # Far points first keeps intermediate ray counts close to the output.
-    points.sort(key=lambda p: Fraction(sum(x * x for x in offset(p)),
-                                       p[-1] * p[-1]), reverse=True)
+    # Far points first keeps intermediate ray counts close to the output;
+    # offset(p) * (den_all // t) is (p - c) * den_all * den_c for every p.
+    points.sort(key=lambda p: (sum(x * x for x in offset(p))
+                               * (den_all // p[-1]) ** 2), reverse=True)
     polar = [primitive([-x for x in offset(p)] + [p[-1] * den_c])
              for p in points]
     facets = set()
-    for *u, t in vertices(polar, dim):
+    for *u, t in vertices(polar, dim, "facets of the image points"):
         # (u / t) . (x - c) <= 1 for the vertex u / t, times t * den_c.
         facets.add(primitive([-a * den_c for a in u]
                              + [t * den_c + sum(map(mul, u, centre))]))

@@ -13,7 +13,8 @@ and row canonicalization share; a rational point ``values`` is
 ``int_row(values + [ONE])``, whose last entry is its least common
 denominator (see :mod:`.dd`).  One fraction-free elimination on such rows
 (Bareiss, 1968), :func:`row_reduce_equalities`, decides every equality
-system; :func:`rref` and :func:`reduce_modulo` are its LinRow forms.
+system, and :mod:`.dd` starts from its pivot step, :func:`add_pivot`;
+:func:`rref` and :func:`reduce_modulo` are its LinRow forms.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ class InternalError(Exception):
 
 class InputError(Exception):
     """An input document or the request it makes is invalid (exit code 1)."""
+
+
+class LimitExceeded(Exception):
+    """A computation grew past one of its size caps (exit code 2)."""
 
 
 def rat(value) -> Fraction:
@@ -150,9 +155,21 @@ def reduce_row(row, pivots) -> tuple:
     return row
 
 
+def add_pivot(pivots, col, row) -> None:
+    """Add ``row``, reduced by ``pivots`` and nonzero in column ``col``, as
+    the pivot row of ``col``: made coprime and positive there, and
+    back-substituted so that no other pivot row has a term in ``col``."""
+    row = primitive(row if row[col] > 0 else [-a for a in row])
+    for k, p in pivots.items():
+        if p[col]:
+            pivots[k] = primitive([row[col] * a - p[col] * b
+                                   for a, b in zip(p, row)])
+    pivots[col] = row
+
+
 def row_reduce_equalities(eqs) -> dict:
-    """Eliminate equalities, coprime dense int rows as :func:`dense_row`
-    gives them, by fraction-free Gaussian elimination.
+    """Eliminate equalities, dense int rows as :func:`dense_row` gives
+    them, by fraction-free Gaussian elimination.
 
     Returns ``{pivot column: row}``: coprime rows, positive in their own
     pivot column and zero in every other one, so each solves for its pivot
@@ -171,14 +188,7 @@ def row_reduce_equalities(eqs) -> dict:
                 raise InconsistentSystem(
                     f"contradictory equality: {row[-1]} = 0")
             continue
-        if row[col] < 0:
-            row = tuple(-a for a in row)
-        # Back-substitute so that every pivot row names free columns only.
-        for k, p in pivots.items():
-            if p[col]:
-                pivots[k] = primitive([row[col] * a - p[col] * b
-                                       for a, b in zip(p, row)])
-        pivots[col] = row
+        add_pivot(pivots, col, row)
     return pivots
 
 

@@ -84,7 +84,7 @@ def enumerate_vertices(h: LinearSystem) -> VertexSet:
             ineqs.append(q)
         elif q[-1] < 0:
             raise EmptyPolytope("constant row violated")
-    raw = vertices(ineqs, len(free))   # callers' systems are bounded
+    raw = vertices(ineqs, len(free), "measurement vertices")
     if not raw:
         raise EmptyPolytope("no point satisfies all rows")
     points = []

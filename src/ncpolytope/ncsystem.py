@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .linalg import ONE, ZERO
+from .linalg import ONE, ZERO, LimitExceeded
 from .measurement_polytope import VertexSet
 from .scenario import (DataTable, DimensionMismatch, Scenario,
                        equivalence_rows, p_vars)
@@ -35,10 +35,6 @@ F2_CAP = 10 ** 7
 
 class InvalidDistribution(Exception):
     pass
-
-
-class SystemTooLarge(Exception):
-    """The F2 matrix of a scenario would exceed the hard cap on its entries."""
 
 
 def nu_var(j, kappa) -> tuple:
@@ -98,8 +94,8 @@ def build_f2(scn: Scenario, vertices: VertexSet) -> F2System:
     rows = scn.g + len(scn.oe_p) * n + scn.l * scn.g * scn.d
     columns = scn.g * n
     if rows * columns > F2_CAP:
-        raise SystemTooLarge(f"F2 system: {rows} rows of {columns} columns "
-                             f"exceed {F2_CAP} entries")
+        raise LimitExceeded(f"F2 system: {rows} rows of {columns} columns "
+                            f"exceed {F2_CAP} entries")
     nus = [nu_var(j, k) for j in scn.preparations() for k in range(1, n + 1)]
     labels, matrix = [], []
 

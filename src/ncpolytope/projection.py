@@ -27,8 +27,9 @@ the free distribution and free table coordinates, so the free table
 coordinates of each of its vertices (:func:`.dd.vertices`) are an image
 point, and the image points, with no filtering, go through a polar double
 description (:mod:`.dd`) that returns the facets of their hull.  Both
-routes take the reduced system as dense integer rows, and every point
-they use is in the form of :mod:`.dd`.
+routes take the reduced system as dense integer rows, every point they
+use is in the form of :mod:`.dd`, and the facets leave both canonical and
+sorted.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from fractions import Fraction
 from operator import mul
 
 from .dd import hull_facets, vertices
-from .linalg import (EQ, ONE, ZERO, InternalError, LinRow, canonicalize_row,
+from .linalg import (EQ, ONE, InternalError, LinRow, canonicalize_row,
                      int_row, primitive, reduce_row, row_reduce_equalities)
 from .ncsystem import LINKING, F2System, dot, fixed_rhs
 from .scenario import flatten_coord, p_var
@@ -307,8 +308,7 @@ def irredundant_rows(rows, witnesses, origins):
             row = rows[idx]
             others = [r for k, r in enumerate(rows) if alive[k] and k != idx]
             bound = row[:-1] + (row[-1] + 1,)  # keeps the LP bounded below
-            res = minimize_over_rows(others + [bound],
-                                     [Fraction(a) for a in row[:-1]])
+            res = minimize_over_rows(others + [bound], row[:-1])
             if res.value + row[-1] >= 0:
                 alive[idx] = False
             else:
@@ -339,10 +339,9 @@ def project_to_nc_polytope(f2: F2System, progress=None) -> NCPolytope:
         dense = _fm_facets(f2, free, rows, nu_dim, progress)
     else:
         dense = _hull_facets(rows, len(free), nu_dim, progress)
-    # Both routes return dense rows over the free table coordinates.
-    facets = [canonicalize_row(LinRow(dict(zip(free[nu_dim:], r)), r[-1]))
-              for r in dense]
-    facets.sort(key=lambda r: r.key(f2.p_vars))
+    # Sorted primitive rows over the free table coordinates, which are in
+    # registry order, are canonical LinRows in LinRow.key order.
+    facets = [LinRow(dict(zip(free[nu_dim:], r)), r[-1]) for r in dense]
     return NCPolytope(f2.p_vars, equalities, facets)
 
 
@@ -350,17 +349,19 @@ def _affine_hull(f2: F2System):
     """Equality reduction: free coordinates, dense rows, p-pivot equalities.
 
     Columns are table, then distribution coordinates, then the constant.
-    An equality reads b - row . nu = 0, where a linking row's b is its p,
+    An equality reads row . nu - b = 0, where a linking row's b is its p,
     so each pivots on a distribution column when it has one and the pivot
-    rows on table columns are the table equalities in rref.
+    rows on table columns are the table equalities in rref.  Its sign is
+    free: each pivot row is made positive in its pivot column.
     """
     n_p, n = len(f2.p_vars), len(f2.p_vars) + len(f2.nu_vars)
     eqs = []
     for label, dense in zip(f2.eq_labels, f2.eq_matrix):
-        row = [ZERO] * n_p + [-a for a in dense] + [fixed_rhs(label)]
+        *a, rhs, den = int_row(dense + [fixed_rhs(label), ONE])
+        row = [0] * n_p + a + [-rhs]
         if label[0] == LINKING:     # b is the table coordinate p
-            row[flatten_coord(f2.scenario, label[1]) - 1] = ONE
-        eqs.append(int_row(row))
+            row[flatten_coord(f2.scenario, label[1]) - 1] = -den
+        eqs.append(row)
     pivots = row_reduce_equalities(eqs)
     # Distribution columns first, so the first nu_dim columns are the ones
     # both routes eliminate: the Fourier-Motzkin column choice breaks its
@@ -465,7 +466,7 @@ def _fm_facets(f2: F2System, free, dense, nu_dim, progress):
 
 
 def _hull_facets(rows, dim, nu_dim, progress):
-    raw = vertices(rows, dim)
+    raw = vertices(rows, dim, "distribution vertices")
     if not raw:
         raise InternalError("vertex enumeration: no vertex")
     if progress:

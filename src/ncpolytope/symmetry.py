@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .linalg import (EQ, ZERO, InputError, LinRow, canonicalize_row,
-                     dense_row, int_row, primitive, row_reduce_equalities)
+from .linalg import (EQ, ZERO, InputError, LimitExceeded, LinRow,
+                     canonicalize_row, dense_row, int_row, primitive,
+                     row_reduce_equalities)
 # Unused here; kept importable because tracing wraps symmetry.reduce_modulo
 # and symmetry.rref.
 from .linalg import reduce_modulo, rref  # noqa: F401
@@ -37,10 +38,6 @@ GROUP_CAP = 10 ** 6
 
 class GeneratorBreaksOE(InputError):
     """A proposed relabeling does not preserve the operational equivalences."""
-
-
-class GroupTooLarge(Exception):
-    """Closure exceeded the hard cap; the generators are likely malformed."""
 
 
 class RowNotInOrbitClosure(InputError):
@@ -164,7 +161,7 @@ def generate_group(scn: Scenario, generators) -> RelabelingGroup:
                 q = tuple(gp[k] for k in p)
                 if q not in seen:
                     if len(seen) >= GROUP_CAP:
-                        raise GroupTooLarge(
+                        raise LimitExceeded(
                             f"group closure exceeded {GROUP_CAP} elements")
                     seen.add(q)
                     elements.append(q)

@@ -11,7 +11,10 @@ oracles classify rows with Fraction arithmetic, one ``act_on_row`` and
 one substitution per group element, where the package works on integer
 rows.  Those substitutions, and the vertex oracle's, come from a Gaussian
 elimination on Fraction dicts (:func:`eliminate`), where the package
-eliminates fraction-free on dense integer rows.  The irredundancy oracle
+eliminates fraction-free on dense integer rows, and the starting cone of
+the double description comes from a Fraction Gauss-Jordan inverse
+(:func:`simplicial_start`), where the package takes it from the same
+fraction-free pivot step.  The irredundancy oracle
 decides every row by its own LP, where the package removes and keeps most
 rows by certificates and ray shots.  The table oracles validate a table
 and scan its equivalence residuals in Fraction arithmetic, where the
@@ -24,8 +27,9 @@ import json
 from fractions import Fraction
 from itertools import combinations
 
-from ncpolytope.linalg import (EQ, GEQ, ZERO, InconsistentSystem, LinRow,
-                               LinearSystem, canonicalize_row)
+from ncpolytope.linalg import (EQ, GEQ, ZERO, InconsistentSystem,
+                               InternalError, LinRow, LinearSystem,
+                               canonicalize_row, int_row)
 from ncpolytope.ncsystem import NORMALIZATION, OE_P, build_f2, fixed_rhs
 from ncpolytope.scenario import equivalence_rows
 from ncpolytope.simplex import OPTIMAL, UNBOUNDED, solve_standard
@@ -96,6 +100,40 @@ def eliminate(system: LinearSystem):
     free = [v for v in system.variables if v not in subs]
     return subs, LinearSystem(free, [substitute(r, subs)
                                      for r in system.geq_rows()])
+
+
+def simplicial_start(rows, D):
+    """The first D independent rows and the rays of the cone they bound.
+
+    Those rays are the columns of the inverse of the rows' matrix.  One
+    Gauss-Jordan pass over the rows, each augmented by the unit vector of
+    its place among the chosen rows, skips the dependent ones and leaves
+    the rows of that inverse in the augmented halves.
+    """
+    init, pivots = [], []      # pivots: (column, reduced augmented row)
+    for k, row in enumerate(rows):
+        v = ([Fraction(a) for a in row]
+             + [ONE if j == len(init) else ZERO for j in range(D)])
+        for col, p in pivots:
+            if v[col]:
+                f = v[col]
+                v = [a - f * b for a, b in zip(v, p)]
+        col = next((c for c in range(D) if v[c]), None)
+        if col is None:
+            continue
+        v = [a / v[col] for a in v]
+        pivots = [(c, [a - p[col] * b for a, b in zip(p, v)] if p[col] else p)
+                  for c, p in pivots]
+        pivots.append((col, v))
+        init.append(k)
+        if len(init) == D:
+            break
+    else:
+        raise InternalError(
+            "double description: inequality rows do not span the space")
+    inverse = [p[D:] for _, p in sorted(pivots)]   # pivot columns differ
+    rays = [int_row([r[j] for r in inverse]) for j in range(D)]
+    return init, rays
 
 
 def violated_row(system: LinearSystem, point):

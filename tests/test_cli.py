@@ -16,10 +16,10 @@ from ncpolytope import cli, dd, feasibility
 from ncpolytope.cli import (EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_LIMIT,
                             EXIT_OK, EXIT_PARSE, main)
 from ncpolytope.feasibility import PrimalFeasible
-from ncpolytope.linalg import InconsistentSystem, InputError, InternalError
-from ncpolytope.ncsystem import InvalidDistribution, SystemTooLarge
+from ncpolytope.linalg import (InconsistentSystem, InputError, InternalError,
+                               LimitExceeded)
+from ncpolytope.ncsystem import InvalidDistribution
 from ncpolytope.simplex import UNBOUNDED, LPResult, solve_standard
-from ncpolytope.symmetry import GroupTooLarge
 
 F = Fraction
 
@@ -302,6 +302,11 @@ def test_f2_size_cap_exit_code(capsys, monkeypatch, argv):
                    "entries\n")
 
 
+# the stage that each command below stops at, named in its error line
+STOPPED_STAGE = {"vertices": "measurement vertices",
+                 "polytope": "distribution vertices"}
+
+
 @pytest.mark.parametrize("command, name, cap, dim", [
     # the simplest scenario's four measurement vertices need four rays
     ("vertices", "simplest", 3, 3),
@@ -313,8 +318,9 @@ def test_ray_cap_exit_code(capsys, monkeypatch, command, name, cap, dim):
     code, out, err = run(capsys, command, str(SCENARIO_DIR / f"{name}.json"))
     assert code == EXIT_LIMIT
     assert out == ""
-    assert err.startswith(f"error: double description in dimension {dim}: "
-                          f"more than {cap} rays at row ")
+    assert err.startswith(f"error: {STOPPED_STAGE[command]}: double "
+                          f"description in dimension {dim}: more than {cap} "
+                          f"rays at row ")
     assert err.count("\n") == 1
 
 
@@ -335,14 +341,12 @@ def test_verbose_progress_on_stderr(capsys, name, lines):
 
 
 def test_every_error_class_has_an_exit_code():
-    """main catches InputError (exit 1), GroupTooLarge, SystemTooLarge and
-    TooManyRays (2) and InternalError (4); the package converts the other
-    three classes before main sees them.  So a new error class that
-    derives from none of these fails here instead of reaching the user as
-    a traceback."""
-    handled = (InputError, GroupTooLarge, SystemTooLarge, dd.TooManyRays,
-               InternalError, InconsistentSystem, PrimalFeasible,
-               InvalidDistribution)
+    """main catches InputError (exit 1), LimitExceeded (2) and
+    InternalError (4); the package converts the other three classes before
+    main sees them.  So a new error class that derives from none of these
+    fails here instead of reaching the user as a traceback."""
+    handled = (InputError, LimitExceeded, InternalError, InconsistentSystem,
+               PrimalFeasible, InvalidDistribution)
     modules = [importlib.import_module(f"ncpolytope.{info.name}")
                for info in pkgutil.iter_modules(ncpolytope.__path__)]
     defined = [obj for module in modules for obj in vars(module).values()

@@ -4,12 +4,16 @@ from itertools import product
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncpolytope.dd import extreme_rays, hull_facets, vertices
-from ncpolytope.linalg import (GEQ, InternalError, LinRow, LinearSystem,
-                               dense_row)
+from ncpolytope import dd
+from ncpolytope.dd import (_simplicial_start, extreme_rays, hull_facets,
+                           vertices)
+from ncpolytope.linalg import (GEQ, InternalError, LimitExceeded, LinRow,
+                               LinearSystem, dense_row)
 from ncpolytope.measurement_polytope import EmptyPolytope, enumerate_vertices
-from oracles import brute_force_vertices, in_convex_hull
+from oracles import brute_force_vertices, in_convex_hull, simplicial_start
 
 F = Fraction
 VARS = ["x", "y", "z"]
@@ -34,7 +38,8 @@ CROSS = [upper(s, F(1, 2) + F(sum(s), 3))
 
 
 def kernel_vertices(rows, variables=VARS):
-    got = vertices([dense_row(r, variables) for r in rows], len(variables))
+    got = vertices([dense_row(r, variables) for r in rows], len(variables),
+                   "test vertices")
     return sorted(tuple(F(a, den) for a in ints) for *ints, den in got)
 
 
@@ -53,7 +58,7 @@ def test_vertices_are_primitive_points_inside_every_row(rows):
     # the point form (b, t) that the Fourier-Motzkin sign tests rely on:
     # primitive, t > 0, and row . point has the row's sign at b / t
     dense = [dense_row(r, VARS) for r in rows]
-    for p in vertices(dense, len(VARS)):
+    for p in vertices(dense, len(VARS), "test vertices"):
         assert gcd(*p) == 1 and p[-1] > 0
         values = [sum(a * b for a, b in zip(row, p)) for row in dense]
         assert min(values) >= 0
@@ -116,13 +121,14 @@ def test_unbounded_region_raises():
     quadrant = [lower((1, 0, 0), 0), lower((0, 1, 0), 0),
                 lower((0, 0, 1), 0), upper((0, 0, 1), 1)]
     with pytest.raises(InternalError, match="region is unbounded"):
-        vertices([dense_row(r, VARS) for r in quadrant], len(VARS))
+        vertices([dense_row(r, VARS) for r in quadrant], len(VARS),
+                 "test vertices")
 
 
 def test_rows_or_points_that_do_not_span_raise():
     # x >= 0 and x + y >= 0 leave z free: the cone has a line
     with pytest.raises(InternalError, match="do not span"):
-        extreme_rays([(1, 0, 0), (1, 1, 0)], 3)
+        extreme_rays([(1, 0, 0), (1, 1, 0)], 3, "test rays")
     # every point has z = 0, so the polar rows leave the z axis free
     square = [(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1), (1, 1, 0, 1)]
     with pytest.raises(InternalError, match="do not span"):
@@ -137,3 +143,49 @@ def test_empty_region_raises_empty_polytope():
     h = LinearSystem(VARS[:2], rows)
     with pytest.raises(EmptyPolytope):
         enumerate_vertices(h)
+
+
+@st.composite
+def start_rows(draw):
+    """A dimension D and int rows of length D, some of them zero and some
+    integer combinations of two earlier rows."""
+    D = draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    rows = []
+    for _ in range(draw(st.integers(D - 1, D + 4))):
+        kind = draw(st.sampled_from(["free", "free", "zero", "dependent"]))
+        if kind == "zero":
+            rows.append((0,) * D)
+        elif kind == "dependent" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(entry), draw(entry)
+            rows.append(tuple(s * x + t * y for x, y in zip(a, b)))
+        else:
+            rows.append(tuple(draw(st.lists(entry, min_size=D, max_size=D))))
+    return D, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(start_rows())
+def test_simplicial_start_matches_fraction_oracle(case):
+    # the same chosen rows and the same primitive rays as a Fraction
+    # Gauss-Jordan inverse, and the same failure when the rows do not span
+    D, rows = case
+    try:
+        expected = simplicial_start(rows, D)
+    except InternalError:
+        with pytest.raises(InternalError, match="do not span"):
+            _simplicial_start(rows, D)
+    else:
+        assert _simplicial_start(rows, D) == expected
+
+
+def test_ray_cap_names_the_hull_stage(monkeypatch):
+    # the polar double description of the 3-cube's corners stops at the cap
+    # with its stage named, as the vertex stages do through the CLI
+    monkeypatch.setattr(dd, "RAY_CAP", 3)
+    corners = [point(*c) for c in product((0, 1), repeat=3)]
+    with pytest.raises(LimitExceeded, match=r"^facets of the image points: "
+                       r"double description in dimension 4: more than 3 "
+                       r"rays at row \d+ of 9$"):
+        hull_facets(corners)

@@ -1,5 +1,4 @@
 import functools
-import importlib
 import random
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (SCENARIO_DIR, contextual_table_41, four_prep_scenario,
                       uniform_table)
-from ncpolytope import feasibility, ncsystem
+from ncpolytope import feasibility, ncsystem, scenario
 from ncpolytope.documents import read_document, scenario_from_doc, table_from_doc
 from ncpolytope.feasibility import (Certificate, Feasible, Infeasible,
                                     MalformedTable, PrimalFeasible,
@@ -293,9 +292,7 @@ def test_breaking_table_scans_the_equivalences_once(scn41, verts41,
         calls.append(scn)
         return equivalence_rows(scn)
 
-    # the package exports the function scenario(), which hides the module
-    scenario_module = importlib.import_module("ncpolytope.scenario")
-    for module in (scenario_module, ncsystem, feasibility):
+    for module in (scenario, ncsystem, feasibility):
         if hasattr(module, "equivalence_rows"):
             monkeypatch.setattr(module, "equivalence_rows", counted)
     p0, oe, _ = BREAKING["scn41"]

@@ -1,7 +1,11 @@
 """Every name a package module imports is used by that module, every
-name it defines is used outside the tests, and no module asserts."""
+name it defines is used outside the tests, and no module asserts; the
+package's attributes are its modules, and the README's library example
+runs."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import ncpolytope
@@ -105,3 +109,17 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_scenario_is_the_module():
+    # no function exported by the package hides the module of its name
+    assert ncpolytope.scenario is sys.modules["ncpolytope.scenario"]
+
+
+def test_readme_library_example():
+    text = (REPO / "README.md").read_text()
+    section = text.split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(code, namespace)
+    assert len(namespace["poly"].facets) == 24

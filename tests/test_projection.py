@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncpolytope.projection as projection
-from conftest import (contextual_table_41, four_prep_scenario,
+from conftest import (SCENARIO_DIR, contextual_table_41, four_prep_scenario,
                       six_prep_scenario, uniform_table)
+from ncpolytope.documents import read_document, scenario_from_doc
 from ncpolytope.linalg import (EQ, GEQ, InternalError, LinRow,
                                canonicalize_row, primitive, reduce_modulo)
 from ncpolytope.measurement_polytope import build_measurement_h, enumerate_vertices
@@ -116,6 +117,30 @@ def test_engines_agree_on_small_scenarios(f2_41, monkeypatch):
     fm, hull = fm_and_hull(f2_41, monkeypatch)
     assert fm.equalities == hull.equalities
     assert fm.facets == hull.facets
+
+
+def canonical_and_sorted(poly):
+    keys = [f.key(poly.variables) for f in poly.facets]
+    return (poly.facets == [canonicalize_row(f) for f in poly.facets]
+            and keys == sorted(set(keys)))
+
+
+@pytest.mark.parametrize("name, hull", [
+    ("simplest", False), ("simplest", True), ("state_discrimination", False)],
+    ids=["simplest", "simplest-hull", "state_discrimination"])
+def test_facets_leave_both_routes_canonical_and_sorted(name, hull,
+                                                       monkeypatch):
+    # project_to_nc_polytope neither canonicalizes nor sorts the facets;
+    # Fourier-Motzkin on state_discrimination would run for minutes
+    if hull:
+        monkeypatch.setattr(projection, "FM_MAX_NU_DIM", -1)
+    scn = scenario_from_doc(read_document(SCENARIO_DIR / f"{name}.json"))
+    f2 = build_f2(scn, enumerate_vertices(build_measurement_h(scn)))
+    assert canonical_and_sorted(project_to_nc_polytope(f2))
+
+
+def test_six_preparation_facets_are_canonical_and_sorted(poly63):
+    assert canonical_and_sorted(poly63)
 
 
 def test_engines_agree_without_equivalences(monkeypatch):
@@ -252,8 +277,8 @@ def in_a_hyperplane(f2, monkeypatch):
     """F2 whose hull route keeps only the vertices at which the last free
     table coordinate is 0, so that the image points lie in a hyperplane."""
     real = projection.vertices
-    monkeypatch.setattr(projection, "vertices", lambda rows, dim: [
-        ray for ray in real(rows, dim) if ray[-2] == 0])
+    monkeypatch.setattr(projection, "vertices", lambda rows, dim, stage: [
+        ray for ray in real(rows, dim, stage) if ray[-2] == 0])
     return f2
 
 
@@ -273,7 +298,8 @@ def test_hull_dd_failure_is_an_internal_error(f2_41, monkeypatch, make,
 def test_hull_route_with_no_vertex_is_an_internal_error(f2_41, monkeypatch):
     # the reduced system holds the interior point, so an empty vertex list
     # is a failed invariant, not an empty polytope of the user's input
-    monkeypatch.setattr(projection, "vertices", lambda rows, dim: [])
+    monkeypatch.setattr(projection, "vertices",
+                        lambda rows, dim, stage: [])
     monkeypatch.setattr(projection, "FM_MAX_NU_DIM", -1)
     with pytest.raises(InternalError, match="no vertex"):
         project_to_nc_polytope(f2_41)

@@ -5,9 +5,9 @@ import pytest
 
 import ncpolytope.symmetry as symmetry
 from conftest import four_prep_scenario, six_prep_scenario
-from ncpolytope.linalg import EQ, GEQ, LinRow, canonicalize_row
+from ncpolytope.linalg import EQ, GEQ, LimitExceeded, LinRow, canonicalize_row
 from ncpolytope.scenario import flatten_coord, p_var, scenario
-from ncpolytope.symmetry import (GeneratorBreaksOE, GroupTooLarge, Relabeling,
+from ncpolytope.symmetry import (GeneratorBreaksOE, Relabeling,
                                  RowNotInOrbitClosure, act_on_row,
                                  classify_orbits, expand_orbit,
                                  flip_outcomes, generate_group,
@@ -353,7 +353,7 @@ def test_group_cap_enforced(monkeypatch, scn41_module):
     monkeypatch.setattr(symmetry, "GROUP_CAP", 4)
     gens = [swap_measurements(scn, 1, 2), swap_preparations(scn, (1, 2)),
             swap_preparations(scn, [(1, 3), (2, 4)])]
-    with pytest.raises(GroupTooLarge):
+    with pytest.raises(LimitExceeded, match="group closure exceeded 4 "):
         generate_group(scn, gens)
 
 
