@@ -22,11 +22,13 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 
 from . import __version__
+from .feasibility import Feasible
 from .linalg import (EQ, GEQ, InconsistentSystem, InputError, LinearSystem,
                      LinRow, rref)
 from .measurement_polytope import VertexSet, xi_var
 from .projection import NCPolytope
 from .scenario import DataTable, Scenario, p_var, p_vars, scenario
+from .symmetry import flip_outcomes, swap_measurements, swap_preparations
 
 
 class ParseError(InputError):
@@ -284,7 +286,6 @@ def polytope_from_doc(doc: dict, scn: Scenario) -> NCPolytope:
 
 def generators_from_doc(doc: dict, scn: Scenario):
     """Compile a ``{"generators": [...]}`` document into Relabeling objects."""
-    from .symmetry import flip_outcomes, swap_measurements, swap_preparations
     entries = doc.get("generators")
     if not isinstance(entries, list):
         raise ParseError("generator document needs a list of 'generators'")
@@ -311,7 +312,6 @@ def generators_from_doc(doc: dict, scn: Scenario):
 
 
 def verdict_to_doc(verdict) -> dict:
-    from .feasibility import Feasible
     if isinstance(verdict, Feasible):
         return _stamp({
             "status": "feasible",
@@ -328,8 +328,8 @@ def verdict_to_doc(verdict) -> dict:
         "inequality": row_to_doc(verdict.inequality),
         "violation": _text(verdict.violation),
     }
-    if verdict.broken_equivalence is not None:
-        doc["broken_equivalence"] = list(verdict.broken_equivalence)
+    if cert.broken_equivalence is not None:
+        doc["broken_equivalence"] = list(cert.broken_equivalence)
     return _stamp(doc)
 
 

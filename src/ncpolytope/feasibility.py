@@ -13,11 +13,15 @@ solved then, because the broken equality itself is a Farkas vector with
 scan of the residuals (see :func:`_equivalence_certificate`).  Reading the
 linking-block entries of ``y`` as coefficients on the table probabilities
 turns the certificate into a violated noncontextuality inequality whose
-constant term is the sum of the normalization-block entries.  Every
-certificate, from the LP or in closed form, is re-verified exactly before
-it is returned: ``y.b* < 0`` and ``0 <= y.M <= 1``, both summed over the
-nonzero entries of ``y`` only, so a closed-form check costs time in
-proportion to the broken equality's support.
+constant term is the sum of the normalization-block entries.  A table
+that keeps every equivalence but has no model costs two LPs, the phase-1
+LP that finds none and the box LP.  Every verdict is checked exactly
+before it is returned.  A model must rebuild the table
+(:func:`.ncsystem.reconstruct_table`).  A certificate, from the LP or in
+closed form, must have ``y.b* < 0`` and ``0 <= y.M <= 1``, read off one
+integer pass over the nonzero entries of ``y`` that gives ``y.[M | b*]``
+over one denominator, so a closed-form check costs time in proportion to
+the broken equality's support.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .linalg import (GEQ, ONE, ZERO, InputError, InternalError, LinRow,
                      int_row)
 from .measurement_polytope import VertexSet
 from .ncsystem import (LINKING, NORMALIZATION, OE_P, InvalidDistribution,
-                       NumericF2, build_f2, bind_table, dot, fixed_rhs,
+                       NumericF2, build_f2, bind_table, fixed_rhs,
                        reconstruct_table)
 from .scenario import (PREP, DataTable, DimensionMismatch, Scenario, p_var,
                        validate_table)
@@ -49,7 +53,7 @@ class MalformedTable(InputError):
 class Certificate:
     """A verified Farkas dual for an infeasible table."""
 
-    y: list                  # indexed like NumericF2.row_labels
+    y: list                  # indexed like F2System.eq_labels
     row_labels: list
     value: Fraction          # y . b*, strictly negative
     # (PREP, s) or (MEAS, r) when y is the equality of an operational
@@ -68,10 +72,6 @@ class Infeasible:
     inequality: LinRow       # canonical GEQ row over p-coordinates
     violation: Fraction      # amount by which the table violates it
 
-    @property
-    def broken_equivalence(self):
-        return self.certificate.broken_equivalence
-
 
 Verdict = Feasible | Infeasible
 
@@ -83,10 +83,17 @@ def check_table(scn: Scenario, vertices: VertexSet, table: DataTable) -> Verdict
     f2 = build_f2(scn, vertices)
     numeric = bind_table(f2, table)
     if numeric.broken is None:
-        res = solve_standard(numeric.matrix, numeric.rhs,
-                             [ZERO] * len(numeric.nu_vars))
+        res = solve_standard(f2.eq_matrix, numeric.rhs,
+                             [ZERO] * len(f2.nu_vars))
         if res.status == OPTIMAL:
-            return Feasible(dict(zip(numeric.nu_vars, res.x)))
+            nu = dict(zip(f2.nu_vars, res.x))
+            try:
+                rebuilt = reconstruct_table(f2, nu)
+            except InvalidDistribution as exc:
+                raise InternalError(f"phase-1 model: {exc}") from exc
+            if rebuilt.as_dict() != table.as_dict():
+                raise InternalError("phase-1 model does not rebuild the table")
+            return Feasible(nu)
     try:
         cert = farkas_certificate(numeric)
     except PrimalFeasible as exc:
@@ -106,11 +113,15 @@ def farkas_certificate(numeric: NumericF2) -> Certificate:
     """
     broken = _equivalence_certificate(numeric)
     oe, y = broken if broken else (None, _solve_box_dual(numeric))
-    value = dot(y, numeric.rhs)
+    ym, den = _y_dot_system(y, numeric)
+    value = Fraction(ym.pop(), den)
     if value >= 0:
         raise PrimalFeasible("the primal system M x = b* has a solution")
-    _verify(y, numeric)
-    return Certificate(y, list(numeric.row_labels), value, oe)
+    for k, a in enumerate(ym):
+        if not 0 <= a <= den:
+            raise InternalError("certificate violates box constraint: "
+                                f"(y.M)_{k} = {Fraction(a, den)}")
+    return Certificate(y, list(numeric.f2.eq_labels), value, oe)
 
 
 def _equivalence_certificate(numeric: NumericF2):
@@ -129,7 +140,7 @@ def _equivalence_certificate(numeric: NumericF2):
     if numeric.broken is None:
         return None
     (kind, s), slot, weights, r = numeric.broken
-    labels = numeric.row_labels
+    labels = numeric.f2.eq_labels
     c = -ONE if r > 0 else ONE
     row = {lab: n for n, lab in enumerate(labels)}
     y = [ZERO] * len(labels)
@@ -152,33 +163,22 @@ def _solve_box_dual(numeric: NumericF2):
     when b* leaves the column span of M the phase-1 Farkas vector has
     y.M = 0; either way the certificate is minus the multipliers.
     """
-    n = len(numeric.nu_vars)
-    A = [row + [-a for a in row] for row in numeric.matrix]
+    n = len(numeric.f2.nu_vars)
+    A = [row + [-a for a in row] for row in numeric.f2.eq_matrix]
     res = solve_standard(A, numeric.rhs, [ZERO] * n + [ONE] * n)
     if res.status == UNBOUNDED:
         raise InternalError("least-negativity LP cannot be unbounded (mu >= 0)")
     return [-v for v in res.duals]
 
 
-def _verify(y, numeric: NumericF2):
-    """Independent exact re-check of 0 <= y.M <= 1 before returning.
-
-    The caller has already checked y.b* < 0 on the same value it returns.
-    """
-    ym, den = _y_dot_matrix(y, numeric)
-    for k, a in enumerate(ym):
-        if not (0 <= a <= den):
-            raise InternalError("certificate violates box constraint: "
-                                f"(y.M)_{k} = {Fraction(a, den)}")
-
-
-def _y_dot_matrix(y, numeric: NumericF2):
-    """y.M as ints over one positive denominator, ``(ym, den)`` with
-    y.M = ym / den, accumulated row by row over the nonzero y_i only."""
-    support = [(v, row) for v, row in zip(y, numeric.matrix) if v]
+def _y_dot_system(y, numeric: NumericF2):
+    """y.[M | b*] as ints over one positive denominator, ``(ym, den)``,
+    accumulated row by row over the nonzero y_i only."""
+    support = [(v, row + [b]) for v, row, b
+               in zip(y, numeric.f2.eq_matrix, numeric.rhs) if v]
     den_y = lcm(*[v.denominator for v, _ in support])
     den_m = lcm(*[a.denominator for _, row in support for a in row if a])
-    ym = [0] * len(numeric.nu_vars)
+    ym = [0] * (len(numeric.f2.nu_vars) + 1)
     for v, row in support:
         scaled = v.numerator * (den_y // v.denominator)
         for k, a in enumerate(row):

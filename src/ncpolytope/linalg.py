@@ -22,13 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
 
 GEQ = "geq"
 EQ = "eq"
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+# Cap on the entries, rows times columns, of a dense matrix, checked before
+# it is allocated: the F2 system, the H-system of the measurement vertices
+# and a simplex tableau.  The six-preparation F2 system has 1944; a
+# document asking for 100000 preparations would need about 6 * 10**10.
+DENSE_CAP = 10 ** 7
 
 
 class InconsistentSystem(Exception):
@@ -95,10 +101,6 @@ class LinRow:
         self.const = rat(self.const)
         if self.kind not in (GEQ, EQ):
             raise ValueError(f"unknown row kind {self.kind!r}")
-
-    def key(self, variables: Iterable) -> tuple:
-        """Deterministic sort key: dense coefficient vector plus constant."""
-        return tuple(self.coeffs.get(v, ZERO) for v in variables) + (self.const,)
 
     def __repr__(self):
         terms = " + ".join(f"{c}*{v}" for v, c in sorted(self.coeffs.items()))

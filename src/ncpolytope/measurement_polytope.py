@@ -8,6 +8,8 @@ its pivot row at every vertex.  It serves the measurement-assignment
 polytope built here (positivity, per-measurement normalization and one
 equality per measurement operational equivalence).  An empty system is
 :class:`EmptyPolytope`; an unbounded one is the kernel's InternalError.
+A system of more than :data:`.linalg.DENSE_CAP` entries as dense rows
+raises LimitExceeded before any row is made dense.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from fractions import Fraction
 from operator import mul
 
 from .dd import vertices
-from .linalg import (EQ, GEQ, ONE, ZERO, InconsistentSystem, InputError,
-                     LinearSystem, LinRow, dense_row, primitive, reduce_row,
-                     row_reduce_equalities)
+from .linalg import (DENSE_CAP, EQ, GEQ, ONE, ZERO, InconsistentSystem,
+                     InputError, LimitExceeded, LinearSystem, LinRow,
+                     dense_row, primitive, reduce_row, row_reduce_equalities)
 from .scenario import Scenario
 
 
@@ -69,6 +71,9 @@ def build_measurement_h(scn: Scenario) -> LinearSystem:
 def enumerate_vertices(h: LinearSystem) -> VertexSet:
     """All vertices of a bounded H-polytope, exact and canonically ordered."""
     n = len(h.variables)
+    if len(h.rows) * (n + 1) > DENSE_CAP:
+        raise LimitExceeded(f"measurement vertices: {len(h.rows)} rows of "
+                            f"{n + 1} columns exceed {DENSE_CAP} entries")
     try:
         pivots = row_reduce_equalities([dense_row(r, h.variables)
                                         for r in h.eq_rows()])

@@ -10,6 +10,8 @@ from distributions to tables.  Every reader uses these rows, and none makes
 symbolic ones: :func:`bind_table` computes ``b*`` and the table's
 equivalence residuals, optimization and table reconstruction take the
 linking rows by coordinate, and the projection reduces them as integer rows.
+A table's :class:`NumericF2` holds only ``b*`` and its broken equivalence:
+``M``, its labels and its unknowns stay those of the one F2System.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .linalg import ONE, ZERO, LimitExceeded
+from .linalg import DENSE_CAP, ONE, ZERO, LimitExceeded
 from .measurement_polytope import VertexSet
 from .scenario import (DataTable, DimensionMismatch, Scenario,
                        equivalence_rows, p_vars)
@@ -26,11 +28,6 @@ from .scenario import (DataTable, DimensionMismatch, Scenario,
 NORMALIZATION = "normalization"
 OE_P = "oe_p"
 LINKING = "linking"
-
-# Cap on the entries of the dense F2 matrix (rows times columns), checked
-# before it is allocated.  The six-preparation scenario has 1944; a
-# document asking for 100000 preparations would need about 6 * 10**10.
-F2_CAP = 10 ** 7
 
 
 class InvalidDistribution(Exception):
@@ -67,7 +64,7 @@ class F2System:
 
 @dataclass
 class NumericF2:
-    """M x = b*, x >= 0, with M and its labels shared with the F2System."""
+    """M x = b*, x >= 0, with M, its labels and its unknowns in ``f2``."""
 
     f2: F2System
     rhs: list
@@ -76,26 +73,14 @@ class NumericF2:
     # scenario.equivalence_rows; None when the table keeps them all.
     broken: tuple | None
 
-    @property
-    def nu_vars(self):
-        return self.f2.nu_vars
-
-    @property
-    def matrix(self):
-        return self.f2.eq_matrix
-
-    @property
-    def row_labels(self):
-        return self.f2.eq_labels
-
 
 def build_f2(scn: Scenario, vertices: VertexSet) -> F2System:
     n = len(vertices)
     rows = scn.g + len(scn.oe_p) * n + scn.l * scn.g * scn.d
     columns = scn.g * n
-    if rows * columns > F2_CAP:
+    if rows * columns > DENSE_CAP:
         raise LimitExceeded(f"F2 system: {rows} rows of {columns} columns "
-                            f"exceed {F2_CAP} entries")
+                            f"exceed {DENSE_CAP} entries")
     nus = [nu_var(j, k) for j in scn.preparations() for k in range(1, n + 1)]
     labels, matrix = [], []
 

@@ -72,8 +72,8 @@ class NCPolytope:
 # a point (b_0, ..., b_{d-1}, t), meaning b / t (see :mod:`.dd`).
 
 
-def _combine(pos_row, pos_val, neg_row, neg_val, col):
-    # pos_val = pos_row[col] > 0, neg_val = neg_row[col] < 0.
+def _combine(pos_row, pos_val, neg_row, neg_val):
+    # pos_val > 0 and neg_val < 0: the rows' entries in the eliminated column
     return primitive([pos_val * bn - neg_val * bp
                       for bp, bn in zip(pos_row, neg_row)])
 
@@ -96,7 +96,7 @@ def fm_step(rows, col):
             out.add(row[:col] + row[col + 1:])
     for prow, pval in pos:
         for nrow, nval in neg:
-            combo = _combine(prow, pval, nrow, nval, col)
+            combo = _combine(prow, pval, nrow, nval)
             combo = combo[:col] + combo[col + 1:]
             if any(combo[:-1]):
                 out.add(combo)
@@ -340,7 +340,8 @@ def project_to_nc_polytope(f2: F2System, progress=None) -> NCPolytope:
     else:
         dense = _hull_facets(rows, len(free), nu_dim, progress)
     # Sorted primitive rows over the free table coordinates, which are in
-    # registry order, are canonical LinRows in LinRow.key order.
+    # registry order, are canonical LinRows sorted by their dense
+    # (coefficients, constant) tuples over the registry.
     facets = [LinRow(dict(zip(free[nu_dim:], r)), r[-1]) for r in dense]
     return NCPolytope(f2.p_vars, equalities, facets)
 

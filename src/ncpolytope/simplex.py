@@ -2,7 +2,8 @@
 
 Everything here runs on Fractions; Bland's pivoting rule guarantees
 termination, and the problem sizes in this package (at most a few hundred
-rows) keep the dense tableau tractable.
+rows) keep the dense tableau tractable.  A tableau of more than
+:data:`.linalg.DENSE_CAP` entries raises LimitExceeded before it is built.
 
 Two entry points:
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import ZERO, ONE, InternalError
+from .linalg import DENSE_CAP, ZERO, ONE, InternalError, LimitExceeded
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -45,6 +46,9 @@ def solve_standard(A, b, c) -> LPResult:
     """
     m = len(A)
     n = len(c)
+    if (m + 1) * (n + m + 1) > DENSE_CAP:
+        raise LimitExceeded(f"simplex tableau: {m + 1} rows of {n + m + 1} "
+                            f"columns exceed {DENSE_CAP} entries")
     # Orient rows so the right-hand side is nonnegative; remember flips so
     # dual multipliers can be reported for the original orientation.
     rows = []

@@ -203,8 +203,8 @@ class _Reduction:
     common denominator ``den``.  A key is a reduced row made canonical as
     :func:`canonicalize_row` does: primitive, and an EQ row signed by its
     leading coefficient in sorted variable order, else by its constant.
-    Pivot variables are zero in every reduced row, so keys sort in
-    ``LinRow.key`` order.
+    Pivot variables are zero in every reduced row, so keys sort as the
+    rows' dense (coefficients, constant) tuples over ``variables`` do.
     """
 
     def __init__(self, scn, equalities, variables):

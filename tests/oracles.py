@@ -43,6 +43,12 @@ def evaluate(row, point) -> Fraction:
     return sum((c * point[v] for v, c in row.coeffs.items()), row.const)
 
 
+def row_key(row, variables) -> tuple:
+    """A row's dense coefficients over ``variables``, then its constant: the
+    order in which the package sorts canonical rows."""
+    return tuple(row.coeffs.get(v, ZERO) for v in variables) + (row.const,)
+
+
 def satisfies(row, point) -> bool:
     """Does a point satisfy one row, read as ``== 0`` or as ``>= 0``?"""
     value = evaluate(row, point)
@@ -237,20 +243,21 @@ def box_dual_optimum(numeric):
     Returns the exact optimum, or None when it is unbounded below, which
     happens exactly when b* lies outside the column span of M.
     """
-    nrows = len(numeric.matrix)
-    ncols = len(numeric.nu_vars)
+    matrix = numeric.f2.eq_matrix
+    nrows = len(matrix)
+    ncols = len(numeric.f2.nu_vars)
     # Standard form: y = u - w with u, w >= 0; slacks s, t >= 0 with
     # (y.M)_k - s_k = 0 and (y.M)_k + t_k = 1.
     A = []
     b = []
     for k in range(ncols):
-        col = [numeric.matrix[i][k] for i in range(nrows)]
+        col = [matrix[i][k] for i in range(nrows)]
         A.append(col + [-a for a in col]
                  + [-ONE if q == k else ZERO for q in range(ncols)]
                  + [ZERO] * ncols)
         b.append(ZERO)
     for k in range(ncols):
-        col = [numeric.matrix[i][k] for i in range(nrows)]
+        col = [matrix[i][k] for i in range(nrows)]
         A.append(col + [-a for a in col]
                  + [ZERO] * ncols
                  + [ONE if q == k else ZERO for q in range(ncols)])
@@ -293,8 +300,9 @@ def worst_equivalence_row(scn, table):
 def y_dot_columns(y, numeric):
     """y.M column by column over every row: the dense definition that the
     package's sparse product skips the zero entries of."""
-    return [sum((y[i] * numeric.matrix[i][k] for i in range(len(y))), ZERO)
-            for k in range(len(numeric.nu_vars))]
+    matrix = numeric.f2.eq_matrix
+    return [sum((y[i] * matrix[i][k] for i in range(len(y))), ZERO)
+            for k in range(len(numeric.f2.nu_vars))]
 
 
 def y_dot_rhs(y, numeric):
@@ -311,7 +319,7 @@ def _orbit_keys(row, group, subs, variables):
     for g in group.elements:
         moved = act_on_row(g, row)
         reduced = canonicalize_row(substitute(moved, subs))
-        out.setdefault(reduced.key(variables), (reduced, moved))
+        out.setdefault(row_key(reduced, variables), (reduced, moved))
     return out
 
 
@@ -325,7 +333,7 @@ def classify_orbits_oracle(rows, group, equalities, variables):
     subs = _substitutions(equalities, variables)
 
     def key(row):
-        return canonicalize_row(substitute(row, subs)).key(variables)
+        return row_key(canonicalize_row(substitute(row, subs)), variables)
 
     index = {}
     for row in rows:
@@ -342,10 +350,10 @@ def classify_orbits_oracle(rows, group, equalities, variables):
             raise RowNotInOrbitClosure(
                 f"group action maps {row} to {moved}, absent from the input set")
         least = min((orbit[k][0] for k in orbit),
-                    key=lambda r: r.key(variables))
+                    key=lambda r: row_key(r, variables))
         classes.append(OrbitClass(least, len(orbit)))
         assigned.update(orbit)
-    classes.sort(key=lambda c: c.representative.key(variables))
+    classes.sort(key=lambda c: row_key(c.representative, variables))
     return classes
 
 
@@ -353,4 +361,5 @@ def expand_orbit_oracle(representative, group, equalities, variables):
     """All distinct images of a row, reduced modulo the equalities."""
     orbit = _orbit_keys(representative, group,
                         _substitutions(equalities, variables), variables)
-    return sorted((orbit[k][0] for k in orbit), key=lambda r: r.key(variables))
+    return sorted((orbit[k][0] for k in orbit),
+                  key=lambda r: row_key(r, variables))

@@ -28,7 +28,7 @@ from ncpolytope.projection import project_to_nc_polytope
 from ncpolytope.scenario import DataTable, p_var, scenario
 from ncpolytope.symmetry import act_on_row, classify_orbits, expand_orbit
 from oracles import (brute_force_f2_points, in_convex_hull,
-                     polytope_contains, satisfies)
+                     polytope_contains, row_key, satisfies)
 from test_projection import (REFERENCE_EQUALITIES_41, REFERENCE_FACETS_41,
                              facet_keys, fm_and_hull, reduced_key)
 
@@ -99,7 +99,7 @@ def test_criterion_02_four_prep_polytope():
                 reduced = canonicalize_row(
                     reduce_modulo(row, poly.equalities, poly.variables))
                 if reduced.coeffs:
-                    covered.add(reduced.key(poly.variables))
+                    covered.add(row_key(reduced, poly.variables))
         assert covered == keys
         assert elapsed < 10.0
 
@@ -211,7 +211,7 @@ def test_criterion_06_six_prep_polytope(scn63, poly63, group63):
         for row in REFERENCE_EQUALITIES_63:
             orbit = [act_on_row(g, row) for g in group63.elements]
             orbit_rows.extend(orbit)
-            keysets.append({r.key(poly63.variables) for r in orbit})
+            keysets.append({row_key(r, poly63.variables) for r in orbit})
         for a in range(3):
             for b in range(a + 1, 3):
                 assert not (keysets[a] & keysets[b])
@@ -247,7 +247,7 @@ def test_criterion_07_six_prep_orbits(scn63, poly63, group63):
         classes = classify_orbits(poly63.facets, group63, poly63.equalities,
                                   poly63.variables)
         assert len(classes) == 7
-        keysets = [{m.key(poly63.variables)
+        keysets = [{row_key(m, poly63.variables)
                     for m in expand_orbit(c.representative, group63,
                                           poly63.equalities, poly63.variables)}
                    for c in classes]
@@ -394,8 +394,8 @@ def test_criterion_10_certificate_dichotomy(random_check_scenarios):
                     assert isinstance(verdict, Infeasible)
                     numeric = bind_table(f2, table)
                     y = verdict.certificate.y
-                    for k in range(len(numeric.nu_vars)):
-                        ym = sum(y[i] * numeric.matrix[i][k]
+                    for k in range(len(f2.nu_vars)):
+                        ym = sum(y[i] * f2.eq_matrix[i][k]
                                  for i in range(len(y)))
                         assert 0 <= ym <= 1
                     yb = sum(a * b for a, b in zip(y, numeric.rhs))

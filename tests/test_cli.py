@@ -12,7 +12,7 @@ import pytest
 
 import ncpolytope
 from conftest import SCENARIO_DIR, unnormalized_measurement_h
-from ncpolytope import cli, dd, feasibility
+from ncpolytope import cli, dd, feasibility, measurement_polytope, simplex
 from ncpolytope.cli import (EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_LIMIT,
                             EXIT_OK, EXIT_PARSE, main)
 from ncpolytope.feasibility import PrimalFeasible
@@ -26,6 +26,16 @@ F = Fraction
 SIMPLEST = str(SCENARIO_DIR / "simplest.json")
 CONTEXTUAL = str(SCENARIO_DIR / "simplest_table_contextual.json")
 OBJECTIVE = str(SCENARIO_DIR / "simplest_pom_objective.json")
+
+
+@pytest.fixture
+def uniform(tmp_path):
+    """The path of the simplest scenario's uniform table, which has a model."""
+    path = tmp_path / "uniform.json"
+    path.write_text(json.dumps({"probabilities": [
+        [i, j, m, "1/2"] for i in (1, 2) for j in (1, 2, 3, 4)
+        for m in (0, 1)]}))
+    return str(path)
 
 
 def run(capsys, *argv):
@@ -66,13 +76,8 @@ def test_check_contextual_table(capsys):
     assert F(doc["violation"]) == 1
 
 
-def test_check_feasible_table(capsys, tmp_path):
-    table = {"probabilities": [[i, j, m, "1/2"]
-                               for i in (1, 2) for j in (1, 2, 3, 4)
-                               for m in (0, 1)]}
-    path = tmp_path / "uniform.json"
-    path.write_text(json.dumps(table))
-    code, out, _ = run(capsys, "check", SIMPLEST, str(path))
+def test_check_feasible_table(capsys, uniform):
+    code, out, _ = run(capsys, "check", SIMPLEST, uniform)
     assert code == EXIT_OK
     assert json.loads(out)["status"] == "feasible"
 
@@ -292,14 +297,36 @@ def test_f2_size_cap_exit_code(capsys, monkeypatch, argv):
     # the simplest F2 system has 4 + 4 + 16 rows of 4 * 4 columns: at the
     # cap it is built, one entry below it the stage stops with exit 2
     import ncpolytope.ncsystem as ncsystem
-    monkeypatch.setattr(ncsystem, "F2_CAP", 24 * 16)
+    monkeypatch.setattr(ncsystem, "DENSE_CAP", 24 * 16)
     assert run(capsys, *argv)[0] in (EXIT_OK, EXIT_INFEASIBLE)
-    monkeypatch.setattr(ncsystem, "F2_CAP", 24 * 16 - 1)
+    monkeypatch.setattr(ncsystem, "DENSE_CAP", 24 * 16 - 1)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_LIMIT
     assert out == ""
     assert err == ("error: F2 system: 24 rows of 16 columns exceed 383 "
                    "entries\n")
+
+
+@pytest.mark.parametrize("module, command, stage, rows, columns", [
+    # the simplest H-system: 4 positivity and 2 normalization rows over 4
+    # coordinates and the constant
+    (measurement_polytope, "vertices", "measurement vertices", 6, 5),
+    # the phase-1 tableau of a table with a model: the 24 F2 rows and the
+    # cost row, over 16 distributions, 24 artificials and the right side
+    (simplex, "check", "simplex tableau", 25, 41)],
+    ids=["vertices", "check"])
+def test_dense_size_caps_exit_code(capsys, monkeypatch, uniform, module,
+                                   command, stage, rows, columns):
+    # at the cap the stage runs, one entry below it it stops with exit 2
+    argv = [command, SIMPLEST] + ([uniform] if command == "check" else [])
+    monkeypatch.setattr(module, "DENSE_CAP", rows * columns)
+    assert run(capsys, *argv)[0] == EXIT_OK
+    monkeypatch.setattr(module, "DENSE_CAP", rows * columns - 1)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_LIMIT
+    assert out == ""
+    assert err == (f"error: {stage}: {rows} rows of {columns} columns "
+                   f"exceed {rows * columns - 1} entries\n")
 
 
 # the stage that each command below stops at, named in its error line
@@ -416,6 +443,21 @@ def test_negative_optimize_solution_exit_code(capsys, monkeypatch):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err.startswith("internal error:")
+
+
+def test_tampered_model_exit_code(capsys, monkeypatch, uniform):
+    # every preparation on the first measurement vertex keeps each
+    # distribution row, but rebuilds another table than the uniform one
+    def first_vertex(A, b, c):
+        res = solve_standard(A, b, c)
+        res.x = [F(k % 4 == 0) for k in range(len(res.x))]
+        return res
+
+    monkeypatch.setattr(feasibility, "solve_standard", first_vertex)
+    code, out, err = run(capsys, "check", SIMPLEST, uniform)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: phase-1 model does not rebuild the table\n"
 
 
 def test_unwritable_output_exit_code(capsys, tmp_path):

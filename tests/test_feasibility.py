@@ -16,7 +16,7 @@ from ncpolytope.feasibility import (Certificate, Feasible, Infeasible,
 from ncpolytope.linalg import (GEQ, ZERO, InternalError, LinRow,
                                canonicalize_row, reduce_modulo)
 from ncpolytope.measurement_polytope import build_measurement_h, enumerate_vertices
-from ncpolytope.ncsystem import (OE_P, bind_table, build_f2, dot,
+from ncpolytope.ncsystem import (OE_P, bind_table, build_f2,
                                  reconstruct_table)
 from ncpolytope.projection import project_to_nc_polytope
 from ncpolytope.scenario import (DataTable, DimensionMismatch,
@@ -60,8 +60,8 @@ def test_certificate_box_conditions(scn41, verts41):
     cert = verdict.certificate
     f2 = build_f2(scn41, verts41)
     numeric = bind_table(f2, contextual_table_41())
-    for k in range(len(numeric.nu_vars)):
-        ym = sum(cert.y[i] * numeric.matrix[i][k] for i in range(len(cert.y)))
+    for k in range(len(f2.nu_vars)):
+        ym = sum(cert.y[i] * f2.eq_matrix[i][k] for i in range(len(cert.y)))
         assert 0 <= ym <= 1
     assert sum(y * b for y, b in zip(cert.y, numeric.rhs)) == cert.value
     assert cert.value < 0
@@ -185,7 +185,7 @@ def test_span_breaking_table_gets_farkas_vector(scn41, verts41):
     assert isinstance(verdict, Infeasible)
     numeric = bind_table(build_f2(scn41, verts41), table)
     assert y_dot_columns(verdict.certificate.y, numeric) == \
-        [0] * len(numeric.nu_vars)
+        [0] * len(numeric.f2.nu_vars)
     assert verdict.certificate.value < 0
     assert box_dual_optimum(numeric) is None  # the box LP is unbounded
 
@@ -222,10 +222,10 @@ def assert_broken_equality_certificate(monkeypatch, scn, vs, table, oe,
     monkeypatch.setattr(feasibility, "solve_standard", no_lp)
     verdict = check_table(scn, vs, table)
     assert isinstance(verdict, Infeasible)
-    assert verdict.broken_equivalence == oe
+    assert verdict.certificate.broken_equivalence == oe
     numeric = bind_table(build_f2(scn, vs), table)
     cert = verdict.certificate
-    assert y_dot_columns(cert.y, numeric) == [0] * len(numeric.nu_vars)
+    assert y_dot_columns(cert.y, numeric) == [0] * len(numeric.f2.nu_vars)
     probs = table.as_dict()
     r = sum(w * probs[c] for c, w in weights.items())
     raw = LinRow({p_var(c): (-w if r > 0 else w) for c, w in weights.items()},
@@ -297,7 +297,7 @@ def test_breaking_table_scans_the_equivalences_once(scn41, verts41,
             monkeypatch.setattr(module, "equivalence_rows", counted)
     p0, oe, _ = BREAKING["scn41"]
     verdict = check_table(scn41, verts41, binary_table(scn41, p0))
-    assert verdict.broken_equivalence == oe
+    assert verdict.certificate.broken_equivalence == oe
     assert len(calls) == 1
 
 
@@ -419,6 +419,24 @@ def test_phase1_false_infeasible_raises_internal_error(scn41, verts41,
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("tamper, message", [
+    # every preparation on the first vertex: a model, of another table
+    (lambda x, n: [F(k % n == 0) for k in range(len(x))],
+     "does not rebuild the table"),
+    (lambda x, n: [F(-1)] + x[1:], "is negative")],
+    ids=["other-table", "negative"])
+def test_wrong_phase1_model_raises_internal_error(scn41, verts41, monkeypatch,
+                                                  tamper, message):
+    def wrong_model(A, b, c):
+        res = solve_standard(A, b, c)
+        res.x = tamper(res.x, len(verts41))
+        return res
+
+    monkeypatch.setattr(feasibility, "solve_standard", wrong_model)
+    with pytest.raises(InternalError, match=message):
+        check_table(scn41, verts41, uniform_table(scn41))
+
+
 def test_negative_optimize_solution_raises_internal_error(scn41, verts41,
                                                           monkeypatch):
     def negative_entry(A, b, c):
@@ -440,10 +458,10 @@ def test_tampered_closed_form_certificate_raises_internal_error(
 
     def without_oe_p(numeric):
         oe, y = closed_form(numeric)
-        tampered.append(any(v for lab, v in zip(numeric.row_labels, y)
-                            if lab[0] == OE_P))
+        labels = numeric.f2.eq_labels
+        tampered.append(any(v for lab, v in zip(labels, y) if lab[0] == OE_P))
         return oe, [ZERO if lab[0] == OE_P else v
-                    for lab, v in zip(numeric.row_labels, y)]
+                    for lab, v in zip(labels, y)]
 
     monkeypatch.setattr(feasibility, "_equivalence_certificate", without_oe_p)
     p0, _, _ = BREAKING["scn41"]
@@ -474,11 +492,11 @@ def bound_system(case):
 @given(data=st.data())
 def test_sparse_products_match_dense_oracle(data):
     numeric = bound_system(data.draw(st.sampled_from(BOUND_CASES)))
-    y = [ZERO] * len(numeric.row_labels)
+    y = [ZERO] * len(numeric.rhs)
     rows = st.integers(0, len(y) - 1)
     for i in data.draw(st.sets(rows, max_size=10)):
         y[i] = data.draw(st.fractions(-3, 3, max_denominator=12))
-    ym, den = feasibility._y_dot_matrix(y, numeric)
+    ym, den = feasibility._y_dot_system(y, numeric)
     assert den > 0
-    assert [F(a, den) for a in ym] == y_dot_columns(y, numeric)
-    assert dot(y, numeric.rhs) == y_dot_rhs(y, numeric)
+    assert [F(a, den) for a in ym[:-1]] == y_dot_columns(y, numeric)
+    assert F(ym[-1], den) == y_dot_rhs(y, numeric)

@@ -6,6 +6,7 @@ runs."""
 import ast
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import ncpolytope
@@ -75,6 +76,37 @@ def referenced_names(trees):
     return names | attributes, attributes
 
 
+def resolved_attributes(trees, classes):
+    """``(class, attribute)`` for each attribute access whose receiver
+    resolves to one of ``classes``, a map from class name to qualified
+    name: the class itself, ``self`` in one of its methods, or a name that
+    the same function binds to a call of the class."""
+    found = set()
+    for tree in trees:
+        owner = {id(f): node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for f in node.body}
+        functions = [n for n in ast.walk(tree)
+                     if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for scope in [tree] + functions:
+            bound = {name: name for name in classes}
+            if id(scope) in owner:
+                bound["self"] = owner[id(scope)]
+            nodes = list(ast.walk(scope))
+            for node in nodes:
+                if (isinstance(node, ast.Assign)
+                        and isinstance(node.value, ast.Call)
+                        and isinstance(node.value.func, ast.Name)
+                        and node.value.func.id in classes):
+                    bound.update((t.id, node.value.func.id)
+                                 for t in node.targets
+                                 if isinstance(t, ast.Name))
+            found.update((classes[bound[n.value.id]], n.attr) for n in nodes
+                         if isinstance(n, ast.Attribute)
+                         and isinstance(n.value, ast.Name)
+                         and bound.get(n.value.id) in classes)
+    return found
+
+
 def test_no_unused_imports():
     found = {(stem, name) for stem, tree in modules()
              for name in unused_imports(tree)}
@@ -87,8 +119,11 @@ def test_no_library_only_names():
     the tests.
 
     A method counts as used only where some attribute access names it, so
-    a function or variable of the same name does not keep it alive; an
-    attribute of the same name on another class still does.
+    a function or variable of the same name does not keep it alive.  When
+    two package classes define a method of one name, an access counts for
+    one of them only where its receiver resolves to that class (see
+    :func:`resolved_attributes`), so the other class's method does not
+    keep it alive either.
     """
     package = modules()
     trees = [tree for _, tree in package]
@@ -96,9 +131,23 @@ def test_no_library_only_names():
               for folder in ("perfbench", "scripts")
               for path in sorted((REPO / folder).glob("*.py"))]
     used, attributes = referenced_names(trees)
-    unreferenced = {qualified for stem, tree in package
-                    for qualified, name, is_method in definitions(tree, stem)
-                    if name not in (attributes if is_method else used)}
+    found = [(qualified, name, is_method) for stem, tree in package
+             for qualified, name, is_method in definitions(tree, stem)]
+    shared = {name for name, n in Counter(
+        name for _, name, is_method in found if is_method).items() if n > 1}
+    classes = {node.name: f"{stem}.{node.name}" for stem, tree in package
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    resolved = resolved_attributes(trees, classes)
+
+    def is_used(qualified, name, is_method):
+        if not is_method:
+            return name in used
+        if name in shared:
+            return (qualified.rsplit(".", 1)[0], name) in resolved
+        return name in attributes
+
+    unreferenced = {q for q, name, is_method in found
+                    if not is_used(q, name, is_method)}
     assert unreferenced == KEPT_UNREFERENCED
 
 

@@ -75,12 +75,11 @@ def test_system_matches_dense_rows(f2):
 def test_bind_table_produces_matching_system(f2):
     scn = f2.scenario
     numeric = bind_table(f2, uniform_table(scn))
-    assert numeric.matrix is f2.eq_matrix
-    assert numeric.row_labels is f2.eq_labels
+    assert numeric.f2 is f2
     assert len(numeric.rhs) == len(f2.eq_matrix)
     assert numeric.broken is None
     # non-linking rows keep their constants; linking rows carry the table
-    for row, b, lab in zip(numeric.matrix, numeric.rhs, numeric.row_labels):
+    for row, b, lab in zip(f2.eq_matrix, numeric.rhs, f2.eq_labels):
         if lab[0] == NORMALIZATION:
             assert b == 1
         elif lab[0] == OE_P:
