@@ -14,7 +14,7 @@ groups.  All arithmetic is exact rational.
 
 __version__ = "0.1.0"
 
-from .linalg import EQ, GEQ, LinRow, LinearSystem, canonicalize_row
+from .linalg import EQ, GEQ, LinRow, canonicalize_row
 from .scenario import DataTable, Scenario, validate_scenario, validate_table
 from .measurement_polytope import (VertexSet, build_measurement_h,
                                    enumerate_vertices)

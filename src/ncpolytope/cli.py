@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage, parse, validation or write failure, 2
-internal limit exceeded (group closure, the size of a dense matrix or
-double description rays; the message names the stage), 3 contextual table (a
-result, not a failure; distinguished so shell scripts can branch on it),
-4 internal error (a failed invariant).
+internal limit exceeded (the size of a dense matrix or of a group
+closure, or double description rays; the message names the stage), 3
+contextual table (a result, not a failure; distinguished so shell scripts
+can branch on it), 4 internal error (a failed invariant).
 """
 
 from __future__ import annotations

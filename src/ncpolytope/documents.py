@@ -23,8 +23,7 @@ from json.encoder import encode_basestring_ascii as _string
 
 from . import __version__
 from .feasibility import Feasible
-from .linalg import (EQ, GEQ, InconsistentSystem, InputError, LinearSystem,
-                     LinRow, rref)
+from .linalg import EQ, GEQ, InconsistentSystem, InputError, LinRow, rref
 from .measurement_polytope import VertexSet, xi_var
 from .projection import NCPolytope
 from .scenario import DataTable, Scenario, p_var, p_vars, scenario
@@ -265,19 +264,21 @@ def polytope_from_doc(doc: dict, scn: Scenario) -> NCPolytope:
     equalities = [row_from_doc(r, EQ) for r in doc["equalities"]]
     facets = [row_from_doc(r, GEQ) for r in doc["facets"]]
     variables = p_vars(scn)
-    try:   # rows over the scenario's coordinates, consistent equalities
-        LinearSystem(variables, facets)
+    try:   # consistent equalities over the scenario's coordinates
         equalities = rref(equalities, variables)
     except (ValueError, InconsistentSystem) as exc:
         raise ParseError(f"polytope document: {exc}") from exc
-    # Facets must already be reduced modulo the equalities: no term on a
-    # pivot coordinate, the latest variable of each rref row.
+    # Facets are over the scenario's coordinates and reduced modulo the
+    # equalities: no term on a pivot, the latest variable of an rref row.
     pivots = {max(r.coeffs, key=variables.index) for r in equalities}
+    free = set(variables) - pivots
     for n, facet in enumerate(facets):
-        if not pivots.isdisjoint(facet.coeffs):
-            _, i, j, m = min(pivots.intersection(facet.coeffs))
+        if not free.issuperset(facet.coeffs):
+            v = min(set(facet.coeffs) - free)
+            where = ("a pivot of the equalities" if v in pivots
+                     else "outside the scenario")
             raise ParseError(f"polytope document: facet {n} has a term on "
-                             f"[{i}, {j}, {m}], a pivot of the equalities")
+                             f"[{v[1]}, {v[2]}, {v[3]}], {where}")
     return NCPolytope(variables, equalities, facets)
 
 

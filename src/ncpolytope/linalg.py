@@ -1,4 +1,4 @@
-"""Exact rational rows, linear systems, and row reduction.
+"""Exact rational rows, dense integer rows, and row reduction.
 
 Scalars are Fractions or ints; nothing in this package ever touches
 floating point.  A LinRow, the row of the documents and the API, maps
@@ -6,10 +6,12 @@ variable ids to coefficients and has a constant, and reads either as
 ``sum(c*x) + const >= 0`` or ``sum(c*x) + const == 0``.  Variable ids are
 arbitrary sortable values (we use tuples like ``("p", i, j, m)``).
 
-The integer-row helpers (:func:`primitive`, :func:`int_row` and
-:func:`dense_row`) turn rational rows and points into the coprime int
-tuples that the double description kernel (:mod:`.dd`), the projection
-and row canonicalization share; a rational point ``values`` is
+Every kernel runs on dense int rows instead, coprime int tuples with the
+constant last; the measurement H-system is built as such rows, and the
+integer-row helpers (:func:`primitive`, :func:`int_row` and
+:func:`dense_row`) turn the other rational rows and points into them for
+the double description kernel (:mod:`.dd`), the projection and row
+canonicalization; a rational point ``values`` is
 ``int_row(values + [ONE])``, whose last entry is its least common
 denominator (see :mod:`.dd`).  One fraction-free elimination on such rows
 (Bareiss, 1968), :func:`row_reduce_equalities`, decides every equality
@@ -19,7 +21,7 @@ system, and :mod:`.dd` starts from its pivot step, :func:`add_pivot`;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -31,9 +33,11 @@ ONE = Fraction(1)
 
 
 # Cap on the entries, rows times columns, of a dense matrix, checked before
-# it is allocated: the F2 system, the H-system of the measurement vertices
-# and a simplex tableau.  The six-preparation F2 system has 1944; a
-# document asking for 100000 preparations would need about 6 * 10**10.
+# it is allocated: the F2 system, the H-system of the measurement vertices,
+# a simplex tableau and the elements of a group closure, each a tuple over
+# the table coordinates.  The six-preparation F2 system has 1944 and its
+# group 576 * 24; a document asking for 100000 preparations would need
+# about 6 * 10**10.
 DENSE_CAP = 10 ** 7
 
 
@@ -106,29 +110,6 @@ class LinRow:
         terms = " + ".join(f"{c}*{v}" for v, c in sorted(self.coeffs.items()))
         op = ">=" if self.kind == GEQ else "=="
         return f"LinRow({terms or '0'} + {self.const} {op} 0)"
-
-
-@dataclass
-class LinearSystem:
-    """An ordered variable registry plus a list of rows over it."""
-
-    variables: list
-    rows: list = field(default_factory=list)
-
-    def __post_init__(self):
-        declared = set(self.variables)
-        if len(declared) != len(self.variables):
-            raise ValueError("duplicate variable in registry")
-        for row in self.rows:
-            undeclared = set(row.coeffs) - declared
-            if undeclared:
-                raise ValueError(f"row references unregistered variables {undeclared}")
-
-    def eq_rows(self) -> list:
-        return [r for r in self.rows if r.kind == EQ]
-
-    def geq_rows(self) -> list:
-        return [r for r in self.rows if r.kind == GEQ]
 
 
 def canonicalize_row(row: LinRow) -> LinRow:

@@ -1,15 +1,16 @@
 """Vertices of H-polytopes, and the measurement-assignment polytope.
 
-:func:`enumerate_vertices` returns the vertices of any bounded
-:class:`.linalg.LinearSystem` exactly: it reduces the equalities away on
-dense integer rows, runs the double description method (:mod:`.dd`) on
-the free coordinates they leave, and reads each eliminated coordinate off
-its pivot row at every vertex.  It serves the measurement-assignment
-polytope built here (positivity, per-measurement normalization and one
-equality per measurement operational equivalence).  An empty system is
-:class:`EmptyPolytope`; an unbounded one is the kernel's InternalError.
-A system of more than :data:`.linalg.DENSE_CAP` entries as dense rows
-raises LimitExceeded before any row is made dense.
+:func:`build_measurement_h` builds the measurement-assignment polytope
+(positivity, per-measurement normalization and one equality per
+measurement operational equivalence) directly as dense integer rows, and
+stops with LimitExceeded before any row exists when they would hold more
+than :data:`.linalg.DENSE_CAP` entries.  :func:`enumerate_vertices`
+returns the vertices of any bounded H-system in that form exactly: it
+reduces the equalities away, runs the double description method
+(:mod:`.dd`) on the free coordinates they leave, and reads each eliminated
+coordinate off its pivot row at every vertex.  The uniform assignment
+keeps every convex equivalence, so the polytope of a valid scenario is
+never empty: no vertex, like an unbounded system, is an InternalError.
 """
 
 from __future__ import annotations
@@ -19,14 +20,9 @@ from fractions import Fraction
 from operator import mul
 
 from .dd import vertices
-from .linalg import (DENSE_CAP, EQ, GEQ, ONE, ZERO, InconsistentSystem,
-                     InputError, LimitExceeded, LinearSystem, LinRow,
-                     dense_row, primitive, reduce_row, row_reduce_equalities)
+from .linalg import (DENSE_CAP, ZERO, InternalError, LimitExceeded, int_row,
+                     primitive, reduce_row, row_reduce_equalities)
 from .scenario import Scenario
-
-
-class EmptyPolytope(InputError):
-    """No point satisfies every row of the H-system."""
 
 
 def xi_var(i, m) -> tuple:
@@ -56,42 +52,48 @@ class VertexSet:
         return [tuple(v[var] for var in self.variables) for v in self.vertices]
 
 
-def build_measurement_h(scn: Scenario) -> LinearSystem:
-    """Positivity, normalization, and OE_M rows over the xi coordinates."""
-    variables = [xi_var(i, m) for (i, m) in scn.effects()]
-    rows = [LinRow({v: ONE}, ZERO, GEQ) for v in variables]
-    for i in scn.measurements():
-        rows.append(LinRow({xi_var(i, m): ONE for m in scn.outcomes()}, -ONE, EQ))
+def build_measurement_h(scn: Scenario):
+    """Positivity, normalization, and OE_M rows over the xi coordinates.
+
+    Returns ``(variables, equalities, inequalities)``, the rows coprime
+    ints over ``variables`` with the constant last: the normalization
+    rows, then one row per OE_M, and xi >= 0 for each coordinate.
+    """
+    n = scn.l * scn.d
+    rows = n + scn.l + len(scn.oe_m)
+    if rows * (n + 1) > DENSE_CAP:
+        raise LimitExceeded(f"measurement vertices: {rows} rows of "
+                            f"{n + 1} columns exceed {DENSE_CAP} entries")
+    effects = list(scn.effects())
+    equalities = [tuple(int(i == e[0]) for e in effects) + (-1,)
+                  for i in scn.measurements()]
     for eq in scn.oe_m:
         diff = eq.difference()
-        rows.append(LinRow({xi_var(i, m): w for (i, m), w in diff.items()}, ZERO, EQ))
-    return LinearSystem(variables, rows)
+        equalities.append(int_row([diff.get(e, ZERO) for e in effects]
+                                  + [ZERO]))
+    inequalities = [tuple(int(k == c) for k in range(n + 1))
+                    for c in range(n)]
+    return [xi_var(i, m) for i, m in effects], equalities, inequalities
 
 
-def enumerate_vertices(h: LinearSystem) -> VertexSet:
-    """All vertices of a bounded H-polytope, exact and canonically ordered."""
-    n = len(h.variables)
-    if len(h.rows) * (n + 1) > DENSE_CAP:
-        raise LimitExceeded(f"measurement vertices: {len(h.rows)} rows of "
-                            f"{n + 1} columns exceed {DENSE_CAP} entries")
-    try:
-        pivots = row_reduce_equalities([dense_row(r, h.variables)
-                                        for r in h.eq_rows()])
-    except InconsistentSystem as exc:
-        raise EmptyPolytope(str(exc)) from exc
+def enumerate_vertices(h) -> VertexSet:
+    """All vertices of a bounded H-system ``(variables, equalities,
+    inequalities)`` of dense int rows, exact and canonically ordered."""
+    variables, equalities, inequalities = h
+    n = len(variables)
+    pivots = row_reduce_equalities(equalities)
     free = [k for k in range(n) if k not in pivots]
-    # Dense integer inequalities a.y + a0 >= 0 over the free coordinates.
+    # Dense integer inequalities a.y + a0 >= 0 over the free coordinates;
+    # a violated row with no coefficient leaves the kernel no vertex.
     ineqs = []
-    for row in h.geq_rows():
-        row = reduce_row(dense_row(row, h.variables), pivots)
+    for row in inequalities:
+        row = reduce_row(row, pivots)
         q = primitive([row[k] for k in free] + [row[-1]])
-        if any(q[:-1]):
+        if any(q[:-1]) or q[-1] < 0:
             ineqs.append(q)
-        elif q[-1] < 0:
-            raise EmptyPolytope("constant row violated")
     raw = vertices(ineqs, len(free), "measurement vertices")
     if not raw:
-        raise EmptyPolytope("no point satisfies all rows")
+        raise InternalError("measurement vertices: no vertex")
     points = []
     for ray in raw:
         # a pivot coordinate is -p . (b, t) / (p[col] * t), with b set to 0
@@ -104,4 +106,4 @@ def enumerate_vertices(h: LinearSystem) -> VertexSet:
             x[col] = Fraction(-sum(map(mul, p, full)), p[col] * t)
         points.append(x)
     points.sort()
-    return VertexSet(h.variables, [dict(zip(h.variables, x)) for x in points])
+    return VertexSet(variables, [dict(zip(variables, x)) for x in points])

@@ -108,7 +108,8 @@ def bind_table(f2: F2System, table: DataTable) -> NumericF2:
     """b* for a numeric table, and the one scan of its equivalence residuals."""
     scn = f2.scenario
     probs = table.as_dict()
-    if set(probs) != set(scn.coords()):
+    if (len(probs) != scn.l * scn.g * scn.d
+            or set(probs) != set(scn.coords())):
         raise DimensionMismatch("table shape does not match the scenario")
     rhs = [probs[label[1]] if label[0] == LINKING else fixed_rhs(label)
            for label in f2.eq_labels]

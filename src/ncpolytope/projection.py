@@ -12,13 +12,13 @@ wherever possible (:func:`.linalg.row_reduce_equalities`).  Small systems
 then remove the remaining distribution variables one at a time by
 Fourier-Motzkin elimination, running an exact irredundancy pass after every
 elimination step to keep the intermediate row count at the true facet
-count.  The pass removes most redundant rows by an
-exact two-row certificate, integer multipliers that show the row to be a
-nonnegative combination of two other rows plus a nonnegative constant.  It
-certifies each kept row by a witness point that violates it alone, most of
-them found by shooting rays from one point strictly inside the system
-(Clarkson, "More output-sensitive geometric algorithms", FOCS 1994) or
-from four strictly interior points displaced from it.  A shot that
+count.  The pass removes most redundant rows by an exact two-row
+certificate, integer multipliers that show the row to be a nonnegative
+combination of two other rows plus a nonnegative constant.  It certifies
+each kept row by a witness point that violates it alone, found anew in
+every pass, most of them by shooting rays from one point strictly inside
+the system (Clarkson, "More output-sensitive geometric algorithms", FOCS
+1994) or from four strictly interior points displaced from it.  A shot that
 crosses another row first is aimed again from the same point, along the
 part of its direction orthogonal to every row that blocked it.  Only a
 row that none of these decides costs an exact LP.  Larger systems take
@@ -256,7 +256,7 @@ def _orthogonal(v, u, uu):
     return primitive([uu * a - vu * b for a, b in zip(v, u)])
 
 
-def irredundant_rows(rows, witnesses, origins):
+def irredundant_rows(rows, origins):
     """Sorted minimal subset of dense rows defining the same region.
 
     Each surviving row is certified non-redundant by a witness point that
@@ -264,12 +264,13 @@ def irredundant_rows(rows, witnesses, origins):
     certified implied by an exact two-row certificate
     (:func:`_two_row_certificate`, verified in integers) or, when a row has
     neither a certificate nor a witness, by an exact LP.  Witnesses come
-    from earlier passes, or from aimed ray shots (:func:`_aimed_shot`) out
-    of ``origins``, points strictly inside every row, which are tried in
-    turn before the LP; a shot point counts only if it passes the same
-    witness check.  The witness list is extended in place with the points
-    this pass finds.  Rows with no coefficients hold everywhere inside, and
-    duplicates add nothing, so both are dropped first.
+    from ray shots out of ``origins``, points strictly inside every row:
+    one along minus the row's coefficients from the first origin, which
+    keeps most of the rows that stay for less than a certificate search
+    that must fail, then aimed shots (:func:`_aimed_shot`) from each
+    origin in turn before the LP.  A shot point counts only if it passes
+    the witness check.  Rows with no coefficients hold everywhere
+    inside, and duplicates add nothing, so both are dropped first.
     """
     rows = sorted({r for r in rows if any(r[:-1])})
     alive = [True] * len(rows)
@@ -279,30 +280,24 @@ def irredundant_rows(rows, witnesses, origins):
                 and all(sum(map(mul, r, point)) >= 0
                         for k, r in enumerate(rows) if alive[k] and k != idx))
 
-    # A known witness keeps a row when, of the alive rows, it violates that
-    # row alone; removing rows only makes a witness keep more, so the rows
-    # each one violates are listed once.  Kept rows need no certificate.
-    violated = [[k for k, r in enumerate(rows) if sum(map(mul, r, w)) < 0]
-                for w in witnesses]
+    values = [[sum(map(mul, r, o)) for r in rows] for o in origins]
     masks = [_sign_masks(row) for row in rows]
     undecided = []
     for idx in range(len(rows)):
-        if any(idx in ks and all(k == idx or not alive[k] for k in ks)
-               for ks in violated):
-            continue
+        if origins:
+            first, point = _ray_shot(rows, alive, origins[0], values[0],
+                                     [-a for a in rows[idx][:-1]])
+            if first == idx and certifies(point, idx):
+                continue
         if _two_row_certificate(rows, alive, idx, masks):
             alive[idx] = False
         else:
             undecided.append(idx)
 
-    values = [None] * len(origins)   # row . origin for each row and origin
     for idx in undecided:
-        for k, origin in enumerate(origins):
-            if values[k] is None:
-                values[k] = [sum(map(mul, r, origin)) for r in rows]
-            shot = _aimed_shot(rows, alive, idx, origin, values[k])
+        for origin, vals in zip(origins, values):
+            shot = _aimed_shot(rows, alive, idx, origin, vals)
             if shot is not None and certifies(shot, idx):
-                witnesses.append(shot)
                 break
         else:
             row = rows[idx]
@@ -311,8 +306,6 @@ def irredundant_rows(rows, witnesses, origins):
             res = minimize_over_rows(others + [bound], row[:-1])
             if res.value + row[-1] >= 0:
                 alive[idx] = False
-            else:
-                witnesses.append(int_row(res.x + [ONE]))
     return [r for k, r in enumerate(rows) if alive[k]]
 
 
@@ -433,21 +426,19 @@ def _fm_facets(f2: F2System, free, dense, nu_dim, progress):
     if any(sum(map(mul, r, o)) <= 0 for o in origins for r in dense):
         raise InternalError("Fourier-Motzkin: a shot origin is not "
                             "strictly inside every row")
-    witnesses = []
     if not nu_dim:
         # The equality reduction alone eliminated every distribution
         # variable; one pass still deduplicates the rows and removes the
         # redundant ones.
-        dense = irredundant_rows(dense, witnesses, origins)
+        dense = irredundant_rows(dense, origins)
     dim = len(free)
     while nu_dim:
         col = _pick_column(dense, nu_dim)
         dense = fm_step(dense, col)
         nu_dim, dim = nu_dim - 1, dim - 1
-        # Projecting a feasible point just drops the eliminated coordinate.
-        witnesses[:] = [w[:col] + w[col + 1:] for w in witnesses]
+        # Projecting an interior point just drops the eliminated coordinate.
         origins = [o[:col] + o[col + 1:] for o in origins]
-        dense = irredundant_rows(dense, witnesses, origins)
+        dense = irredundant_rows(dense, origins)
         if progress:
             progress(dim, len(dense))
     return dense

@@ -151,10 +151,12 @@ def validate_table(scn: Scenario, table: DataTable) -> bool:
     feasibility check reports them infeasible.
     """
     probs = table.as_dict()
-    coords = list(scn.coords())
-    if set(probs) != set(coords):
+    needed = scn.l * scn.g * scn.d
+    # the count first, so a wrong shape costs nothing per coordinate
+    coords = list(scn.coords()) if len(probs) == needed else None
+    if coords is None or set(probs) != set(coords):
         raise DimensionMismatch(
-            f"table has {len(probs)} entries, scenario needs {len(coords)}")
+            f"table has {len(probs)} entries, scenario needs {needed}")
     # On integers: a/b lies in [0, 1] iff 0 <= a <= b (b > 0), and a row
     # sums to 1 iff its numerators over a common denominator sum to it.
     values = [probs[c] for c in coords]

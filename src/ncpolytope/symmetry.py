@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .linalg import (EQ, ZERO, InputError, LimitExceeded, LinRow,
+from .linalg import (DENSE_CAP, EQ, ZERO, InputError, LimitExceeded, LinRow,
                      canonicalize_row, dense_row, int_row, primitive,
                      row_reduce_equalities)
 # Unused here; kept importable because tracing wraps symmetry.reduce_modulo
@@ -32,8 +32,6 @@ from .linalg import (EQ, ZERO, InputError, LimitExceeded, LinRow,
 from .linalg import reduce_modulo, rref  # noqa: F401
 from .scenario import (PREP, Scenario, equivalence_rows, flatten_coord, p_var,
                        p_vars, unflatten_coord)
-
-GROUP_CAP = 10 ** 6
 
 
 class GeneratorBreaksOE(InputError):
@@ -140,7 +138,8 @@ def _require_oe_respect(scn: Scenario, generators):
 def generate_group(scn: Scenario, generators) -> RelabelingGroup:
     """Breadth-first closure of the generated permutation group.
 
-    Raises GeneratorBreaksOE for a generator that breaks an equivalence.
+    Raises GeneratorBreaksOE for a generator that breaks an equivalence,
+    and LimitExceeded past DENSE_CAP entries in the elements.
     """
     generators = list(generators)
     identity = tuple(range(scn.l * scn.g * scn.d))
@@ -160,9 +159,10 @@ def generate_group(scn: Scenario, generators) -> RelabelingGroup:
             for gp in gens:
                 q = tuple(gp[k] for k in p)
                 if q not in seen:
-                    if len(seen) >= GROUP_CAP:
+                    if (len(seen) + 1) * len(q) > DENSE_CAP:
                         raise LimitExceeded(
-                            f"group closure exceeded {GROUP_CAP} elements")
+                            f"group closure: {len(seen) + 1} elements of "
+                            f"{len(q)} coordinates exceed {DENSE_CAP} entries")
                     seen.add(q)
                     elements.append(q)
                     nxt.append(q)

@@ -6,7 +6,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from ncpolytope.linalg import LinearSystem
 from ncpolytope.measurement_polytope import build_measurement_h, enumerate_vertices
 from ncpolytope.ncsystem import build_f2
 from ncpolytope.scenario import scenario
@@ -37,8 +36,8 @@ def six_prep_scenario():
 def unnormalized_measurement_h(scn):
     """The measurement system without its normalization rows, the only
     rows with a constant: only xi >= 0 bounds it, so it is unbounded."""
-    h = build_measurement_h(scn)
-    return LinearSystem(h.variables, [r for r in h.rows if not r.const])
+    variables, equalities, inequalities = build_measurement_h(scn)
+    return variables, [r for r in equalities if not r[-1]], inequalities
 
 
 @pytest.fixture(scope="session")

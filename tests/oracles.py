@@ -28,8 +28,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from ncpolytope.linalg import (EQ, GEQ, ZERO, InconsistentSystem,
-                               InternalError, LinRow, LinearSystem,
-                               canonicalize_row, int_row)
+                               InternalError, LinRow, canonicalize_row,
+                               int_row)
 from ncpolytope.ncsystem import NORMALIZATION, OE_P, build_f2, fixed_rhs
 from ncpolytope.scenario import equivalence_rows
 from ncpolytope.simplex import OPTIMAL, UNBOUNDED, solve_standard
@@ -72,19 +72,30 @@ def substitute(row, subs) -> LinRow:
     return LinRow(coeffs, const, row.kind)
 
 
-def eliminate(system: LinearSystem):
-    """Eliminate the EQ rows of a system by Gaussian substitution on
-    Fraction dicts.
+def linrows(h):
+    """A measurement H-system ``(variables, equalities, inequalities)`` of
+    dense int rows as ``(variables, LinRows)``, the form of the oracles."""
+    variables, equalities, inequalities = h
+    return variables, [LinRow(dict(zip(variables, r)), r[-1], kind)
+                       for rows, kind in ((equalities, EQ),
+                                          (inequalities, GEQ))
+                       for r in rows]
 
-    Returns ``(substitutions, reduced)``: ``substitutions`` maps each
-    eliminated variable to an affine expression ``(coeffs, const)`` over
-    the remaining variables, and ``reduced`` holds the GEQ rows with the
-    substitutions applied.  Each row pivots on its greatest variable in
-    registry order.  Raises InconsistentSystem on a contradictory equality.
+
+def eliminate(variables, rows):
+    """Eliminate the EQ rows among LinRows over ``variables`` by Gaussian
+    substitution on Fraction dicts.
+
+    Returns ``(substitutions, free, reduced)``: ``substitutions`` maps
+    each eliminated variable to an affine expression ``(coeffs, const)``
+    over the ``free`` variables left, and ``reduced`` holds the GEQ rows
+    with the substitutions applied.  Each row pivots on its greatest
+    variable in ``variables`` order.  Raises InconsistentSystem on a
+    contradictory equality.
     """
-    order = {v: k for k, v in enumerate(system.variables)}
+    order = {v: k for k, v in enumerate(variables)}
     subs: dict = {}
-    for row in system.eq_rows():
+    for row in (r for r in rows if r.kind == EQ):
         row = substitute(row, subs)
         if not row.coeffs:
             if row.const != 0:
@@ -103,9 +114,8 @@ def eliminate(system: LinearSystem):
                     ecoeffs[w] = ecoeffs.get(w, ZERO) + factor * e
                 subs[var] = ({w: e for w, e in ecoeffs.items() if e != 0}, econst)
         subs[pivot] = (expr_coeffs, expr_const)
-    free = [v for v in system.variables if v not in subs]
-    return subs, LinearSystem(free, [substitute(r, subs)
-                                     for r in system.geq_rows()])
+    free = [v for v in variables if v not in subs]
+    return subs, free, [substitute(r, subs) for r in rows if r.kind == GEQ]
 
 
 def simplicial_start(rows, D):
@@ -142,9 +152,9 @@ def simplicial_start(rows, D):
     return init, rays
 
 
-def violated_row(system: LinearSystem, point):
-    """None if the point lies in the H-polytope, else one violated row."""
-    return next((r for r in system.rows if not satisfies(r, point)), None)
+def violated_row(rows, point):
+    """None if the point satisfies every row, else one violated row."""
+    return next((r for r in rows if not satisfies(r, point)), None)
 
 
 def polytope_contains(poly, probs) -> bool:
@@ -176,29 +186,29 @@ def irredundant_rows_oracle(rows):
     return kept
 
 
-def brute_force_vertices(system: LinearSystem):
-    """All vertices of {x: rows}, by trying every tight-row subset.
+def brute_force_vertices(variables, rows):
+    """All vertices of {x: rows}, LinRows over ``variables``, by trying
+    every tight-row subset.
 
     A vertex is a feasible point where the tight rows have full rank, so
     it is the unique solution of the equality rows plus some subset of
     the inequality rows turned into equalities.
     """
-    variables = system.variables
     n = len(variables)
-    eqs = [r for r in system.rows if r.kind == EQ]
-    ineqs = [r for r in system.rows if r.kind == GEQ]
+    eqs = [r for r in rows if r.kind == EQ]
+    ineqs = [r for r in rows if r.kind == GEQ]
     vertices = set()
     for size in range(n + 1):
         for subset in combinations(ineqs, size):
             tight = eqs + [LinRow(r.coeffs, r.const, EQ) for r in subset]
             try:
-                subs, reduced = eliminate(LinearSystem(variables, tight))
+                subs, free, _ = eliminate(variables, tight)
             except InconsistentSystem:
                 continue
-            if reduced.variables:
+            if free:
                 continue  # underdetermined: not a candidate basis
             point = {v: const for v, (_, const) in subs.items()}
-            if violated_row(system, point) is None:
+            if violated_row(rows, point) is None:
                 vertices.add(tuple(point[v] for v in variables))
     return sorted(vertices)
 
@@ -213,10 +223,9 @@ def brute_force_f2_points(scn, meas_vertices, free_p):
     nu_rows += [LinRow(dict(zip(f2.nu_vars, row)), -fixed_rhs(label), EQ)
                 for label, row in zip(f2.eq_labels, f2.eq_matrix)
                 if label[0] in (NORMALIZATION, OE_P)]
-    nu_system = LinearSystem(list(f2.nu_vars), nu_rows)
     nv = len(meas_vertices)
     points = set()
-    for vertex in brute_force_vertices(nu_system):
+    for vertex in brute_force_vertices(f2.nu_vars, nu_rows):
         nu = dict(zip(f2.nu_vars, vertex))
         coords = []
         for (_, i, j, m) in free_p:
@@ -324,8 +333,7 @@ def _orbit_keys(row, group, subs, variables):
 
 
 def _substitutions(equalities, variables):
-    subs, _ = eliminate(LinearSystem(variables, list(equalities)))
-    return subs
+    return eliminate(variables, equalities)[0]
 
 
 def classify_orbits_oracle(rows, group, equalities, variables):

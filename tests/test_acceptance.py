@@ -19,7 +19,7 @@ from conftest import (TIMINGS, contextual_table_41, four_prep_scenario,
                       quantum_table_63, six_prep_scenario)
 from ncpolytope.documents import polytope_to_doc, write_document
 from ncpolytope.feasibility import Feasible, Infeasible, check_table, optimize
-from ncpolytope.linalg import (EQ, GEQ, LinRow, LinearSystem, canonicalize_row,
+from ncpolytope.linalg import (EQ, GEQ, LinRow, canonicalize_row, dense_row,
                                reduce_modulo, rref)
 from ncpolytope.measurement_polytope import (build_measurement_h,
                                              enumerate_vertices, xi_var)
@@ -370,7 +370,7 @@ def test_criterion_09_projection_matches_hull_oracle(monkeypatch):
             # every vertex of the computed facet region lies in the hull
             # of the oracle points, so the two polytopes coincide
             if free:
-                region = LinearSystem(free, fm.facets)
+                region = (free, [], [dense_row(f, free) for f in fm.facets])
                 for vertex in enumerate_vertices(region).vertices:
                     tup = tuple(vertex[v] for v in free)
                     assert in_convex_hull(tup, points)

@@ -274,8 +274,10 @@ def test_malformed_table_exit_code(capsys, tmp_path):
 
 
 def test_group_cap_exit_code(capsys, tmp_path, monkeypatch):
+    # the four elements of this group, each over the simplest scenario's
+    # 16 coordinates, fit a cap of 64 entries; at 63 the closure stops
+    # when it meets its fourth element
     import ncpolytope.symmetry as symmetry
-    monkeypatch.setattr(symmetry, "GROUP_CAP", 2)
     poly_path = tmp_path / "poly.json"
     assert main(["polytope", SIMPLEST, "--output", str(poly_path)]) == EXIT_OK
     gens = {"generators": [
@@ -285,9 +287,15 @@ def test_group_cap_exit_code(capsys, tmp_path, monkeypatch):
     gens_path = tmp_path / "gens.json"
     gens_path.write_text(json.dumps(gens))
     capsys.readouterr()
-    code, _, err = run(capsys, "orbits", SIMPLEST, str(poly_path),
-                       str(gens_path))
+    argv = ["orbits", SIMPLEST, str(poly_path), str(gens_path)]
+    monkeypatch.setattr(symmetry, "DENSE_CAP", 4 * 16)
+    assert run(capsys, *argv)[0] == EXIT_OK
+    monkeypatch.setattr(symmetry, "DENSE_CAP", 4 * 16 - 1)
+    code, out, err = run(capsys, *argv)
     assert code == EXIT_LIMIT
+    assert out == ""
+    assert err == ("error: group closure: 4 elements of 16 coordinates "
+                   "exceed 63 entries\n")
 
 
 @pytest.mark.parametrize("argv", [

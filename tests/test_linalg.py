@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncpolytope.linalg import (EQ, GEQ, ONE, InconsistentSystem, LinRow,
-                               LinearSystem, canonicalize_row, dense_row,
-                               int_row, rat, reduce_modulo, reduce_row,
+                               canonicalize_row, dense_row, int_row, rat,
+                               reduce_modulo, reduce_row,
                                row_reduce_equalities, rref)
 from oracles import eliminate, satisfies
 
@@ -112,7 +112,7 @@ def test_row_reduce_matches_fraction_oracle(rows):
     oracle's."""
     rows = [r if eq else LinRow(r.coeffs, r.const, GEQ) for r, eq in rows]
     try:
-        subs, reduced = eliminate(LinearSystem(VARS, rows))
+        subs, _, reduced = eliminate(VARS, rows)
     except InconsistentSystem:
         with pytest.raises(InconsistentSystem):
             row_reduce_equalities([dense_row(r, VARS) for r in rows
@@ -127,7 +127,7 @@ def test_row_reduce_matches_fraction_oracle(rows):
         assert row == tuple(-a for a in dense_row(want, VARS))
     geq = [reduce_row(dense_row(r, VARS), pivots) for r in rows
            if r.kind == GEQ]
-    assert geq == [dense_row(r, VARS) for r in reduced.rows]
+    assert geq == [dense_row(r, VARS) for r in reduced]
 
 
 def test_row_reduce_pivots_on_the_later_registered_variable():
@@ -182,7 +182,3 @@ def test_reduce_modulo_takes_equalities_out_of_rref():
     reduced = reduce_modulo(LinRow({"c": 1}, 0, GEQ), eqs, ["a", "b", "c"])
     assert reduced == LinRow({"a": 1}, 0, GEQ)
 
-
-def test_linear_system_rejects_unknown_variables():
-    with pytest.raises(ValueError):
-        LinearSystem(["a"], [LinRow({"z": 1}, 0, GEQ)])

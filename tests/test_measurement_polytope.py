@@ -2,17 +2,16 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (four_prep_scenario, six_prep_scenario,
                       unnormalized_measurement_h)
 from ncpolytope.linalg import InternalError
-from ncpolytope.measurement_polytope import (EmptyPolytope,
-                                             build_measurement_h,
+from ncpolytope.measurement_polytope import (build_measurement_h,
                                              enumerate_vertices, xi_var)
 from ncpolytope.scenario import scenario
-from oracles import brute_force_vertices, violated_row
+from oracles import brute_force_vertices, linrows, violated_row
 
 F = Fraction
 HALF = F(1, 2)
@@ -55,42 +54,51 @@ def test_component_indexing_matches_vertex_order():
 
 def test_membership_detects_violations():
     scn = four_prep_scenario()
-    h = build_measurement_h(scn)
+    _, rows = linrows(build_measurement_h(scn))
     inside = {xi_var(i, m): HALF for (i, m) in scn.effects()}
-    assert violated_row(h, inside) is None
+    assert violated_row(rows, inside) is None
     outside = dict(inside)
     outside[xi_var(1, 0)] = F(2)
-    assert violated_row(h, outside) is not None
+    assert violated_row(rows, outside) is not None
 
 
-def test_uniform_assignment_is_always_a_member():
+@st.composite
+def oe_m_scenarios(draw):
+    """A valid scenario with up to three random measurement equivalences,
+    each side a convex combination of up to three effects."""
+    l, d = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    effects = [(i, m) for i in range(1, l + 1) for m in range(d)]
+
+    def side():
+        keys = draw(st.lists(st.sampled_from(effects), min_size=1,
+                             max_size=3, unique=True))
+        weights = [draw(st.integers(1, 4)) for _ in keys]
+        return {k: F(w, sum(weights)) for k, w in zip(keys, weights)}
+
+    oe_m = [(side(), side()) for _ in range(draw(st.integers(0, 3)))]
+    assume(all(lhs != rhs for lhs, rhs in oe_m))
+    return scenario(g=1, l=l, d=d, oe_m=oe_m)
+
+
+@given(oe_m_scenarios())
+@settings(max_examples=40, deadline=None)
+def test_uniform_assignment_is_always_a_member(scn):
     # the uniform assignment satisfies every convex equivalence, so the
-    # polytope of a valid scenario is never empty
-    scn = six_prep_scenario()
+    # polytope of a valid scenario is never empty and always has a vertex
     h = build_measurement_h(scn)
-    uniform = {xi_var(i, m): HALF for (i, m) in scn.effects()}
-    assert violated_row(h, uniform) is None
+    uniform = {xi_var(i, m): F(1, scn.d) for (i, m) in scn.effects()}
+    assert violated_row(linrows(h)[1], uniform) is None
+    assert len(enumerate_vertices(h)) > 0
 
 
-def test_empty_polytope_raises():
-    # a hand-built system with contradictory equalities has no vertices
-    from ncpolytope.linalg import EQ, GEQ, LinRow, LinearSystem
-    v = xi_var(1, 0)
-    rows = [LinRow({v: F(1)}, F(0), GEQ),
-            LinRow({v: F(1)}, F(-2), EQ),
-            LinRow({v: F(1)}, F(-3), EQ)]
-    h = LinearSystem([v], rows)
-    with pytest.raises(EmptyPolytope):
-        enumerate_vertices(h)
-
-
-def test_empty_polytope_from_inequalities():
-    from ncpolytope.linalg import GEQ, LinRow, LinearSystem
-    v = xi_var(1, 0)
-    rows = [LinRow({v: F(1)}, F(-2), GEQ),   # x >= 2
-            LinRow({v: F(-1)}, F(1), GEQ)]   # x <= 1
-    h = LinearSystem([v], rows)
-    with pytest.raises(EmptyPolytope):
+@pytest.mark.parametrize("h", [
+    (["x"], [], [(1, -2), (-1, 1)]),                # x >= 2 and x <= 1
+    # x + y = 1 and x - y = 3 fix y = -1, so y >= 0 reduces to -1 >= 0
+    (["x", "y"], [(1, 1, -1), (1, -1, -3)], [(1, 0, 0), (0, 1, 0)]),
+], ids=["inequalities", "equalities"])
+def test_a_system_with_no_vertex_is_an_internal_error(h):
+    # no valid scenario gives such a system
+    with pytest.raises(InternalError, match="measurement vertices: no vertex"):
         enumerate_vertices(h)
 
 
@@ -99,29 +107,6 @@ def test_equalities_fixing_every_coordinate_give_one_vertex():
     scn = scenario(g=1, l=1, d=2, oe_m=[({(1, 0): 1}, {(1, 1): 1})])
     vs = enumerate_vertices(build_measurement_h(scn))
     assert vs.as_tuples() == [(HALF, HALF)]
-
-
-def test_equalities_fixing_a_point_outside_positivity_are_empty():
-    from ncpolytope.linalg import EQ, GEQ, LinRow, LinearSystem
-    x, y = xi_var(1, 0), xi_var(1, 1)
-    rows = [LinRow({x: F(1)}, F(0), GEQ), LinRow({y: F(1)}, F(0), GEQ),
-            LinRow({x: F(1), y: F(1)}, F(-1), EQ),   # x + y = 1
-            LinRow({x: F(1), y: F(-1)}, F(-3), EQ)]  # x - y = 3, so y = -1
-    with pytest.raises(EmptyPolytope):
-        enumerate_vertices(LinearSystem([x, y], rows))
-
-
-def oe_m_strategy(l, d):
-    effects = [(i, m) for i in range(1, l + 1) for m in range(d)]
-
-    def build(idx_pair):
-        a, b = idx_pair
-        if a == b:
-            return None
-        return ({effects[a]: F(1)}, {effects[b]: F(1)})
-
-    return st.builds(build, st.tuples(st.integers(0, len(effects) - 1),
-                                      st.integers(0, len(effects) - 1)))
 
 
 @given(st.integers(1, 3), st.integers(2, 3), st.data())
@@ -144,14 +129,8 @@ def test_vertices_match_brute_force_oracle(l, d, data):
                 oe_m = []
     scn = scenario(g=1, l=l, d=d, oe_m=oe_m)
     h = build_measurement_h(scn)
-    try:
-        vs = enumerate_vertices(h)
-    except EmptyPolytope:
-        assert brute_force_vertices(h) == []
-        return
-    got = sorted(vs.as_tuples())
-    expected = brute_force_vertices(h)
-    assert got == expected
+    got = sorted(enumerate_vertices(h).as_tuples())
+    assert got == brute_force_vertices(*linrows(h))
 
 
 def test_vertices_are_deterministic_without_equivalences():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,10 @@ def test_bind_table_produces_matching_system(f2):
 def test_bind_table_rejects_wrong_shape(f2):
     with pytest.raises(DimensionMismatch):
         bind_table(f2, DataTable.make({(1, 1, 0): F(1, 2)}))
+    # the entry count settles it before 10**12 preparations are listed
+    huge = replace(f2, scenario=replace(f2.scenario, g=10 ** 12))
+    with pytest.raises(DimensionMismatch):
+        bind_table(huge, uniform_table(f2.scenario))
 
 
 def test_reconstruct_uniform_model(f2):

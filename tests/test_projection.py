@@ -448,8 +448,8 @@ def test_every_row_kept_by_an_aimed_shot_is_confirmed_by_the_lp(name,
 @given(st.data())
 def test_irredundant_rows_equal_the_lp_oracle(data):
     # a box around a known interior point plus random rows, each strictly
-    # positive there; a second pass over the same rows, with the witnesses
-    # of the first and no shot origin, keeps the same rows
+    # positive there; a pass with no shot origin decides by LP every row
+    # that no two-row certificate removes, and keeps the same rows
     dim = data.draw(st.integers(1, 4), label="dim")
     ints = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
     center = data.draw(ints, label="center")
@@ -459,7 +459,6 @@ def test_irredundant_rows_equal_the_lp_oracle(data):
     rows = [primitive(a + [data.draw(st.integers(1, 4), label="slack")
                            - sum(map(mul, a, center))]) for a in coeffs]
     origins = projection._shot_origins(tuple(center) + (1,), rows)
-    witnesses = []
-    kept = projection.irredundant_rows(rows, witnesses, origins)
+    kept = projection.irredundant_rows(rows, origins)
     assert kept == irredundant_rows_oracle(rows)
-    assert projection.irredundant_rows(rows, witnesses, []) == kept
+    assert projection.irredundant_rows(rows, []) == kept

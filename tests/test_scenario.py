@@ -99,6 +99,11 @@ def test_validate_table_shape_mismatch():
     table = DataTable.make({(1, 1, 0): HALF})
     with pytest.raises(DimensionMismatch):
         validate_table(scn, table)
+    # 4 * 10**12 coordinates could not be listed; the count settles it
+    huge = scenario(g=10 ** 12, l=2, d=2)
+    with pytest.raises(DimensionMismatch, match="table has 16 entries, "
+                                                "scenario needs 4000000000000$"):
+        validate_table(huge, uniform_table(scn))
 
 
 def broken_row(scn, entries):

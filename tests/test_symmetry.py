@@ -350,10 +350,12 @@ def test_index_validation():
 
 def test_group_cap_enforced(monkeypatch, scn41_module):
     scn = scn41_module
-    monkeypatch.setattr(symmetry, "GROUP_CAP", 4)
+    # four elements of 16 coordinates fit 64 entries; a fifth does not
+    monkeypatch.setattr(symmetry, "DENSE_CAP", 4 * 16)
     gens = [swap_measurements(scn, 1, 2), swap_preparations(scn, (1, 2)),
             swap_preparations(scn, [(1, 3), (2, 4)])]
-    with pytest.raises(LimitExceeded, match="group closure exceeded 4 "):
+    with pytest.raises(LimitExceeded, match="group closure: 5 elements of "
+                                            "16 coordinates exceed 64 "):
         generate_group(scn, gens)
 
 
