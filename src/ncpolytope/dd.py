@@ -12,6 +12,16 @@ is tight on every row that both are tight on.  Tight sets are int bitsets
 over the rows inserted so far, and every number in the kernel is a
 Python int.
 
+The order of insertion sets the size of the intermediate ray lists
+(Fukuda & Prodon; Avis, Bremner & Seidel, "How good are convex hull
+algorithms?", 1997).  The hull route's distribution vertices insert, at
+each step, the remaining row with the fewest rays on its negative side:
+``state_discrimination`` then peaks at 169 rays, against 512 in the given
+order.  The polar DD of :func:`hull_facets` inserts its rows far points
+first, and the measurement vertices go in their given order: with many
+rows, scoring each remaining row on every ray at each step costs more
+than it saves.
+
 A dense row is a tuple of ints ``(a_0, ..., a_{n-1}, a_n)`` meaning
 ``a_0 y_0 + ... + a_{n-1} y_{n-1} + a_n >= 0``.  A rational point is a
 ray of the homogenized cone, a primitive int tuple ``(b_0, ..., b_{n-1},
@@ -36,8 +46,9 @@ from .linalg import (InternalError, LimitExceeded, add_pivot, primitive,
                      reduce_row)
 
 # Cap on the rays kept while a row is inserted.  The largest lists met in
-# use are 2920 (the distribution vertices of eight preparations with four
-# parity equivalences) and 2768 (the six-preparation polar DD).  The
+# use are 2768 (the six-preparation polar DD), 1117 (the polar DD of eight
+# preparations with four parity equivalences, whose distribution DD peaks
+# at 666) and 846 (the six-preparation distribution vertices).  The
 # measurement vertices of l two-outcome measurements are the 2**l corners
 # of a cube: l = 13 (8192 rays) finishes in a few seconds, and each
 # further measurement doubles both the rays and the time, so the cap
@@ -45,13 +56,14 @@ from .linalg import (InternalError, LimitExceeded, add_pivot, primitive,
 RAY_CAP = 10 ** 4
 
 
-def extreme_rays(rows, D, stage) -> list:
+def extreme_rays(rows, D, stage, adaptive=False) -> list:
     """Extreme rays of the cone {x in Q^D : r . x >= 0 for each row r}.
 
     Rays are primitive int tuples.  The rows must span Q^D (so that the
     cone is pointed); InternalError otherwise.  An empty list means the
     cone is {0}.  ``stage`` names what the rays are, for the message of
-    the cap.
+    the cap.  The rows after the starting cone are inserted in their given
+    order or, with ``adaptive``, in the order of :func:`_fewest_negative`.
     """
     rows = [tuple(r) for r in rows]
     init, rays = _simplicial_start(rows, D)
@@ -61,9 +73,14 @@ def extreme_rays(rows, D, stage) -> list:
     tights = [everything ^ (1 << k) for k in range(D)]
     chosen = set(init)
     rest = [r for k, r in enumerate(rows) if k not in chosen]
-    for position, row in enumerate(rest, start=D):
+    for position in range(D, len(rows)):
+        if adaptive:
+            k, values = _fewest_negative(rest, rays)
+            row = rest.pop(k)
+        else:
+            row = rest[position - D]
+            values = [sum(map(mul, row, ray)) for ray in rays]
         bit = 1 << position
-        values = [sum(map(mul, row, ray)) for ray in rays]
         kept_rays, kept_tights, pos, neg = [], [], [], []
         for k, value in enumerate(values):
             if value >= 0:
@@ -91,12 +108,30 @@ def extreme_rays(rows, D, stage) -> list:
             if len(kept_rays) > RAY_CAP:
                 raise LimitExceeded(
                     f"{stage}: double description in dimension {D}: more "
-                    f"than {RAY_CAP} rays at row {position + 1} of "
-                    f"{len(rows)}")
+                    f"than {RAY_CAP} rays after {position + 1} of "
+                    f"{len(rows)} rows")
         rays, tights = kept_rays, kept_tights
         if not rays:
             break
     return rays
+
+
+def _fewest_negative(rest, rays):
+    """The index in ``rest`` of the first row with the fewest rays on its
+    negative side, and that row's values on the rays.
+
+    A row with no negative value is taken at once: it only marks the rays
+    it is tight on.
+    """
+    best, best_neg, best_values = None, len(rays) + 1, None
+    for k, row in enumerate(rest):
+        values = [sum(map(mul, row, ray)) for ray in rays]
+        neg = sum(v < 0 for v in values)
+        if neg < best_neg:
+            best, best_neg, best_values = k, neg, values
+            if not neg:
+                break
+    return best, best_values
 
 
 def _simplicial_start(rows, D):
@@ -129,13 +164,15 @@ def _simplicial_start(rows, D):
     return init, rays
 
 
-def vertices(ineqs, dim, stage) -> list:
+def vertices(ineqs, dim, stage, adaptive=False) -> list:
     """Vertices of the bounded region {y in Q^dim : a . y + a0 >= 0}.
 
     ``ineqs`` are dense rows; vertices are points.  An empty region has
-    none.  InternalError if the region is unbounded.
+    none.  InternalError if the region is unbounded.  ``adaptive`` is
+    passed to :func:`extreme_rays`.
     """
-    rays = extreme_rays([(0,) * dim + (1,)] + list(ineqs), dim + 1, stage)
+    rays = extreme_rays([(0,) * dim + (1,)] + list(ineqs), dim + 1, stage,
+                        adaptive)
     if any(ray[-1] == 0 for ray in rays):
         raise InternalError("double description: region is unbounded")
     return rays

@@ -455,10 +455,12 @@ def _fm_facets(f2: F2System, free, dense, nu_dim, progress):
 # only add redundant polar rows.  The reduced system is bounded and holds
 # the interior point, and the equalities are the image points' affine
 # hull, so a failure of either kernel call is the kernel's InternalError.
+# The vertex call takes the adaptive row order of :mod:`.dd`, which keeps
+# its ray lists near the vertex count.
 
 
 def _hull_facets(rows, dim, nu_dim, progress):
-    raw = vertices(rows, dim, "distribution vertices")
+    raw = vertices(rows, dim, "distribution vertices", adaptive=True)
     if not raw:
         raise InternalError("vertex enumeration: no vertex")
     if progress:

@@ -1,8 +1,10 @@
 import errno
+import hashlib
 import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,6 +22,7 @@ from ncpolytope.linalg import (InconsistentSystem, InputError, InternalError,
                                LimitExceeded)
 from ncpolytope.ncsystem import InvalidDistribution
 from ncpolytope.simplex import UNBOUNDED, LPResult, solve_standard
+from test_golden import DIGESTS
 
 F = Fraction
 
@@ -353,10 +356,25 @@ def test_ray_cap_exit_code(capsys, monkeypatch, command, name, cap, dim):
     code, out, err = run(capsys, command, str(SCENARIO_DIR / f"{name}.json"))
     assert code == EXIT_LIMIT
     assert out == ""
-    assert err.startswith(f"error: {STOPPED_STAGE[command]}: double "
-                          f"description in dimension {dim}: more than {cap} "
-                          f"rays at row ")
-    assert err.count("\n") == 1
+    # the count of rows inserted so far, not a position in the input
+    assert re.fullmatch(f"error: {STOPPED_STAGE[command]}: double "
+                        f"description in dimension {dim}: more than {cap} "
+                        r"rays after \d+ of \d+ rows\n", err)
+
+
+def test_distribution_vertices_fit_under_a_small_ray_cap(capsys, monkeypatch,
+                                                         tmp_path):
+    # inserting the row with the fewest rays on its negative side first
+    # keeps state_discrimination's distribution DD at 169 rays, where the
+    # given order needs 512; the measurement and polar DDs need 8 and 119
+    monkeypatch.setattr(dd, "RAY_CAP", 300)
+    out = tmp_path / "polytope.json"
+    code, _, err = run(capsys, "polytope",
+                       str(SCENARIO_DIR / "state_discrimination.json"),
+                       "--output", str(out))
+    assert (code, err) == (EXIT_OK, "")
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == DIGESTS[("state_discrimination", "polytope")]
 
 
 @pytest.mark.parametrize("name, lines", [

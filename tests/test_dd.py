@@ -34,19 +34,28 @@ SIMPLEX = [lower(e, 0) for e in UNIT] + [upper((1, 1, 1), 1)]
 # a cross-polytope of radius 1/2 about (1/3, 1/3, 1/3): rational vertices
 CROSS = [upper(s, F(1, 2) + F(sum(s), 3))
          for s in product((1, -1), repeat=3)]
+# the unit cube with five oblique cuts, each keeping the centre inside
+CUT_CUBE = CUBE + [upper((-2, -1, 2), F(1, 4)), upper((-1, -1, -1), F(-3, 4)),
+                   upper((1, 1, -1), F(3, 4)), upper((-1, 1, -1), F(-1, 4)),
+                   upper((2, -1, -1), F(1, 4))]
 
 
-def kernel_vertices(rows, variables=VARS):
+def kernel_vertices(rows, variables=VARS, adaptive=False):
     got = vertices([dense_row(r, variables) for r in rows], len(variables),
-                   "test vertices")
+                   "test vertices", adaptive)
     return sorted(tuple(F(a, den) for a in ints) for *ints, den in got)
 
 
-@pytest.mark.parametrize("rows, count",
-                         [(CUBE, 8), (SIMPLEX, 4), (CROSS, 6)],
-                         ids=["cube", "simplex", "cross-polytope"])
-def test_vertices_match_brute_force_oracle(rows, count):
-    got = kernel_vertices(rows)
+@pytest.mark.parametrize("rows, count, adaptive", [
+    # the given order keeps the bare id, the adaptive order adds a suffix
+    pytest.param(rows, count, adaptive,
+                 id=name + ("-adaptive" if adaptive else ""))
+    for name, rows, count in [("cube", CUBE, 8), ("simplex", SIMPLEX, 4),
+                              ("cross-polytope", CROSS, 6),
+                              ("cut-cube", CUT_CUBE, 12)]
+    for adaptive in (False, True)])
+def test_vertices_match_brute_force_oracle(rows, count, adaptive):
+    got = kernel_vertices(rows, adaptive=adaptive)
     assert got == brute_force_vertices(VARS, rows)
     assert len(got) == count
 
@@ -183,5 +192,5 @@ def test_ray_cap_names_the_hull_stage(monkeypatch):
     corners = [point(*c) for c in product((0, 1), repeat=3)]
     with pytest.raises(LimitExceeded, match=r"^facets of the image points: "
                        r"double description in dimension 4: more than 3 "
-                       r"rays at row \d+ of 9$"):
+                       r"rays after \d+ of 9 rows$"):
         hull_facets(corners)

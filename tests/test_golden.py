@@ -12,6 +12,7 @@ to print the current digests.
 
 import hashlib
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -161,9 +162,30 @@ FM_ROUTE = {
 }
 
 
-# A scenario with nine free distribution coordinates, one more than
-# ``FM_MAX_NU_DIM``, so that it takes the hull route; Fourier-Motzkin would
-# run for minutes on it.
+def parity_equivalences(n):
+    """The parity-oblivious multiplexing equivalences of n bits.
+
+    Preparation j encodes the bits of j - 1, most significant first.  For
+    each parity s of weight two or more, the even preparations mixed
+    equally equal the odd ones mixed equally.
+    """
+    xs = list(product((0, 1), repeat=n))
+    w = f"1/{2 ** (n - 1)}"
+    out = []
+    for s in product((0, 1), repeat=n):
+        if sum(s) >= 2:
+            odd = [sum(a * b for a, b in zip(s, x)) % 2 for x in xs]
+            out.append({"lhs": [[j, w] for j, p in enumerate(odd, 1) if not p],
+                        "rhs": [[j, w] for j, p in enumerate(odd, 1) if p]})
+    return out
+
+
+# Scenarios that take the hull route.  ``g4_l3_pm`` has nine free
+# distribution coordinates, one more than ``FM_MAX_NU_DIM``;
+# Fourier-Motzkin would run for minutes on it.  ``pom3`` is three-bit
+# parity-oblivious multiplexing (eight preparations, four equivalences),
+# whose distribution DD peaks at 2920 rays in the given row order and at
+# 666 in the adaptive one.
 HULL_ROUTE = {
     "g4_l3_pm": (
         {"preparations": 4, "measurements": 3, "outcomes": 2,
@@ -174,6 +196,11 @@ HULL_ROUTE = {
                                 "rhs": [[1, 1, "1/3"], [2, 1, "1/3"],
                                         [3, 1, "1/3"]]}]},
         "fd0a9dad35860f9b8863769beff25f02fb6e3e482f8686b1bfecec0d8fc643f1"),
+    "pom3": (
+        {"preparations": 8, "measurements": 3, "outcomes": 2,
+         "prep_equivalences": parity_equivalences(3),
+         "meas_equivalences": []},
+        "466c7a32873832589231cee4fc036bd00cc7bc15372089ccddafba540f48c605"),
 }
 
 

@@ -277,8 +277,8 @@ def in_a_hyperplane(f2, monkeypatch):
     """F2 whose hull route keeps only the vertices at which the last free
     table coordinate is 0, so that the image points lie in a hyperplane."""
     real = projection.vertices
-    monkeypatch.setattr(projection, "vertices", lambda rows, dim, stage: [
-        ray for ray in real(rows, dim, stage) if ray[-2] == 0])
+    monkeypatch.setattr(projection, "vertices", lambda *args, **order: [
+        ray for ray in real(*args, **order) if ray[-2] == 0])
     return f2
 
 
@@ -298,8 +298,7 @@ def test_hull_dd_failure_is_an_internal_error(f2_41, monkeypatch, make,
 def test_hull_route_with_no_vertex_is_an_internal_error(f2_41, monkeypatch):
     # the reduced system holds the interior point, so an empty vertex list
     # is a failed invariant, not an empty polytope of the user's input
-    monkeypatch.setattr(projection, "vertices",
-                        lambda rows, dim, stage: [])
+    monkeypatch.setattr(projection, "vertices", lambda *args, **order: [])
     monkeypatch.setattr(projection, "FM_MAX_NU_DIM", -1)
     with pytest.raises(InternalError, match="no vertex"):
         project_to_nc_polytope(f2_41)
