@@ -19,11 +19,10 @@ from .documents import (generators_from_doc, objective_from_doc,
                         table_from_doc, verdict_to_doc, vertices_to_doc,
                         write_document)
 from .feasibility import Feasible, check_table, optimize
-from .linalg import InputError, InternalError, LimitExceeded
+from .linalg import DENSE_CAP, InputError, InternalError, LimitExceeded
 from .measurement_polytope import build_measurement_h, enumerate_vertices
 from .ncsystem import build_f2
 from .projection import project_to_nc_polytope
-from .scenario import p_vars
 from .symmetry import classify_orbits, generate_group
 
 EXIT_OK = 0
@@ -134,10 +133,13 @@ def cmd_optimize(args) -> int:
 
 def cmd_orbits(args) -> int:
     scn = _load_scenario(args.scenario)
+    if (size := scn.l * scn.g * scn.d) > DENSE_CAP:   # before any list
+        raise LimitExceeded(f"group closure: 1 element of {size} "
+                            f"coordinates exceeds {DENSE_CAP} entries")
     poly = polytope_from_doc(read_document(args.polytope), scn)
     generators = generators_from_doc(read_document(args.generators), scn)
     group = generate_group(scn, generators)
-    classes = classify_orbits(poly.facets, group, poly.equalities, p_vars(scn))
+    classes = classify_orbits(poly.facets, group, poly.equalities, poly.variables)
     _emit(orbits_to_doc(classes), args)
     return EXIT_OK
 

@@ -31,10 +31,10 @@ and points with :func:`.linalg.int_row`, and the kernel keeps its rows and
 rays primitive with :func:`.linalg.primitive`.
 
 Every caller guarantees that its rows span the space and that its region
-is bounded, so the kernel raises :class:`.linalg.InternalError` when
-either fails.  A ray list that grows past :data:`RAY_CAP` raises
-:class:`.linalg.LimitExceeded`, naming the caller's stage: a size limit,
-not a bug.
+is bounded and nonempty (the polar region holds 0), so the kernel itself
+raises :class:`.linalg.InternalError` when any fails ("no vertex" names
+the caller's stage).  A ray list past :data:`RAY_CAP` raises
+:class:`.linalg.LimitExceeded`, naming the stage: a size limit, not a bug.
 """
 
 from __future__ import annotations
@@ -167,12 +167,14 @@ def _simplicial_start(rows, D):
 def vertices(ineqs, dim, stage, adaptive=False) -> list:
     """Vertices of the bounded region {y in Q^dim : a . y + a0 >= 0}.
 
-    ``ineqs`` are dense rows; vertices are points.  An empty region has
-    none.  InternalError if the region is unbounded.  ``adaptive`` is
-    passed to :func:`extreme_rays`.
+    ``ineqs`` are dense rows; vertices are points.  InternalError if the
+    region is empty or unbounded.  ``adaptive`` is passed to
+    :func:`extreme_rays`.
     """
     rays = extreme_rays([(0,) * dim + (1,)] + list(ineqs), dim + 1, stage,
                         adaptive)
+    if not rays:
+        raise InternalError(f"{stage}: no vertex")
     if any(ray[-1] == 0 for ray in rays):
         raise InternalError("double description: region is unbounded")
     return rays

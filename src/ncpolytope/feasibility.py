@@ -224,7 +224,8 @@ def optimize(scn: Scenario, vertices: VertexSet, objective: LinRow, sense="max")
     known = set(f2.p_vars)
     bad = [v for v in objective.coeffs if v not in known]
     if bad:
-        raise DimensionMismatch(f"objective mentions unknown coordinates {bad[:3]}")
+        raise DimensionMismatch("objective mentions unknown coordinates "
+                                + ", ".join(str(list(v[1:])) for v in bad[:3]))
     rows = dict(zip(f2.eq_labels, f2.eq_matrix))
     c = [ZERO] * len(f2.nu_vars)
     for v, w in objective.coeffs.items():

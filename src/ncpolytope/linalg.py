@@ -7,7 +7,7 @@ variable ids to coefficients and has a constant, and reads either as
 arbitrary sortable values (we use tuples like ``("p", i, j, m)``).
 
 Every kernel runs on dense int rows instead, coprime int tuples with the
-constant last; the measurement H-system is built as such rows, and the
+constant last; the measurement equalities are built as such rows, and the
 integer-row helpers (:func:`primitive`, :func:`int_row` and
 :func:`dense_row`) turn the other rational rows and points into them for
 the double description kernel (:mod:`.dd`), the projection and row
@@ -136,6 +136,15 @@ def reduce_row(row, pivots) -> tuple:
         if row[col]:
             row = primitive([p[col] * a - row[col] * b for a, b in zip(row, p)])
     return row
+
+
+def positivity_rows(pivots, columns, kept) -> list:
+    """The rows ``x_c >= 0`` of ``columns`` reduced by ``pivots``, over the
+    ``kept`` (free) columns and the constant: a free column's unit row, else
+    minus its pivot row with the pivot cleared, as :func:`reduce_row` gives."""
+    cols = kept + [-1]  # built once: per-row lists fragmented the heap (8 MiB)
+    return [tuple([int(k == c) for k in cols]) if c not in pivots
+            else primitive([-pivots[c][k] for k in cols]) for c in columns]
 
 
 def add_pivot(pivots, col, row) -> None:

@@ -1,16 +1,16 @@
-"""Vertices of H-polytopes, and the measurement-assignment polytope.
+"""Vertices of systems in standard form, and the measurement polytope.
 
-:func:`build_measurement_h` builds the measurement-assignment polytope
-(positivity, per-measurement normalization and one equality per
-measurement operational equivalence) directly as dense integer rows, and
-stops with LimitExceeded before any row exists when they would hold more
-than :data:`.linalg.DENSE_CAP` entries.  :func:`enumerate_vertices`
-returns the vertices of any bounded H-system in that form exactly: it
-reduces the equalities away, runs the double description method
-(:mod:`.dd`) on the free coordinates they leave, and reads each eliminated
-coordinate off its pivot row at every vertex.  The uniform assignment
-keeps every convex equivalence, so the polytope of a valid scenario is
-never empty: no vertex, like an unbounded system, is an InternalError.
+The measurement-assignment polytope is in standard form: xi >= 0, each
+measurement's outcomes sum to 1, and each measurement equivalence holds.
+:func:`build_measurement_h` builds its equalities as dense integer rows,
+and stops with LimitExceeded before any row exists when they and the
+xi >= 0 rows would hold more than :data:`.linalg.DENSE_CAP` entries.
+:func:`enumerate_vertices` returns the vertices of any bounded system in
+standard form exactly: it reduces the equalities away, runs the double
+description method (:mod:`.dd`) on xi >= 0 over the free coordinates
+they leave, and reads each eliminated coordinate off its pivot row.  The
+uniform assignment keeps every convex equivalence, so a valid scenario
+always has a vertex, and "no vertex" is the kernel's InternalError.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from fractions import Fraction
 from operator import mul
 
 from .dd import vertices
-from .linalg import (DENSE_CAP, ZERO, InternalError, LimitExceeded, int_row,
-                     primitive, reduce_row, row_reduce_equalities)
+from .linalg import (DENSE_CAP, ZERO, LimitExceeded, int_row, positivity_rows,
+                     row_reduce_equalities)
 from .scenario import Scenario
 
 
@@ -53,11 +53,11 @@ class VertexSet:
 
 
 def build_measurement_h(scn: Scenario):
-    """Positivity, normalization, and OE_M rows over the xi coordinates.
+    """The measurement polytope in standard form over the xi coordinates.
 
-    Returns ``(variables, equalities, inequalities)``, the rows coprime
-    ints over ``variables`` with the constant last: the normalization
-    rows, then one row per OE_M, and xi >= 0 for each coordinate.
+    Returns ``(variables, equalities)``, the rows coprime ints over
+    ``variables`` with the constant last: the normalization rows, then
+    one row per OE_M.  Every coordinate is nonnegative.
     """
     n = scn.l * scn.d
     rows = n + scn.l + len(scn.oe_m)
@@ -71,29 +71,19 @@ def build_measurement_h(scn: Scenario):
         diff = eq.difference()
         equalities.append(int_row([diff.get(e, ZERO) for e in effects]
                                   + [ZERO]))
-    inequalities = [tuple(int(k == c) for k in range(n + 1))
-                    for c in range(n)]
-    return [xi_var(i, m) for i, m in effects], equalities, inequalities
+    return [xi_var(i, m) for i, m in effects], equalities
 
 
 def enumerate_vertices(h) -> VertexSet:
-    """All vertices of a bounded H-system ``(variables, equalities,
-    inequalities)`` of dense int rows, exact and canonically ordered."""
-    variables, equalities, inequalities = h
+    """All vertices of a bounded system in standard form, ``(variables,
+    equalities)`` of dense int rows over nonnegative ``variables``, exact
+    and canonically ordered."""
+    variables, equalities = h
     n = len(variables)
     pivots = row_reduce_equalities(equalities)
     free = [k for k in range(n) if k not in pivots]
-    # Dense integer inequalities a.y + a0 >= 0 over the free coordinates;
-    # a violated row with no coefficient leaves the kernel no vertex.
-    ineqs = []
-    for row in inequalities:
-        row = reduce_row(row, pivots)
-        q = primitive([row[k] for k in free] + [row[-1]])
-        if any(q[:-1]) or q[-1] < 0:
-            ineqs.append(q)
-    raw = vertices(ineqs, len(free), "measurement vertices")
-    if not raw:
-        raise InternalError("measurement vertices: no vertex")
+    raw = vertices(positivity_rows(pivots, range(n), free), len(free),
+                   "measurement vertices")
     points = []
     for ray in raw:
         # a pivot coordinate is -p . (b, t) / (p[col] * t), with b set to 0

@@ -40,7 +40,7 @@ from operator import mul
 
 from .dd import hull_facets, vertices
 from .linalg import (EQ, ONE, InternalError, LinRow, canonicalize_row,
-                     int_row, primitive, reduce_row, row_reduce_equalities)
+                     int_row, positivity_rows, primitive, row_reduce_equalities)
 from .ncsystem import LINKING, F2System, dot, fixed_rhs
 from .scenario import flatten_coord, p_var
 from .simplex import minimize_over_rows
@@ -340,7 +340,7 @@ def project_to_nc_polytope(f2: F2System, progress=None) -> NCPolytope:
 
 
 def _affine_hull(f2: F2System):
-    """Equality reduction: free coordinates, dense rows, p-pivot equalities.
+    """Equality reduction: free coordinates, nu >= 0 rows, table equalities.
 
     Columns are table, then distribution coordinates, then the constant.
     An equality reads row . nu - b = 0, where a linking row's b is its p,
@@ -362,13 +362,11 @@ def _affine_hull(f2: F2System):
     # ties by column, and its shot origins depend on the column order.
     cols = [c for c in range(n_p, n) if c not in pivots]
     cols += [c for c in range(n_p) if c not in pivots]
-    rows = [reduce_row([int(k == c) for k in range(n + 1)], pivots)
-            for c in range(n_p, n)]     # nu >= 0
     equalities = [canonicalize_row(LinRow(dict(zip(f2.p_vars, p)), p[-1], EQ))
                   for col, p in sorted(pivots.items()) if col < n_p]
     variables = f2.p_vars + f2.nu_vars
     return ([variables[c] for c in cols],
-            [primitive([r[k] for k in cols + [-1]]) for r in rows], equalities)
+            positivity_rows(pivots, range(n_p, n), cols), equalities)
 
 
 def _interior_point(f2: F2System, free):
@@ -461,8 +459,6 @@ def _fm_facets(f2: F2System, free, dense, nu_dim, progress):
 
 def _hull_facets(rows, dim, nu_dim, progress):
     raw = vertices(rows, dim, "distribution vertices", adaptive=True)
-    if not raw:
-        raise InternalError("vertex enumeration: no vertex")
     if progress:
         progress(dim, len(raw))
     points = {primitive(ray[nu_dim:]) for ray in raw}

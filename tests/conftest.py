@@ -36,8 +36,8 @@ def six_prep_scenario():
 def unnormalized_measurement_h(scn):
     """The measurement system without its normalization rows, the only
     rows with a constant: only xi >= 0 bounds it, so it is unbounded."""
-    variables, equalities, inequalities = build_measurement_h(scn)
-    return variables, [r for r in equalities if not r[-1]], inequalities
+    variables, equalities = build_measurement_h(scn)
+    return variables, [r for r in equalities if not r[-1]]
 
 
 @pytest.fixture(scope="session")

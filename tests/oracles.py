@@ -73,13 +73,13 @@ def substitute(row, subs) -> LinRow:
 
 
 def linrows(h):
-    """A measurement H-system ``(variables, equalities, inequalities)`` of
-    dense int rows as ``(variables, LinRows)``, the form of the oracles."""
-    variables, equalities, inequalities = h
-    return variables, [LinRow(dict(zip(variables, r)), r[-1], kind)
-                       for rows, kind in ((equalities, EQ),
-                                          (inequalities, GEQ))
-                       for r in rows]
+    """A system in standard form, ``(variables, equalities)`` of dense int
+    rows over nonnegative variables, as ``(variables, LinRows)``, the form
+    of the oracles: the equalities, then ``v >= 0`` for each variable."""
+    variables, equalities = h
+    return variables, ([LinRow(dict(zip(variables, r)), r[-1], EQ)
+                        for r in equalities]
+                       + [LinRow({v: 1}, 0, GEQ) for v in variables])
 
 
 def eliminate(variables, rows):

@@ -17,6 +17,7 @@ import pytest
 import conftest
 from conftest import (TIMINGS, contextual_table_41, four_prep_scenario,
                       quantum_table_63, six_prep_scenario)
+from ncpolytope.dd import vertices
 from ncpolytope.documents import polytope_to_doc, write_document
 from ncpolytope.feasibility import Feasible, Infeasible, check_table, optimize
 from ncpolytope.linalg import (EQ, GEQ, LinRow, canonicalize_row, dense_row,
@@ -370,9 +371,9 @@ def test_criterion_09_projection_matches_hull_oracle(monkeypatch):
             # every vertex of the computed facet region lies in the hull
             # of the oracle points, so the two polytopes coincide
             if free:
-                region = (free, [], [dense_row(f, free) for f in fm.facets])
-                for vertex in enumerate_vertices(region).vertices:
-                    tup = tuple(vertex[v] for v in free)
+                region = [dense_row(f, free) for f in fm.facets]
+                for *b, t in vertices(region, len(free), "facet region"):
+                    tup = tuple(F(a, t) for a in b)
                     assert in_convex_hull(tup, points)
 
 

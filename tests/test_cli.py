@@ -301,6 +301,31 @@ def test_group_cap_exit_code(capsys, tmp_path, monkeypatch):
                    "exceed 63 entries\n")
 
 
+def test_orbits_stops_an_oversize_scenario_before_listing_it(
+        capsys, tmp_path, monkeypatch):
+    # 6 * 10**6 preparations of one two-outcome measurement have 1.2 * 10**7
+    # table coordinates, so the group's identity alone passes the dense
+    # size cap; listing them first would take gigabytes, so the run must
+    # stop before the polytope document is read against the scenario
+    def listed(*args):
+        raise AssertionError("the coordinates were listed before the cap")
+
+    monkeypatch.setattr(cli, "polytope_from_doc", listed)
+    docs = {"scenario": {"preparations": 6000000, "measurements": 1,
+                         "outcomes": 2},
+            "polytope": {"equalities": [], "facets": []},
+            "generators": {"generators": [
+                {"type": "swap_preparations", "args": [1, 2]}]}}
+    paths = []
+    for name, doc in docs.items():
+        paths.append(str(tmp_path / f"{name}.json"))
+        Path(paths[-1]).write_text(json.dumps(doc))
+    code, out, err = run(capsys, "orbits", *paths)
+    assert (code, out) == (EXIT_LIMIT, "")
+    assert err == ("error: group closure: 1 element of 12000000 coordinates "
+                   "exceeds 10000000 entries\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("polytope", SIMPLEST), ("check", SIMPLEST, CONTEXTUAL),
     ("optimize", SIMPLEST, OBJECTIVE)], ids=lambda argv: argv[0])
@@ -360,6 +385,35 @@ def test_ray_cap_exit_code(capsys, monkeypatch, command, name, cap, dim):
     assert re.fullmatch(f"error: {STOPPED_STAGE[command]}: double "
                         f"description in dimension {dim}: more than {cap} "
                         r"rays after \d+ of \d+ rows\n", err)
+
+
+def test_measurement_vertices_stop_at_the_ray_cap_in_bounded_memory(tmp_path):
+    # 1000 two-outcome measurements leave 1000 free coordinates, and the
+    # kernel receives their 2000 positivity rows over those columns only:
+    # on Linux x86-64 the child peaks at about 79 MiB, and at about 110 MiB
+    # when each row was built over all 2001 columns and then reduced
+    path = tmp_path / "l1000.json"
+    path.write_text(json.dumps({"preparations": 1, "measurements": 1000,
+                                "outcomes": 2}))
+    # the child's own peak: RUSAGE_CHILDREN would count every child of
+    # the test process; ru_maxrss is in KiB on Linux, in bytes on macOS
+    child = ("import resource, sys\n"
+             "from ncpolytope import cli, dd\n"
+             "dd.RAY_CAP = 1000\n"
+             "code = cli.main(['vertices', sys.argv[1]])\n"
+             "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+             "print(peak if sys.platform == 'darwin' else peak * 1024)\n"
+             "sys.exit(code)\n")
+    src = str(Path(ncpolytope.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", child, str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_LIMIT
+    assert proc.stderr == ("error: measurement vertices: double description "
+                           "in dimension 1001: more than 1000 rays after 1002 "
+                           "of 2001 rows\n")
+    assert int(proc.stdout) < 95 * 2 ** 20
 
 
 def test_distribution_vertices_fit_under_a_small_ray_cap(capsys, monkeypatch,

@@ -144,10 +144,12 @@ def test_rows_or_points_that_do_not_span_raise():
 
 
 def test_empty_region_has_no_vertex():
-    # x, y in [0, 1] with x + y >= 3: the kernel finds no vertex
+    # x, y in [0, 1] with x + y >= 3: the kernel finds no vertex, and no
+    # caller holds an empty region, so that is a failed invariant
     rows = [lower((1, 0), 0), lower((0, 1), 0), upper((1, 0), 1),
             upper((0, 1), 1), lower((1, 1), 3)]
-    assert kernel_vertices(rows, VARS[:2]) == []
+    with pytest.raises(InternalError, match="^test vertices: no vertex$"):
+        kernel_vertices(rows, VARS[:2])
 
 
 @st.composite

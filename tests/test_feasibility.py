@@ -124,8 +124,11 @@ def test_optimize_min_and_constant(scn41, verts41):
 def test_optimize_rejects_bad_input(scn41, verts41):
     with pytest.raises(ValueError):
         optimize(scn41, verts41, LinRow({p(1, 1): F(1)}, F(0), GEQ), "sup")
-    with pytest.raises(DimensionMismatch):
-        optimize(scn41, verts41, LinRow({("p", 9, 9, 0): F(1)}, F(0), GEQ))
+    # coordinates are written as the documents write them
+    with pytest.raises(DimensionMismatch,
+                       match=r"unknown coordinates \[9, 9, 0\], \[1, 1, 5\]$"):
+        optimize(scn41, verts41, LinRow({("p", 9, 9, 0): F(1),
+                                         ("p", 1, 1, 5): F(1)}, F(0), GEQ))
 
 
 def random_table(scn, rng):

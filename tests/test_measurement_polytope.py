@@ -92,12 +92,13 @@ def test_uniform_assignment_is_always_a_member(scn):
 
 
 @pytest.mark.parametrize("h", [
-    (["x"], [], [(1, -2), (-1, 1)]),                # x >= 2 and x <= 1
+    # x >= 2 and x <= 1 with slacks s, t >= 0: x - s = 2 and x + t = 1
+    (["x", "s", "t"], [(1, -1, 0, -2), (1, 0, 1, -1)]),
     # x + y = 1 and x - y = 3 fix y = -1, so y >= 0 reduces to -1 >= 0
-    (["x", "y"], [(1, 1, -1), (1, -1, -3)], [(1, 0, 0), (0, 1, 0)]),
+    (["x", "y"], [(1, 1, -1), (1, -1, -3)]),
 ], ids=["inequalities", "equalities"])
 def test_a_system_with_no_vertex_is_an_internal_error(h):
-    # no valid scenario gives such a system
+    # no valid scenario gives such a system; the kernel names the stage
     with pytest.raises(InternalError, match="measurement vertices: no vertex"):
         enumerate_vertices(h)
 

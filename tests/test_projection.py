@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncpolytope.dd as dd
 import ncpolytope.projection as projection
 from conftest import (SCENARIO_DIR, contextual_table_41, four_prep_scenario,
                       six_prep_scenario, uniform_table)
@@ -297,10 +298,11 @@ def test_hull_dd_failure_is_an_internal_error(f2_41, monkeypatch, make,
 
 def test_hull_route_with_no_vertex_is_an_internal_error(f2_41, monkeypatch):
     # the reduced system holds the interior point, so an empty vertex list
-    # is a failed invariant, not an empty polytope of the user's input
-    monkeypatch.setattr(projection, "vertices", lambda *args, **order: [])
+    # is a failed invariant, not an empty polytope of the user's input,
+    # and the kernel raises it naming the hull route's stage
+    monkeypatch.setattr(dd, "extreme_rays", lambda *args, **order: [])
     monkeypatch.setattr(projection, "FM_MAX_NU_DIM", -1)
-    with pytest.raises(InternalError, match="no vertex"):
+    with pytest.raises(InternalError, match="distribution vertices: no vertex"):
         project_to_nc_polytope(f2_41)
 
 
